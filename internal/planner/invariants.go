@@ -78,8 +78,13 @@ func (p *Planner) CheckInvariants() error {
 		return fmt.Errorf("planner: base point %d missing", p.base)
 	}
 
-	// Every span's boundaries must exist as scheduled points.
-	for id, s := range p.spans {
+	// Spans are in ascending ID order (what Span/RemoveSpan binary-search
+	// on) and their boundaries exist as scheduled points.
+	for i, s := range p.spans {
+		id := s.ID
+		if id >= p.nextSpanID || (i > 0 && id <= p.spans[i-1].ID) {
+			return fmt.Errorf("planner: span %d out of ID order at index %d", id, i)
+		}
 		if f := p.floorPoint(s.Start); f == noPoint || p.pts[f].at != s.Start {
 			return fmt.Errorf("planner: span %d start %d has no scheduled point", id, s.Start)
 		}

@@ -97,11 +97,10 @@ type Span struct {
 // the per-vertex lock of the parallel match pipeline: many traverser
 // workers may probe one pool's calendar while at most one commits to it.
 type Planner struct {
-	mu           sync.RWMutex
-	base         int64
-	horizon      int64
-	total        int64
-	resourceType string
+	mu      sync.RWMutex
+	base    int64
+	horizon int64
+	total   int64
 
 	// Lazy calendar: nil/empty until the first AddSpan. While no spans
 	// exist the planner is flat — remaining == total over the whole
@@ -112,15 +111,18 @@ type Planner struct {
 	// freePt heads the slab freelist, linked through subtreeMin.
 	freePt int32
 
-	// spans holds live spans by value, keyed by ID. The map is allocated
-	// lazily on the first AddSpan and dropped on demotion, so a resting
-	// planner carries no map header or buckets.
-	spans      map[int64]Span
+	// spans holds live spans by value in ascending ID order: IDs are handed
+	// out monotonically, so AddSpan appends and lookups binary-search. The
+	// backing array is released on demotion, so a resting planner carries
+	// only the slice header.
+	spans      []Span
 	nextSpanID int64
 }
 
 // New creates a planner for a pool of total units of resourceType, covering
-// times in [base, base+horizon). horizon and total must be positive.
+// times in [base, base+horizon). horizon and total must be positive. The
+// type is documentation at the call site only: whoever owns the planner (a
+// vertex, a Multi's type key) already knows it, so it is not stored.
 func New(base, horizon, total int64, resourceType string) (*Planner, error) {
 	p := new(Planner)
 	if err := Init(p, base, horizon, total, resourceType); err != nil {
@@ -134,7 +136,7 @@ func New(base, horizon, total int64, resourceType string) (*Planner, error) {
 // slab at Finalize, so a million resting planners are one allocation
 // instead of a million heap objects. p must be zero-valued (or otherwise
 // unused); Init does not free an existing calendar.
-func Init(p *Planner, base, horizon, total int64, resourceType string) error {
+func Init(p *Planner, base, horizon, total int64, _ string) error {
 	if horizon <= 0 || total <= 0 {
 		return fmt.Errorf("%w: horizon=%d total=%d", ErrInvalid, horizon, total)
 	}
@@ -144,7 +146,6 @@ func Init(p *Planner, base, horizon, total int64, resourceType string) error {
 	p.base = base
 	p.horizon = horizon
 	p.total = total
-	p.resourceType = resourceType
 	p.freePt = noPoint
 	p.nextSpanID = 1
 	return nil
@@ -281,9 +282,6 @@ func (p *Planner) FlatTotal() (int64, bool) {
 	return p.total, len(p.spans) == 0
 }
 
-// ResourceType returns the label given at construction.
-func (p *Planner) ResourceType() string { return p.resourceType }
-
 // SpanCount returns the number of live spans.
 func (p *Planner) SpanCount() int {
 	p.mu.RLock()
@@ -306,11 +304,17 @@ func (p *Planner) PointCount() int {
 func (p *Planner) Span(id int64) (Span, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	s, ok := p.spans[id]
+	i, ok := p.spanIndex(id)
 	if !ok {
 		return Span{}, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	return s, nil
+	return p.spans[i], nil
+}
+
+// spanIndex returns the position of span id in p.spans; callers hold p.mu.
+func (p *Planner) spanIndex(id int64) (int, bool) {
+	i := sort.Search(len(p.spans), func(i int) bool { return p.spans[i].ID >= id })
+	return i, i < len(p.spans) && p.spans[i].ID == id
 }
 
 // end returns the exclusive end of the schedulable range.
@@ -633,10 +637,7 @@ func (p *Planner) AddSpan(start, duration, request int64) (int64, error) {
 	}
 	id := p.nextSpanID
 	p.nextSpanID++
-	if p.spans == nil {
-		p.spans = make(map[int64]Span, 4)
-	}
-	p.spans[id] = Span{ID: id, Start: start, Last: start + duration, Planned: request}
+	p.spans = append(p.spans, Span{ID: id, Start: start, Last: start + duration, Planned: request})
 	return id, nil
 }
 
@@ -646,15 +647,23 @@ func (p *Planner) AddSpan(start, duration, request int64) (int64, error) {
 func (p *Planner) RemoveSpan(id int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.spans[id]
+	at, ok := p.spanIndex(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	delete(p.spans, id)
-	if len(p.spans) == 0 {
+	s := p.spans[at]
+	if len(p.spans) == 1 {
 		p.spans = nil
 		p.demote()
 		return nil
+	}
+	// Close the gap from the shorter side: spans mostly retire oldest
+	// first, and dropping the head is then a reslice, not a memmove.
+	if at < len(p.spans)/2 {
+		copy(p.spans[1:at+1], p.spans[:at])
+		p.spans = p.spans[1:]
+	} else {
+		p.spans = append(p.spans[:at], p.spans[at+1:]...)
 	}
 	start := p.floorPoint(s.Start)
 	boundary := [2]int32{noPoint, noPoint}
@@ -743,13 +752,8 @@ func (p *Planner) Points(fn func(at, avail int64) bool) {
 func (p *Planner) Spans(fn func(s Span) bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	ids := make([]int64, 0, len(p.spans))
-	for id := range p.spans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !fn(p.spans[id]) {
+	for _, s := range p.spans {
+		if !fn(s) {
 			return
 		}
 	}

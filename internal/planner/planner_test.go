@@ -311,6 +311,34 @@ func TestRandomAgainstReference(t *testing.T) {
 			}
 			ref.remove(s.start, s.dur, s.req)
 			spans = append(spans[:i], spans[i+1:]...)
+			if _, err := p.Span(s.id); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("op %d: removed span %d still found (%v)", op, s.id, err)
+			}
+		}
+
+		// The span index: every live span found by ID whatever was removed
+		// around it, and enumeration in ascending ID order.
+		if len(spans) > 0 {
+			s := spans[rng.Intn(len(spans))]
+			if got, err := p.Span(s.id); err != nil || got != (Span{s.id, s.start, s.start + s.dur, s.req}) {
+				t.Fatalf("op %d: Span(%d) = %+v, %v", op, s.id, got, err)
+			}
+		}
+		if op%50 == 0 {
+			last, n := int64(0), 0
+			p.Spans(func(s Span) bool {
+				if s.ID <= last {
+					t.Fatalf("op %d: Spans out of order: %d after %d", op, s.ID, last)
+				}
+				last, n = s.ID, n+1
+				return true
+			})
+			if n != len(spans) {
+				t.Fatalf("op %d: Spans visited %d, %d live", op, n, len(spans))
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
 		}
 
 		// Cross-check queries.

@@ -25,6 +25,7 @@ type Snapshot struct {
 
 	// times is the sorted scheduled-point times (times[0] == base);
 	// avail[i] is the units available throughout [times[i], times[i+1]).
+	// The two are halves of one backing array.
 	times []int64
 	avail []int64
 }
@@ -36,28 +37,25 @@ func (p *Planner) Snapshot() *Snapshot {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if !p.active() {
-		return &Snapshot{
-			base:    p.base,
-			horizon: p.horizon,
-			total:   p.total,
-			times:   []int64{p.base},
-			avail:   []int64{p.total},
-		}
+		s := p.newSnapshot(1)
+		s.times[0], s.avail[0] = p.base, p.total
+		return s
 	}
-	n := p.sp.Len()
-	s := &Snapshot{
-		base:    p.base,
-		horizon: p.horizon,
-		total:   p.total,
-		times:   make([]int64, 0, n),
-		avail:   make([]int64, 0, n),
-	}
+	s := p.newSnapshot(p.sp.Len())
+	i := 0
 	for node := p.sp.Min(); node != rbtree.None; node = p.sp.Next(node) {
 		pt := &p.pts[p.sp.Item(node)]
-		s.times = append(s.times, pt.at)
-		s.avail = append(s.avail, pt.remaining)
+		s.times[i], s.avail[i] = pt.at, pt.remaining
+		i++
 	}
 	return s
+}
+
+// newSnapshot returns an n-point snapshot whose times and avail share one
+// backing array: one allocation beside the header, however many points.
+func (p *Planner) newSnapshot(n int) *Snapshot {
+	buf := make([]int64, 2*n)
+	return &Snapshot{base: p.base, horizon: p.horizon, total: p.total, times: buf[:n:n], avail: buf[n:]}
 }
 
 // Base returns the first schedulable time.

@@ -1,37 +1,41 @@
 package resgraph
 
-import "fluxion/internal/planner"
+import (
+	"math/bits"
 
-// This file implements the MVCC epoch layer: immutable, atomically
-// published snapshots of the graph's match-relevant state. Match workers
-// pin an epoch with a single atomic load and read it with zero
-// synchronization — no graph RWMutex, no per-vertex claim atomics — while
-// writers batch their mutations into copy-on-write epoch transitions.
+	"fluxion/internal/planner"
+)
+
+// This file implements the MVCC epoch layer: immutable snapshots of the
+// graph's match-relevant state that match workers pin once and then read
+// with zero synchronization — no graph RWMutex, no per-vertex claim
+// atomics.
 //
-// The single-writer rule: mutations themselves still serialize under the
-// existing locks (the traverser's writer lock, the graph's writer lock),
-// and each mutating operation ends by publishing one epoch transition.
-// Publication is serialized under epochMu, so at any instant there is
-// exactly one current epoch and transitions are totally ordered; readers
-// never block writers and writers never block readers.
+// Publication and materialisation are separate steps. Every mutating
+// operation ends by *publishing*: the version counter advances and the
+// buffered capacity deltas (delta.go) flush to the sink in order, so the
+// wakeup index and the WAL observe exactly one consistent boundary per
+// transition. Publications serialize under epochMu and are totally
+// ordered. A publish snapshots nothing; it leaves the dirty set (a bitmap
+// over UniqIDs and the epochAll bit) in place. An Epoch is *built* only
+// when a reader asks for one (Graph.Epoch), from the union of what the
+// publications since the previous build dirtied. A graph with no epoch
+// readers — the one-worker scheduler — pays for the bootstrap build and
+// nothing else.
 //
 // An epoch holds one vertexSnap per vertex — status, pre-order interval
 // labels, a planner.Snapshot of the vertex's availability calendar, and a
 // planner.MultiSnapshot of its pruning filter — stored in fixed-size
-// chunks. A transition copies the chunk directory and only the chunks
+// chunks. A build copies the chunk directory and only the chunks
 // containing re-snapshotted vertices; everything else is shared with the
 // previous epoch. Structural changes (attach/detach, which renumber the
-// pre-order labels) rebuild every chunk and bump the epoch's structural
-// version, which the match scratch arenas use to drop cached candidate
-// buffers that may pin dead vertices.
-//
-// Capacity deltas (delta.go) are buffered while an epoch transition is
-// pending and flushed, in order, when it publishes: the wakeup index and
-// the WAL observe exactly one consistent boundary per transition.
+// pre-order labels) rebuild every chunk and bump the structural version,
+// which the match scratch arenas use to drop cached candidate buffers that
+// may pin dead vertices.
 //
 // Memory reclamation is the garbage collector's: a retired epoch stays
 // reachable only while some reader still holds its pointer, and chunks
-// untouched across transitions are shared, not copied.
+// untouched across builds are shared, not copied.
 
 const (
 	epochChunkBits = 8
@@ -62,8 +66,8 @@ type Epoch struct {
 	chunks        []*epochChunk
 }
 
-// Version returns the epoch's monotonically increasing sequence number
-// (the first epoch published by Finalize is version 1).
+// Version returns the published version this epoch materialises (the
+// bootstrap epoch Finalize builds is version 1).
 func (e *Epoch) Version() uint64 { return e.version }
 
 // StructVersion returns the structural generation: it changes only on
@@ -138,19 +142,48 @@ func (e *Epoch) InSubtree(rootUID, uid int64) bool {
 	return r.treeIn <= v.treeIn && v.treeIn < r.treeOut
 }
 
-// Epoch returns the current published epoch (nil before Finalize). One
-// atomic load; the result is immutable and may be read indefinitely.
-func (g *Graph) Epoch() *Epoch { return g.epoch.Load() }
-
-// EpochVersion returns the current epoch's version (0 before Finalize).
-func (g *Graph) EpochVersion() uint64 {
-	if e := g.epoch.Load(); e != nil {
-		return e.version
+// Epoch returns the graph's state as of the latest publication (nil before
+// Finalize), materialising it first when publications have happened since
+// the last build. Publishing is cheap and building is not, so the snapshot
+// work is done here, for the reader that wants it, from the dirty set the
+// intervening publications carried forward: a graph nobody pins never
+// builds. The result is immutable and may be read indefinitely.
+//
+// A build reads live planners, so it must not overlap a mutating
+// operation: graph mutators are fenced by g.mu, callers driving planners
+// directly (the traverser) exclude their own writers — see
+// Traverser.PinEpoch. For the same reason a build made while marks are
+// pending but unpublished (inside a batch) may already reflect them; such
+// an epoch is not EpochStable until superseded. Must not be called with
+// the graph lock held.
+func (g *Graph) Epoch() *Epoch {
+	e := g.epoch.Load()
+	if e == nil || e.version == g.epochVersion.Load() {
+		return e
 	}
-	return 0
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	g.epochMu.Lock()
+	defer g.epochMu.Unlock()
+	if e = g.epoch.Load(); e.version != g.epochVersion.Load() {
+		e = g.buildEpochLocked(e)
+		g.epoch.Store(e)
+	}
+	return e
 }
 
-// EpochStable reports whether ep is still the current epoch with no
+// EpochVersion returns the latest published version (0 before Finalize).
+func (g *Graph) EpochVersion() uint64 { return g.epochVersion.Load() }
+
+// StructVersion returns the live structural generation (see
+// Epoch.StructVersion); stable while the graph's reader lock is held.
+func (g *Graph) StructVersion() uint64 { return g.structVersion.Load() }
+
+// EpochBuilds returns how many epochs have been materialised, the
+// bootstrap included.
+func (g *Graph) EpochBuilds() uint64 { return g.epochBuilds.Load() }
+
+// EpochStable reports whether ep is the latest published epoch with no
 // unpublished mutations pending against it. This is the commit-time
 // re-validation of the MVCC pipeline: a speculation whose pinned epoch is
 // stable at commit time (checked while the committer excludes writers)
@@ -161,36 +194,48 @@ func (g *Graph) EpochStable(ep *Epoch) bool {
 		return false
 	}
 	g.epochMu.Lock()
-	ok := g.epoch.Load() == ep && !g.epochAll &&
-		len(g.epochDirty) == 0 && len(g.pendingDeltas) == 0
+	ok := ep.version == g.epochVersion.Load() && !g.epochUnpub && len(g.pendingDeltas) == 0
 	g.epochMu.Unlock()
 	return ok
 }
 
-// MarkEpochDirty records that v's planner or filter state changed; the
-// next epoch transition re-snapshots it. Mutators call it after every
-// span install/remove. Idempotent per pending transition (a per-vertex
-// flag suppresses duplicate list entries).
-func (g *Graph) MarkEpochDirty(v *Vertex) {
-	if v == nil || g.epoch.Load() == nil {
+// MarkEpochDirty records that the planner or filter state of vs changed:
+// the next publication covers them and the next build re-snapshots them.
+// Mutators call it after installing or removing spans, once per operation
+// with every vertex the operation touched. The set is a bitmap over
+// UniqIDs, sized by the last full build: a vertex beyond it was attached
+// since, which already scheduled the next full build.
+func (g *Graph) MarkEpochDirty(vs ...*Vertex) {
+	if len(vs) == 0 || g.epoch.Load() == nil {
 		return
 	}
 	g.epochMu.Lock()
-	if !v.epochDirty {
-		v.epochDirty = true
-		g.epochDirty = append(g.epochDirty, v)
+	for _, v := range vs {
+		if v == nil {
+			continue
+		}
+		if w := int(v.UniqID >> 6); w < len(g.epochDirty) {
+			g.epochDirty[w] |= 1 << (v.UniqID & 63)
+		} else {
+			g.epochAll = true
+		}
 	}
+	g.epochUnpub = true
 	g.epochMu.Unlock()
 }
 
-// markEpochAllLocked schedules a full rebuild (structural change);
-// callers hold g.mu.
+// markEpochAllLocked records a structural change: the structural version
+// moves with the topology (not with the publication, so live-graph matches
+// and builds inside an open batch never pair new labels with an old
+// generation) and the next build redoes every chunk. Callers hold g.mu.
 func (g *Graph) markEpochAllLocked() {
 	if g.epoch.Load() == nil {
 		return
 	}
 	g.epochMu.Lock()
 	g.epochAll = true
+	g.epochUnpub = true
+	g.structVersion.Add(1)
 	g.epochMu.Unlock()
 }
 
@@ -207,53 +252,38 @@ func (g *Graph) BeginEpochBatch() {
 	g.epochMu.Unlock()
 }
 
-// EndEpochBatch closes a batch and, when it is the outermost one with
-// pending changes, publishes the accumulated epoch transition.
+// EndEpochBatch closes a batch and, when it is the outermost one,
+// publishes the accumulated transition.
 func (g *Graph) EndEpochBatch() {
 	g.epochMu.Lock()
 	if g.epochBatch > 0 {
 		g.epochBatch--
 	}
-	need := g.epochBatch == 0 &&
-		(g.epochAll || len(g.epochDirty) > 0 || len(g.pendingDeltas) > 0)
+	g.publishLocked()
 	g.epochMu.Unlock()
-	if need {
-		g.PublishEpoch()
-	}
 }
 
 // PublishEpoch publishes an epoch transition covering every mutation
-// recorded since the last one, then flushes the buffered capacity deltas.
-// Mutating traverser operations call it once at their end; it is a no-op
-// when nothing is pending or a batch is open. Safe to call from any
-// goroutine not already holding the graph's lock.
+// recorded since the last one: the version advances and the buffered
+// capacity deltas flush to the sink. Nothing is snapshotted — the dirty set
+// stays behind for the next build (see Epoch). Mutating operations call it
+// once at their end; it is a no-op when nothing is pending or a batch is
+// open. Safe to call with or without the graph lock held.
 func (g *Graph) PublishEpoch() {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	g.publishEpochGraphLocked()
+	g.epochMu.Lock()
+	g.publishLocked()
+	g.epochMu.Unlock()
 }
 
-// publishEpochGraphLocked is PublishEpoch for callers already holding
-// g.mu (either side): graph mutators publish at the end of their own
-// critical section.
-func (g *Graph) publishEpochGraphLocked() {
-	g.epochMu.Lock()
-	defer g.epochMu.Unlock()
-	prev := g.epoch.Load()
-	if prev == nil || g.epochBatch > 0 {
+// publishLocked is PublishEpoch under epochMu.
+func (g *Graph) publishLocked() {
+	if g.epochBatch > 0 || g.epoch.Load() == nil {
 		return
 	}
-	if !g.epochAll && len(g.epochDirty) == 0 && len(g.pendingDeltas) == 0 {
-		return
+	if g.epochUnpub {
+		g.epochUnpub = false
+		g.epochVersion.Add(1)
 	}
-	if g.epochAll || len(g.epochDirty) > 0 {
-		g.epoch.Store(g.buildEpochLocked(prev))
-	}
-	for _, v := range g.epochDirty {
-		v.epochDirty = false
-	}
-	g.epochDirty = g.epochDirty[:0]
-	g.epochAll = false
 	// Flush buffered deltas in publication order, still under epochMu so
 	// concurrent transitions cannot interleave their flushes. The sink
 	// contract (SetDeltaSink) already forbids calling back into the graph.
@@ -267,29 +297,29 @@ func (g *Graph) publishEpochGraphLocked() {
 	}
 }
 
-// bootstrapEpochLocked publishes the first epoch; Finalize calls it under
-// g.mu once paths, planners, and filters exist.
+// bootstrapEpochLocked builds and publishes the first epoch; Finalize
+// calls it under g.mu once paths, planners, and filters exist.
 func (g *Graph) bootstrapEpochLocked() {
 	g.epochAll = true
-	e := g.buildEpochLocked(nil)
-	g.epoch.Store(e)
-	g.epochAll = false
+	g.epochVersion.Store(1)
+	g.structVersion.Store(1)
+	g.epoch.Store(g.buildEpochLocked(nil))
 }
 
-// buildEpochLocked constructs the next epoch from the recorded dirty set
-// (or from scratch for structural transitions). Callers hold g.mu (any
-// side) and epochMu.
+// buildEpochLocked materialises the published version from prev plus the
+// dirty set accumulated since prev was built (from scratch after a
+// structural change), consuming that set. Callers hold g.mu (any side)
+// and epochMu.
 func (g *Graph) buildEpochLocked(prev *Epoch) *Epoch {
+	g.epochBuilds.Add(1)
 	bound := g.nextUniq
-	n := int((bound + epochChunkMask) >> epochChunkBits)
-	e := &Epoch{uniqBound: bound, version: 1}
-	if prev != nil {
-		e.version = prev.version + 1
-		e.structVersion = prev.structVersion
+	e := &Epoch{
+		version:       g.epochVersion.Load(),
+		structVersion: g.structVersion.Load(),
+		uniqBound:     bound,
+		chunks:        make([]*epochChunk, (bound+epochChunkMask)>>epochChunkBits),
 	}
-	e.chunks = make([]*epochChunk, n)
-	if prev == nil || g.epochAll {
-		e.structVersion++
+	if g.epochAll {
 		for _, v := range g.vertices {
 			ci := int(v.UniqID >> epochChunkBits)
 			c := e.chunks[ci]
@@ -299,29 +329,28 @@ func (g *Graph) buildEpochLocked(prev *Epoch) *Epoch {
 			}
 			fillSnap(&c.snaps[v.UniqID&epochChunkMask], g, v)
 		}
+		g.epochDirty = make([]uint64, (bound+63)>>6)
+		g.epochAll = false
 		return e
 	}
 	copy(e.chunks, prev.chunks)
-	for _, v := range g.epochDirty {
-		uid := v.UniqID
-		if uid >= bound {
-			continue
-		}
-		ci := int(uid >> epochChunkBits)
-		var shared *epochChunk
-		if ci < len(prev.chunks) {
-			shared = prev.chunks[ci]
-		}
-		if e.chunks[ci] == nil || e.chunks[ci] == shared {
-			// Copy-on-write: first dirty vertex in this chunk this
-			// transition clones it; later ones mutate the clone.
-			nc := &epochChunk{}
-			if shared != nil {
-				*nc = *shared
+	ts := g.topo.Load()
+	for w, set := range g.epochDirty {
+		for ; set != 0; set &= set - 1 {
+			uid := int64(w)<<6 | int64(bits.TrailingZeros64(set))
+			if uid >= int64(len(ts.pre)) || ts.pre[uid] < 0 {
+				continue // not in the tree: dead in every epoch as it is
 			}
-			e.chunks[ci] = nc
+			ci := int(uid >> epochChunkBits)
+			if e.chunks[ci] == prev.chunks[ci] {
+				// Copy-on-write: the first dirty vertex in a chunk clones
+				// it; later ones mutate the clone.
+				nc := *prev.chunks[ci]
+				e.chunks[ci] = &nc
+			}
+			fillSnap(&e.chunks[ci].snaps[uid&epochChunkMask], g, ts.order[ts.pre[uid]])
 		}
-		fillSnap(&e.chunks[ci].snaps[uid&epochChunkMask], g, v)
+		g.epochDirty[w] = 0
 	}
 	return e
 }

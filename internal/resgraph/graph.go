@@ -119,15 +119,20 @@ type Graph struct {
 	// single load, and registration never contends with topology reads.
 	deltaSink atomic.Pointer[func(Delta)]
 
-	// MVCC epoch state (see epoch.go). epoch is the current published
-	// snapshot; epochMu guards the pending-transition bookkeeping below.
-	// Lock order: g.mu (either side) before epochMu, never the reverse.
+	// MVCC epoch state (see epoch.go). epochVersion counts publications;
+	// epoch is the newest materialised snapshot and may lag it. epochMu
+	// guards the bookkeeping below. Lock order: g.mu (either side) before
+	// epochMu, never the reverse.
 	epoch         atomic.Pointer[Epoch]
+	epochVersion  atomic.Uint64
+	structVersion atomic.Uint64
+	epochBuilds   atomic.Uint64
 	epochMu       sync.Mutex
-	epochDirty    []*Vertex // vertices to re-snapshot next transition
-	epochAll      bool      // structural change: rebuild every chunk
-	epochBatch    int       // open BeginEpochBatch nesting depth
-	pendingDeltas []Delta   // deltas buffered until the next publication
+	epochDirty    []uint64 // bitmap by UniqID: vertices changed since the last build
+	epochAll      bool     // structural change since the last build
+	epochUnpub    bool     // something was marked since the last publish
+	epochBatch    int      // open BeginEpochBatch nesting depth
+	pendingDeltas []Delta  // deltas buffered until the next publication
 
 	// flatSnaps dedups epoch snapshots of span-free planners by pool
 	// size: at rest almost every vertex is flat, so an epoch holds
@@ -517,7 +522,7 @@ func (g *Graph) MarkDown(v *Vertex) (map[string]int64, error) {
 	delta, err := g.setSubtreeStatus(v, StatusDown)
 	if err == nil && len(delta) > 0 {
 		g.publishStructural(v)
-		g.publishEpochGraphLocked()
+		g.PublishEpoch()
 	}
 	return delta, err
 }
@@ -532,7 +537,7 @@ func (g *Graph) MarkUp(v *Vertex) (map[string]int64, error) {
 	delta, err := g.setSubtreeStatus(v, StatusUp)
 	if err == nil && len(delta) > 0 {
 		g.publishStructural(v)
-		g.publishEpochGraphLocked()
+		g.PublishEpoch()
 	}
 	return delta, err
 }
@@ -586,8 +591,8 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	// compose — MarkDown(node) then MarkUp(rack) restores the rack's own
 	// filter exactly — and matches what Finalize computes when a dump of
 	// a degraded system is reloaded.
+	g.MarkEpochDirty(flipped...)
 	for _, x := range flipped {
-		g.MarkEpochDirty(x)
 		if err := g.propagateStatusDelta(x.Parent(), map[string]int64{x.Type: sign * x.Size}); err != nil {
 			return nil, err
 		}
@@ -739,7 +744,7 @@ func (g *Graph) Attach(parent, sub *Vertex) error {
 	g.buildTopoLocked()
 	g.publishStructural(parent)
 	g.markEpochAllLocked()
-	g.publishEpochGraphLocked()
+	g.PublishEpoch()
 	return nil
 }
 
@@ -832,7 +837,7 @@ func (g *Graph) Detach(v *Vertex) error {
 	g.buildTopoLocked()
 	g.publishStructural(parent)
 	g.markEpochAllLocked()
-	g.publishEpochGraphLocked()
+	g.PublishEpoch()
 	return nil
 }
 

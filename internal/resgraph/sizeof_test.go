@@ -3,6 +3,8 @@ package resgraph
 import (
 	"testing"
 	"unsafe"
+
+	"fluxion/internal/planner"
 )
 
 // TestVertexPacking pins the slab element size: at a million vertices
@@ -14,5 +16,15 @@ import (
 func TestVertexPacking(t *testing.T) {
 	if got, max := unsafe.Sizeof(Vertex{}), uintptr(200); got > max {
 		t.Fatalf("sizeof(Vertex) = %d, budget %d — new fields must justify their slab cost", got, max)
+	}
+}
+
+// TestPlannerSizeof pins the planner slab element the same way: every
+// vertex carries one and every filter one per tracked type, so the span
+// index's slice header had to be paid for by dropping the stored type
+// label, not by growing the struct.
+func TestPlannerSizeof(t *testing.T) {
+	if got, max := unsafe.Sizeof(planner.Planner{}), uintptr(128); got > max {
+		t.Fatalf("sizeof(planner.Planner) = %d, budget %d", got, max)
 	}
 }

@@ -127,10 +127,6 @@ type Vertex struct {
 	// uses them for O(1) subtree tests when invalidating cached
 	// candidate lists.
 	treeIn, treeOut int32
-
-	// epochDirty marks the vertex as queued for re-snapshot in the next
-	// epoch transition; guarded by the graph's epochMu (see epoch.go).
-	epochDirty bool
 }
 
 // Edge is a directed, typed relationship between two vertices within one

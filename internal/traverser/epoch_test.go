@@ -367,3 +367,120 @@ func TestLegacyPathStillWorks(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochPinNeverTearsAnAllocation races pinners against the
+// traverser's mutating operations. Epochs are built when pinned, from
+// live planners, so the pin must land between two operations: every job
+// here takes all four cores of one node, and a pinned epoch may show a
+// node with zero or four busy cores — never a half-installed allocation —
+// with every ancestor filter agreeing with the cores beneath it.
+func TestEpochPinNeverTearsAnAllocation(t *testing.T) {
+	g := buildSmall(t, 2, 4, 4, 0, defaultSpec())
+	tr := newT(t, g, match.First{})
+	tr.EnableSteering()
+	cjs, err := tr.Compile(jobspec.NodeLocal(1, 1, 4, 0, 0, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coreID := g.Types().ID("core")
+	nodes := g.ByType("node")
+	root := g.Root(resgraph.Containment)
+	busyCores := func(ep *resgraph.Epoch, v *resgraph.Vertex) int64 {
+		a, err := ep.Plan(v.UniqID).AvailDuring(0, 100)
+		if err != nil {
+			t.Errorf("%s: %v", v.Path(), err)
+		}
+		return v.Size - a
+	}
+	filterFree := func(ep *resgraph.Epoch, v *resgraph.Vertex) int64 {
+		a, err := ep.Filter(v.UniqID).ByID(coreID).AvailDuring(0, 100)
+		if err != nil {
+			t.Errorf("%s filter: %v", v.Path(), err)
+		}
+		return a
+	}
+	check := func(ep *resgraph.Epoch) bool {
+		var total int64
+		for _, n := range nodes {
+			var busy int64
+			for _, c := range n.Children(resgraph.Containment) {
+				busy += busyCores(ep, c)
+			}
+			if busy != 0 && busy != 4 {
+				t.Errorf("epoch v%d: %s has %d of 4 cores busy — torn allocation", ep.Version(), n.Path(), busy)
+				return false
+			}
+			if free := filterFree(ep, n); free != 4-busy {
+				t.Errorf("epoch v%d: %s filter says %d cores free, cores say %d", ep.Version(), n.Path(), free, 4-busy)
+				return false
+			}
+			total += busy
+		}
+		if free := filterFree(ep, root); free != int64(4*len(nodes))-total {
+			t.Errorf("epoch v%d: root filter says %d cores free, cores say %d", ep.Version(), free, int64(4*len(nodes))-total)
+			return false
+		}
+		return true
+	}
+
+	const rounds = 400
+	var seq atomic.Int64
+	var writers, pinners sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			var held []int64
+			for i := 0; i < rounds; i++ {
+				id := seq.Add(1)
+				var err error
+				if w == 0 {
+					_, err = tr.MatchAllocateCompiled(id, cjs, 0)
+				} else if spec, serr := tr.MatchSpeculateCompiled(id, cjs, 0); serr != nil {
+					err = serr
+				} else {
+					err = tr.Commit(spec)
+				}
+				if err == nil {
+					held = append(held, id)
+				} else if !errors.Is(err, ErrNoMatch) && !errors.Is(err, ErrConflict) {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if len(held) > 2 || (err != nil && len(held) > 0) {
+					if err := tr.Cancel(held[0]); err != nil {
+						t.Errorf("cancel: %v", err)
+						return
+					}
+					held = held[1:]
+				}
+			}
+		}(w)
+	}
+	var pins atomic.Int64
+	for p := 0; p < 2; p++ {
+		pinners.Add(1)
+		go func() {
+			defer pinners.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !check(tr.PinEpoch()) {
+					return
+				}
+				pins.Add(1)
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	pinners.Wait()
+	if pins.Load() == 0 || g.EpochBuilds() < 2 {
+		t.Fatalf("%d pins, %d builds: the race never happened", pins.Load(), g.EpochBuilds())
+	}
+	check(tr.PinEpoch())
+}

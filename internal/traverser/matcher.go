@@ -131,8 +131,7 @@ func (m *matcher) claim(v *resgraph.Vertex, units int64) bool {
 			if err != nil {
 				return false
 			}
-			va.span = id
-			m.t.g.MarkEpochDirty(v)
+			va.span = id // marked dirty when the attempt ends
 		}
 		m.s.availGen[v.UniqID] = 0 // drop the memoized availability
 		if v.HasChildren(m.t.subsystem) {
@@ -151,6 +150,9 @@ func (m *matcher) rollbackTo(mark int) {
 	if len(undo) == 0 {
 		return
 	}
+	if !m.dry && !m.snap {
+		m.t.markDirty(undo, nil) // commit mode: the spans below were live
+	}
 	for _, va := range undo {
 		if va.Units == 0 {
 			continue
@@ -162,7 +164,6 @@ func (m *matcher) rollbackTo(mark int) {
 			va.V.AddSpecClaim(-va.Units)
 		default:
 			_ = va.V.Planner().RemoveSpan(va.span)
-			m.t.g.MarkEpochDirty(va.V)
 		}
 		m.s.availGen[va.V.UniqID] = 0
 		if va.V.HasChildren(m.t.subsystem) {

@@ -6,8 +6,8 @@ import (
 
 // matchScratch is the reusable working memory of one match attempt. A
 // traverser keeps one instance for the serialized paths (the write lock
-// is held) and a sync.Pool for the lock-free ones (MatchSatisfy,
-// MatchSpeculate), so steady-state matching allocates nothing.
+// is held) and a sync.Pool for the lock-free one (MatchSpeculate), so
+// steady-state matching allocates nothing.
 //
 // The dense per-vertex arrays are indexed by Vertex.UniqID and
 // generation-stamped: begin bumps gen, and a slot is live only when its

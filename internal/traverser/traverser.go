@@ -109,10 +109,11 @@ type Traverser struct {
 
 	mu     sync.RWMutex
 	allocs map[int64]*Allocation
+	dirty  []*resgraph.Vertex // markDirty's scratch; guarded by mu (writer side)
 
 	// scratch is the match working memory for paths serialized under
-	// t.mu; scratchPool serves the lock-free paths (MatchSatisfy,
-	// MatchSpeculate), which may run concurrently.
+	// t.mu; scratchPool serves the lock-free path (MatchSpeculate), which
+	// may run concurrently.
 	scratch     *matchScratch
 	scratchPool sync.Pool
 }
@@ -359,7 +360,12 @@ func (t *Traverser) MatchSatisfyCompiled(cjs *jobspec.Compiled) (bool, error) {
 	return t.satisfy(cjs)
 }
 
+// satisfy runs the dry match under t.mu, on the traverser's own scratch: a
+// submit-time check has no use for a second graph-sized working set, and a
+// pooled one would live or die with the collector's pacing.
 func (t *Traverser) satisfy(cjs *jobspec.Compiled) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	_, err := t.tryMatch(0, cjs, t.g.Base(), modeDry, nil, nil)
 	switch {
 	case err == nil:
@@ -423,14 +429,13 @@ func (t *Traverser) remove(jobID int64) (*Allocation, error) {
 		if err := va.V.Planner().RemoveSpan(va.span); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		t.g.MarkEpochDirty(va.V)
 	}
 	for _, fs := range alloc.filterSpans {
 		if err := fs.owner.Filter().RemoveSpan(fs.id); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		t.g.MarkEpochDirty(fs.owner)
 	}
+	t.markDirty(alloc.Vertices, alloc.filterSpans)
 	t.publishFrees(alloc)
 	return alloc, firstErr
 }
@@ -555,6 +560,7 @@ func (t *Traverser) Reinstall(jobID int64, at, duration int64, reserved bool, gr
 				_ = va.V.Planner().RemoveSpan(va.span)
 			}
 		}
+		t.markDirty(alloc.Vertices, nil)
 	}
 	for _, gr := range grants {
 		v := t.g.ByPath(gr.Path)
@@ -574,7 +580,6 @@ func (t *Traverser) Reinstall(jobID int64, at, duration int64, reserved bool, gr
 				return nil, fmt.Errorf("%w: %q: %v", ErrNoMatch, gr.Path, err)
 			}
 			va.span = id
-			t.g.MarkEpochDirty(v)
 		}
 		alloc.Vertices = append(alloc.Vertices, va)
 	}
@@ -634,11 +639,11 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 	alloc.Vertices = kept
 	// Rebuild the filter spans from the surviving grants (SDFU over the
 	// reduced selection).
+	t.markDirty(nil, alloc.filterSpans)
 	for _, fs := range alloc.filterSpans {
 		if err := fs.owner.Filter().RemoveSpan(fs.id); err != nil {
 			return err
 		}
-		t.g.MarkEpochDirty(fs.owner)
 	}
 	alloc.filterSpans = nil
 	if remaining == 0 && len(alloc.Vertices) == 0 {
@@ -718,10 +723,10 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		sig.reset(at, dur)
 	}
 
-	// Commit mode runs under t.mu, so the traverser's own scratch is
-	// free; the lock-free modes (dry, snap) draw from the pool.
+	// Commit and dry attempts run under t.mu, so the traverser's own
+	// scratch is free; lock-free speculations draw from the pool.
 	var s *matchScratch
-	if mode == modeCommit {
+	if mode != modeSnap {
 		s = t.scratch
 	} else {
 		s = t.scratchPool.Get().(*matchScratch)
@@ -732,7 +737,7 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	if ep == nil {
 		t.g.RLock()
 		defer t.g.RUnlock()
-		s.begin(t.g.UniqBound(), t.g.Epoch().StructVersion())
+		s.begin(t.g.UniqBound(), t.g.StructVersion())
 	} else {
 		s.begin(ep.UniqBound(), ep.StructVersion())
 	}
@@ -857,13 +862,18 @@ func splitmix64(x uint64) uint64 {
 }
 
 // PinEpoch returns the graph's current MVCC epoch for a batch of epoch
-// speculations (one atomic load), or nil when epoch speculation is
-// disabled (WithMVCC(false)) — a nil pin routes MatchSpeculateEpoch to
-// the legacy claim-counter path.
+// speculations, or nil when epoch speculation is disabled
+// (WithMVCC(false)) — a nil pin routes MatchSpeculateEpoch to the legacy
+// claim-counter path. Epochs are materialised on demand, so the pin holds
+// t.mu's reader side across the call: a build then reads the planners
+// between two mutating operations, never in the middle of one, and every
+// allocation is in the epoch whole or not at all.
 func (t *Traverser) PinEpoch() *resgraph.Epoch {
 	if !t.mvcc {
 		return nil
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.g.Epoch()
 }
 
@@ -954,6 +964,7 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 				_ = va.V.Planner().RemoveSpan(va.span)
 			}
 		}
+		t.markDirty(alloc.Vertices[:n], nil)
 	}
 	for i := range alloc.Vertices {
 		va := &alloc.Vertices[i]
@@ -981,7 +992,6 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 			return fmt.Errorf("%w: %s: %v", ErrConflict, va.V.Path(), err)
 		}
 		va.span = id
-		t.g.MarkEpochDirty(va.V)
 	}
 	if err := t.updateFilters(alloc); err != nil {
 		rollback(len(alloc.Vertices))
@@ -1016,7 +1026,10 @@ func (t *Traverser) releaseClaims(alloc *Allocation) {
 // one aggregate span per filter-carrying ancestor, covering exactly the
 // units selected beneath it. The per-owner requests accumulate in the
 // traverser's SDFU scratch (all callers hold t.mu) instead of a freshly
-// built map of maps.
+// built map of maps. It is the last step of every span installation, so it
+// also marks the whole allocation — vertices and filter owners — dirty for
+// the epoch layer; on failure it marks what it touched and the caller's
+// rollback marks the vertices.
 func (t *Traverser) updateFilters(alloc *Allocation) error {
 	s := &t.scratch.sdfu
 	s.begin()
@@ -1034,17 +1047,36 @@ func (t *Traverser) updateFilters(alloc *Allocation) error {
 	}
 	for i, owner := range s.owners {
 		id, err := owner.Filter().AddSpanList(alloc.At, alloc.Duration, s.types[i], s.counts[i])
-		t.g.MarkEpochDirty(owner)
 		if err != nil {
 			// Roll back filter spans added so far; vertex spans
 			// are rolled back by the caller.
 			for _, fs := range alloc.filterSpans {
 				_ = fs.owner.Filter().RemoveSpan(fs.id)
 			}
+			t.markDirty(nil, alloc.filterSpans)
+			t.g.MarkEpochDirty(owner)
 			alloc.filterSpans = nil
 			return fmt.Errorf("traverser: SDFU failed at %s: %w", owner.Path(), err)
 		}
 		alloc.filterSpans = append(alloc.filterSpans, filterSpan{owner: owner, id: id})
 	}
+	t.markDirty(alloc.Vertices, alloc.filterSpans)
 	return nil
+}
+
+// markDirty tells the epoch layer that the planners of vas' consuming
+// vertices and the filters of fss' owners changed, under one acquisition
+// of its lock instead of one per vertex. Callers hold t.mu's writer side.
+func (t *Traverser) markDirty(vas []VertexAlloc, fss []filterSpan) {
+	d := t.dirty[:0]
+	for i := range vas {
+		if vas[i].Units > 0 {
+			d = append(d, vas[i].V)
+		}
+	}
+	for i := range fss {
+		d = append(d, fss[i].owner)
+	}
+	t.g.MarkEpochDirty(d...)
+	t.dirty = d[:0]
 }
