@@ -13,7 +13,7 @@ BENCH_FLAGS  = -run NONE -bench '$(BENCH_GATE)' -benchtime 0.5s -count 5 -cpu 4
 BENCH_PKGS   = . ./internal/sched ./internal/wal ./internal/resgraph ./internal/shard
 
 .PHONY: all build test test-race race bench repro cover cover-check \
-	lint bench-baseline bench-regress fmt vet clean
+	lint bench-baseline bench-regress fmt vet loc clean
 
 all: build test
 
@@ -70,6 +70,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# loc prints the root module's non-test Go line count (bench/ is its own
+# module and excluded). The count going down while decisions and the
+# bench gate hold still is the progress signal for removing twin paths.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 \
+		| xargs -0 cat | wc -l | awk '{print "non-test Go lines (root module, excluding bench/):", $$1}'
+
 clean:
-	rm -f cover.out bench-current.txt
+	rm -f cover.out dead.out bench-current.txt
 	rm -rf repro-csv

@@ -150,11 +150,19 @@ func BenchmarkParallelMatch(b *testing.B) {
 					for tickets.Add(1) <= int64(b.N) {
 						id := ids.Add(1)
 						for {
-							alloc, err := tr.MatchSpeculate(id, js, 0)
+							// Compile per attempt, as the benchmark always
+							// has, so ns/op and allocs/op stay comparable
+							// with the committed baseline.
+							cjs, err := tr.Compile(js)
+							if err != nil {
+								failed.CompareAndSwap(nil, err)
+								return
+							}
+							alloc, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch())
 							if err != nil {
 								if errors.Is(err, traverser.ErrNoMatch) {
-									// Transient over-claiming by concurrent
-									// speculations; the capacity exists.
+									// Transient: the pin saw other workers'
+									// jobs before they cancelled.
 									continue
 								}
 								failed.CompareAndSwap(nil, err)

@@ -59,7 +59,7 @@ func main() {
 		killJobs   = flag.Int("shardchaos-jobs", 400, "queue-snapshot depth for the shard-failover study")
 		killSweep  = flag.String("shardchaos-kill", "0,0.125,0.25,0.375,0.5", "shard-kill intensity sweep (must start with the 0 control)")
 		killSeed   = flag.Int64("shardchaos-seed", 1, "shard-kill schedule seed")
-		epochOps   = flag.Int("epochscale-ops", 8192, "epoch speculate+abandon cycles per worker count")
+		epochOps   = flag.Int("epochscale-ops", 8192, "epoch speculations per worker count")
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments")

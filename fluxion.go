@@ -59,9 +59,6 @@ type (
 	Grant = traverser.Grant
 	// Jobspec is a parsed canonical job specification.
 	Jobspec = jobspec.Jobspec
-	// CompiledJobspec is a jobspec precompiled against an instance's
-	// graph for repeated zero-allocation matching.
-	CompiledJobspec = jobspec.Compiled
 	// Graph is the resource graph store.
 	Graph = resgraph.Graph
 	// Vertex is one resource pool in the store.
@@ -70,14 +67,6 @@ type (
 	Recipe = grug.Recipe
 	// PruneSpec configures pruning-filter placement.
 	PruneSpec = resgraph.PruneSpec
-	// BlockSignature records why a match attempt failed: the pruning
-	// subtree intervals, interned resource types, unit shortfalls, and the
-	// root aggregates' earliest-fit hint. An event-driven scheduler
-	// re-attempts a blocked job only when a capacity delta intersects its
-	// signature (see internal/sched).
-	BlockSignature = traverser.BlockSig
-	// BlockReason is one recorded rejection inside a BlockSignature.
-	BlockReason = traverser.BlockReason
 	// ResourceDelta is one published capacity change: a free, a claim, or
 	// a structural event, tagged with the touched subtree interval.
 	ResourceDelta = resgraph.Delta
@@ -189,11 +178,10 @@ func WithSubsystem(name string) Option {
 }
 
 // WithMatchWorkers sets the parallel match pipeline's worker count: how
-// many traverser workers a queuing layer built on this instance should use
-// to speculatively match pending jobs concurrently (see internal/sched).
-// n <= 1 (the default) selects the sequential match loop. The value is a
-// hint surfaced through MatchWorkers; the speculation primitives
-// themselves (MatchSpeculate/Commit/Abandon) are always available.
+// many speculative match workers each shard's scheduler uses (see
+// internal/sched). n <= 1 (the default) selects the sequential match loop.
+// Only NewSharded consults it; a flat scheduler takes
+// sched.WithMatchWorkers directly.
 func WithMatchWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -210,8 +198,6 @@ type Fluxion struct {
 	mu sync.Mutex
 	g  *resgraph.Graph
 	tr *traverser.Traverser
-	// matchWorkers is the configured parallel-match worker count.
-	matchWorkers int
 	// MatchTime accumulates wall-clock time spent matching, for
 	// benchmark harnesses.
 	matchTime time.Duration
@@ -237,7 +223,7 @@ func New(opts ...Option) (*Fluxion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fluxion{g: g, tr: tr, matchWorkers: c.matchWorkers}, nil
+	return &Fluxion{g: g, tr: tr}, nil
 }
 
 // storeFromOptions resolves construction options into a finalized graph
@@ -313,15 +299,6 @@ func buildStore(c *config, spec resgraph.PruneSpec) (*resgraph.Graph, error) {
 	return g, nil
 }
 
-// MatchWorkers returns the configured parallel-match worker count
-// (minimum 1).
-func (f *Fluxion) MatchWorkers() int {
-	if f.matchWorkers < 1 {
-		return 1
-	}
-	return f.matchWorkers
-}
-
 // Graph returns the underlying resource graph store.
 func (f *Fluxion) Graph() *resgraph.Graph { return f.g }
 
@@ -355,59 +332,6 @@ func (f *Fluxion) MatchAllocate(jobID int64, spec *Jobspec, at int64) (*Allocati
 	return alloc, err
 }
 
-// CompileJobspec precompiles a jobspec against this instance's graph for
-// repeated matching through the *Compiled entry points: validation,
-// request-tree flattening, and type interning happen once instead of on
-// every match call. The result is immutable and safe to share across
-// goroutines, but only valid for this instance.
-func (f *Fluxion) CompileJobspec(spec *Jobspec) (*CompiledJobspec, error) {
-	return f.tr.Compile(spec)
-}
-
-// MatchAllocateCompiled is MatchAllocate for a precompiled jobspec.
-func (f *Fluxion) MatchAllocateCompiled(jobID int64, spec *CompiledJobspec, at int64) (*Allocation, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	start := time.Now()
-	alloc, err := f.tr.MatchAllocateCompiled(jobID, spec, at)
-	f.note(start)
-	return alloc, err
-}
-
-// MatchAllocateOrReserveCompiled is MatchAllocateOrReserve for a
-// precompiled jobspec.
-func (f *Fluxion) MatchAllocateOrReserveCompiled(jobID int64, spec *CompiledJobspec, now int64) (*Allocation, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	start := time.Now()
-	alloc, err := f.tr.MatchAllocateOrReserveCompiled(jobID, spec, now)
-	f.note(start)
-	return alloc, err
-}
-
-// MatchAllocateCompiledSig is MatchAllocateCompiled that, on ErrNoMatch,
-// captures the attempt's blocking signature into sig (see BlockSignature;
-// sig may be nil to skip capture).
-func (f *Fluxion) MatchAllocateCompiledSig(jobID int64, spec *CompiledJobspec, at int64, sig *BlockSignature) (*Allocation, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	start := time.Now()
-	alloc, err := f.tr.MatchAllocateCompiledSig(jobID, spec, at, sig)
-	f.note(start)
-	return alloc, err
-}
-
-// MatchAllocateOrReserveCompiledSig is MatchAllocateOrReserveCompiled with
-// blocking-signature capture on failure.
-func (f *Fluxion) MatchAllocateOrReserveCompiledSig(jobID int64, spec *CompiledJobspec, now int64, sig *BlockSignature) (*Allocation, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	start := time.Now()
-	alloc, err := f.tr.MatchAllocateOrReserveCompiledSig(jobID, spec, now, sig)
-	f.note(start)
-	return alloc, err
-}
-
 // SetDeltaSink registers fn to receive every capacity delta the store
 // publishes (frees on cancel/release, claims on reservation, structural
 // events on grow/shrink/up/down). One sink at a time; nil unregisters. The
@@ -436,12 +360,6 @@ func (f *Fluxion) TapDeltas(fn func(ResourceDelta)) (untap func()) {
 	return func() { f.g.SetDeltaSink(prev) }
 }
 
-// MatchSpeculateCompiled is MatchSpeculate for a precompiled jobspec; like
-// MatchSpeculate it bypasses the Fluxion-level lock.
-func (f *Fluxion) MatchSpeculateCompiled(jobID int64, spec *CompiledJobspec, at int64) (*Allocation, error) {
-	return f.tr.MatchSpeculateCompiled(jobID, spec, at)
-}
-
 // MatchAllocateYAML is MatchAllocate for a raw jobspec document.
 func (f *Fluxion) MatchAllocateYAML(jobID int64, specYAML []byte, at int64) (*Allocation, error) {
 	spec, err := jobspec.ParseYAML(specYAML)
@@ -462,44 +380,12 @@ func (f *Fluxion) MatchAllocateOrReserve(jobID int64, spec *Jobspec, now int64) 
 	return alloc, err
 }
 
-// MatchSpeculate matches a jobspec at time `at` against a read snapshot
-// without committing anything. It deliberately bypasses the Fluxion-level
-// lock — the traverser is safe for concurrent speculation — so callers can
-// fan speculations across goroutines. The returned allocation must be
-// handed to exactly one of Commit or Abandon.
-func (f *Fluxion) MatchSpeculate(jobID int64, spec *Jobspec, at int64) (*Allocation, error) {
-	return f.tr.MatchSpeculate(jobID, spec, at)
-}
-
-// Commit validates a speculative allocation against committed state and
-// installs it; it fails with traverser.ErrConflict when a concurrent
-// commit took the capacity first, in which case the job must be
-// re-matched.
-func (f *Fluxion) Commit(alloc *Allocation) error {
-	start := time.Now()
-	err := f.tr.Commit(alloc)
-	f.mu.Lock()
-	f.note(start)
-	f.mu.Unlock()
-	return err
-}
-
-// Abandon releases a speculative allocation without committing it.
-func (f *Fluxion) Abandon(alloc *Allocation) { f.tr.Abandon(alloc) }
-
 // MatchSatisfy reports whether the request could ever be satisfied
 // (capacity-only check).
 func (f *Fluxion) MatchSatisfy(spec *Jobspec) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.tr.MatchSatisfy(spec)
-}
-
-// MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec.
-func (f *Fluxion) MatchSatisfyCompiled(spec *CompiledJobspec) (bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tr.MatchSatisfyCompiled(spec)
 }
 
 // Cancel releases a job's resources or reservation.

@@ -16,7 +16,7 @@ import (
 // with cores.
 type EpochScaleResult struct {
 	Workers    int
-	Matches    int           // total speculate+abandon cycles across workers
+	Matches    int           // total speculations across workers
 	Total      time.Duration // wall time for the whole sweep row
 	PerMatch   time.Duration // wall time per match (aggregate)
 	Throughput float64       // matches per second, aggregate
@@ -25,8 +25,8 @@ type EpochScaleResult struct {
 
 // RunEpochScale sweeps worker counts over lock-free epoch matching: the
 // half-loaded Fig. 6a system is pinned once, then each worker repeatedly
-// speculates a compiled match against that immutable snapshot and abandons
-// it. Every worker sees the same graph state for the whole row, so the
+// speculates a compiled match against that immutable snapshot and drops
+// it uncommitted. Every worker sees the same graph state for the whole row, so the
 // sweep isolates read-path scalability from writer contention.
 func RunEpochScale(racks int64, workers []int, ops int) ([]EpochScaleResult, error) {
 	tr, nextID, err := halfLoadLOD(racks)
@@ -38,9 +38,6 @@ func RunEpochScale(racks int64, workers []int, ops int) ([]EpochScaleResult, err
 		return nil, err
 	}
 	ep := tr.PinEpoch()
-	if ep == nil {
-		return nil, fmt.Errorf("epochscale: traverser has no MVCC epoch")
-	}
 	var out []EpochScaleResult
 	for _, w := range workers {
 		if w < 1 {
@@ -60,12 +57,10 @@ func RunEpochScale(racks int64, workers []int, ops int) ([]EpochScaleResult, err
 			go func(worker, n int) {
 				defer wg.Done()
 				for j := 0; j < n; j++ {
-					alloc, err := tr.MatchSpeculateCompiledEpoch(ids.Add(1), cjs, 0, ep)
-					if err != nil {
+					if _, err := tr.MatchSpeculateCompiledEpoch(ids.Add(1), cjs, 0, ep); err != nil {
 						firstErr.CompareAndSwap(nil, fmt.Errorf("worker %d: %w", worker, err))
 						return
 					}
-					tr.Abandon(alloc)
 				}
 			}(i, n)
 		}

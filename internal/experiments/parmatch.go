@@ -82,10 +82,16 @@ func RunParMatch(racks int64, workers []int, ops int) ([]ParMatchResult, error) 
 				for done.Add(1) <= int64(ops) {
 					id := ids.Add(1)
 					for {
-						alloc, err := tr.MatchSpeculate(id, js, 0)
+						cjs, err := tr.Compile(js)
 						if err != nil {
-							// Transiently over-claimed by concurrent
-							// speculations; the capacity exists, retry.
+							firstErr.CompareAndSwap(nil, err)
+							return
+						}
+						alloc, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch())
+						if err != nil {
+							// The pinned epoch caught other workers'
+							// jobs between commit and cancel; the
+							// capacity exists, retry on a fresh pin.
 							if errors.Is(err, traverser.ErrNoMatch) {
 								continue
 							}

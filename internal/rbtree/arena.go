@@ -1,11 +1,24 @@
+// Package rbtree implements a generic, augmented red-black binary search
+// tree stored in a flat slab.
+//
+// The tree is the foundation of the Planner (see internal/planner): the
+// scheduled-point tree keys nodes by time, and the earliest-time tree keys
+// nodes by remaining resource quantity and maintains a subtree aggregate
+// (the earliest scheduled time in the subtree) through every rotation,
+// insertion, and deletion. The aggregate is maintained via a caller-provided
+// update hook, so the tree itself stays policy free.
+//
+// All operations are O(log n). The tree permits duplicate keys; Delete takes
+// a node handle (not a key) so the caller always removes exactly the element
+// it intends to.
 package rbtree
 
 // Arena is an augmented red-black tree whose nodes live in one flat slab
-// and link to each other by int32 index instead of pointer. It is the
-// slab-graph counterpart of Tree: same algorithms (CLRS, shared sentinel,
-// bottom-up augmentation hook), but zero per-node heap objects — inserting
-// N items costs one slice of N small structs, deleted slots are recycled
-// through a freelist, and Reset reuses the slab for the next lifetime.
+// and link to each other by int32 index instead of pointer: the CLRS
+// algorithms with a shared sentinel and a bottom-up augmentation hook, but
+// zero per-node heap objects — inserting N items costs one slice of N
+// small structs, deleted slots are recycled through a freelist, and Reset
+// reuses the slab for the next lifetime.
 //
 // Node references are int32 indices; None (0) is the shared sentinel and
 // doubles as the "no node" value, so `n == None` replaces `n == nil`.

@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 )
+
+func intLess(a, b int) bool { return a < b }
 
 // checkArenaInvariants validates the red-black properties, BST order, and
 // parent links of an arena tree.
@@ -187,18 +190,15 @@ func TestArenaNextPrev(t *testing.T) {
 }
 
 // TestArenaRandomOpsAgainstReference drives the arena with random inserts
-// and deletes and compares against both a sorted-slice reference and the
-// pointer-based Tree as a second oracle.
+// and deletes and compares against a sorted-slice reference.
 func TestArenaRandomOpsAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := NewArena[int](intLess)
-	oracle := New[int](intLess)
 	var ref []int
 	for op := 0; op < 20000; op++ {
 		if len(ref) == 0 || rng.Intn(100) < 55 {
 			v := rng.Intn(2000)
 			tr.Insert(v)
-			oracle.Insert(v)
 			ref = append(ref, v)
 			sort.Ints(ref)
 		} else {
@@ -209,7 +209,6 @@ func TestArenaRandomOpsAgainstReference(t *testing.T) {
 				t.Fatalf("op %d: Search(%d) = None but reference has it", op, v)
 			}
 			tr.Delete(n)
-			oracle.Delete(oracle.Search(v))
 			ref = append(ref[:i], ref[i+1:]...)
 		}
 		if tr.Len() != len(ref) {
@@ -218,11 +217,9 @@ func TestArenaRandomOpsAgainstReference(t *testing.T) {
 		if op%500 == 0 {
 			checkArenaInvariants(t, tr)
 			got := collectArena(tr)
-			want := collect(oracle)
 			for i := range ref {
-				if got[i] != ref[i] || want[i] != ref[i] {
-					t.Fatalf("op %d: content mismatch at %d: arena %d, tree %d, ref %d",
-						op, i, got[i], want[i], ref[i])
+				if got[i] != ref[i] {
+					t.Fatalf("op %d: content mismatch at %d: arena %d, ref %d", op, i, got[i], ref[i])
 				}
 			}
 		}
@@ -378,6 +375,392 @@ func TestArenaDeleteRootRepeatedly(t *testing.T) {
 	for tr.Len() > 0 {
 		tr.Delete(tr.Root())
 		checkArenaInvariants(t, tr)
+	}
+}
+
+// The tests below cover the arena from angles the TestArena* set does not:
+// trees thinned by deletes, duplicates mixed with other keys, property
+// checks against linear scans, and a second augmentation shape.
+
+// linearFloorCeil is the reference for Floor and Ceil: a scan of vals.
+func linearFloorCeil(vals []int, q int) (floor, ceil int, hasFloor, hasCeil bool) {
+	for _, v := range vals {
+		if v <= q && (!hasFloor || v > floor) {
+			floor, hasFloor = v, true
+		}
+		if v >= q && (!hasCeil || v < ceil) {
+			ceil, hasCeil = v, true
+		}
+	}
+	return
+}
+
+// checkFloorCeil compares Floor, FloorFunc, and Ceil at q against the
+// linear-scan reference over vals (the arena's contents).
+func checkFloorCeil(t *testing.T, tr *Arena[int], vals []int, q int) {
+	t.Helper()
+	wf, wc, hf, hc := linearFloorCeil(vals, q)
+	f, c := tr.Floor(q), tr.Ceil(q)
+	if (f != None) != hf || (hf && tr.Item(f) != wf) {
+		t.Fatalf("Floor(%d) = node %d, want %d (present=%v)", q, f, wf, hf)
+	}
+	if (c != None) != hc || (hc && tr.Item(c) != wc) {
+		t.Fatalf("Ceil(%d) = node %d, want %d (present=%v)", q, c, wc, hc)
+	}
+	if ff := tr.FloorFunc(func(x int) bool { return x > q }); (ff != None) != hf || (hf && tr.Item(ff) != wf) {
+		t.Fatalf("FloorFunc(>%d) = node %d, want %d (present=%v)", q, ff, wf, hf)
+	}
+}
+
+// TestEmptyTree empties an arena by deletes, not Reset, and checks every
+// query treats it as empty.
+func TestEmptyTree(t *testing.T) {
+	tr := NewArena[int](intLess)
+	var nodes []int32
+	for i := 0; i < 50; i++ {
+		nodes = append(nodes, tr.Insert(i))
+	}
+	for _, n := range nodes {
+		tr.Delete(n)
+	}
+	if tr.Len() != 0 || tr.Root() != None || tr.Min() != None || tr.Max() != None {
+		t.Fatal("arena emptied by deletes is not empty")
+	}
+	if tr.Search(1) != None || tr.Floor(1) != None || tr.Ceil(1) != None {
+		t.Fatal("emptied arena answers Search/Floor/Ceil")
+	}
+	tr.Ascend(func(int) bool { t.Fatal("Ascend visited an item"); return false })
+	checkArenaInvariants(t, tr)
+}
+
+// TestInsertAscending checks Max follows every ascending insert.
+func TestInsertAscending(t *testing.T) {
+	tr := NewArena[int](intLess)
+	for i := 0; i < 300; i++ {
+		tr.Insert(i)
+		if tr.Item(tr.Max()) != i || tr.Item(tr.Min()) != 0 {
+			t.Fatalf("after inserting %d: min %d max %d", i, tr.Item(tr.Min()), tr.Item(tr.Max()))
+		}
+		checkArenaInvariants(t, tr)
+	}
+}
+
+// TestInsertDescending checks Min follows every descending insert.
+func TestInsertDescending(t *testing.T) {
+	tr := NewArena[int](intLess)
+	for i := 299; i >= 0; i-- {
+		tr.Insert(i)
+		if tr.Item(tr.Min()) != i || tr.Item(tr.Max()) != 299 {
+			t.Fatalf("after inserting %d: min %d max %d", i, tr.Item(tr.Min()), tr.Item(tr.Max()))
+		}
+		checkArenaInvariants(t, tr)
+	}
+}
+
+// TestDuplicates mixes a duplicated key with distinct neighbours: every
+// Floor/Ceil at the key lands on a copy, and deleting all copies leaves
+// the neighbours intact.
+func TestDuplicates(t *testing.T) {
+	tr := NewArena[int](intLess)
+	for i := 0; i < 10; i++ {
+		tr.Insert(7)
+		tr.Insert(i * 3)
+	}
+	checkArenaInvariants(t, tr)
+	for copies := 10; copies > 0; copies-- {
+		if f, c := tr.Floor(7), tr.Ceil(7); tr.Item(f) != 7 || tr.Item(c) != 7 {
+			t.Fatalf("Floor/Ceil(7) = %d/%d with %d copies", tr.Item(f), tr.Item(c), copies)
+		}
+		tr.Delete(tr.Search(7))
+		checkArenaInvariants(t, tr)
+	}
+	if tr.Search(7) != None {
+		t.Fatal("a copy of 7 survived")
+	}
+	got := collectArena(tr)
+	for i, v := range got {
+		if v != i*3 {
+			t.Fatalf("neighbours damaged: %v", got)
+		}
+	}
+}
+
+// TestFloorCeil checks Floor, FloorFunc, and Ceil at every query point
+// of a tree thinned by deletes.
+func TestFloorCeil(t *testing.T) {
+	tr := NewArena[int](intLess)
+	var nodes []int32
+	for v := 0; v <= 100; v += 5 {
+		nodes = append(nodes, tr.Insert(v))
+	}
+	var vals []int
+	for i, n := range nodes {
+		if i%3 == 1 {
+			tr.Delete(n)
+		} else {
+			vals = append(vals, i*5)
+		}
+	}
+	for q := -5; q <= 105; q++ {
+		checkFloorCeil(t, tr, vals, q)
+	}
+}
+
+// TestNextPrev checks Next and Prev are inverses across duplicates and
+// after random deletes.
+func TestNextPrev(t *testing.T) {
+	tr := NewArena[int](intLess)
+	rng := rand.New(rand.NewSource(5))
+	var nodes []int32
+	for i := 0; i < 400; i++ {
+		nodes = append(nodes, tr.Insert(rng.Intn(100)))
+	}
+	for i := 0; i < 150; i++ {
+		j := rng.Intn(len(nodes))
+		tr.Delete(nodes[j])
+		nodes = append(nodes[:j], nodes[j+1:]...)
+	}
+	seen := 0
+	for n := tr.Min(); n != None; n = tr.Next(n) {
+		seen++
+		if nx := tr.Next(n); nx != None && tr.Prev(nx) != n {
+			t.Fatalf("Prev(Next(%d)) = %d", n, tr.Prev(nx))
+		}
+	}
+	if seen != tr.Len() {
+		t.Fatalf("iterated %d of %d", seen, tr.Len())
+	}
+}
+
+// TestAscendFrom checks the Ceil-then-Next walk the planner uses to scan
+// from a key, and that Ascend stops when fn returns false.
+func TestAscendFrom(t *testing.T) {
+	tr := NewArena[int](intLess)
+	for i := 0; i < 100; i += 10 {
+		tr.Insert(i)
+	}
+	var got []int
+	for n := tr.Ceil(35); n != None && tr.Item(n) <= 60; n = tr.Next(n) {
+		got = append(got, tr.Item(n))
+	}
+	if len(got) != 3 || got[0] != 40 || got[2] != 60 {
+		t.Fatalf("walk from 35 = %v, want [40 50 60]", got)
+	}
+	visited := 0
+	tr.Ascend(func(v int) bool { visited++; return v < 30 })
+	if visited != 4 {
+		t.Fatalf("Ascend visited %d items, want 4 (stopping at 30)", visited)
+	}
+}
+
+// TestRandomOpsAgainstReference checks Search, Floor, Ceil, and FloorFunc
+// against a reference multiset on every step of a random insert/delete
+// stream.
+func TestRandomOpsAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tr := NewArena[int](intLess)
+	var ref []int
+	for op := 0; op < 3000; op++ {
+		if len(ref) == 0 || rng.Intn(100) < 55 {
+			v := rng.Intn(500)
+			tr.Insert(v)
+			ref = append(ref, v)
+		} else {
+			i := rng.Intn(len(ref))
+			tr.Delete(tr.Search(ref[i]))
+			ref = append(ref[:i], ref[i+1:]...)
+		}
+		checkFloorCeil(t, tr, ref, rng.Intn(520)-10)
+	}
+	checkArenaInvariants(t, tr)
+}
+
+// TestAugmentationMaintained keeps an order-statistic augmentation
+// (subtree sizes) through random inserts and deletes and selects the k-th
+// item with it, checked against a sorted reference.
+func TestAugmentationMaintained(t *testing.T) {
+	var size []int32
+	var keys []int
+	tr := NewArena[int32](func(a, b int32) bool { return keys[a] < keys[b] })
+	sub := func(n int32) int32 {
+		if n == None {
+			return 0
+		}
+		return size[tr.Item(n)]
+	}
+	tr.SetUpdate(func(n int32) { size[tr.Item(n)] = 1 + sub(tr.Left(n)) + sub(tr.Right(n)) })
+	kth := func(k int32) int {
+		n := tr.Root()
+		for {
+			switch l := sub(tr.Left(n)); {
+			case k < l:
+				n = tr.Left(n)
+			case k == l:
+				return keys[tr.Item(n)]
+			default:
+				k -= l + 1
+				n = tr.Right(n)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	var live []int32
+	for op := 0; op < 4000; op++ {
+		if len(live) == 0 || rng.Intn(100) < 60 {
+			keys = append(keys, rng.Intn(1000))
+			size = append(size, 1)
+			live = append(live, tr.Insert(int32(len(keys)-1)))
+		} else {
+			i := rng.Intn(len(live))
+			tr.Delete(live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		if op%200 != 0 {
+			continue
+		}
+		if int(sub(tr.Root())) != tr.Len() {
+			t.Fatalf("op %d: root size %d, Len %d", op, sub(tr.Root()), tr.Len())
+		}
+		var ref []int
+		tr.Ascend(func(i int32) bool { ref = append(ref, keys[i]); return true })
+		for k := range ref {
+			if got := kth(int32(k)); got != ref[k] {
+				t.Fatalf("op %d: %d-th = %d, want %d", op, k, got, ref[k])
+			}
+		}
+	}
+}
+
+// TestQuickSortedIteration property: ascending iteration yields the
+// sorted input.
+func TestQuickSortedIteration(t *testing.T) {
+	f := func(vals []int) bool {
+		tr := NewArena[int](intLess)
+		for _, v := range vals {
+			tr.Insert(v)
+		}
+		want := append([]int(nil), vals...)
+		sort.Ints(want)
+		got := collectArena(tr)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickFloorCeil property: Floor/Ceil agree with a linear scan.
+func TestQuickFloorCeil(t *testing.T) {
+	f := func(vals []int, q int) bool {
+		tr := NewArena[int](intLess)
+		for _, v := range vals {
+			tr.Insert(v)
+		}
+		wf, wc, hf, hc := linearFloorCeil(vals, q)
+		fl, ce := tr.Floor(q), tr.Ceil(q)
+		return (fl != None) == hf && (ce != None) == hc &&
+			(!hf || tr.Item(fl) == wf) && (!hc || tr.Item(ce) == wc)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteRootRepeatedly drains a randomly built tree with duplicates
+// through its root, checking order and invariants after every delete.
+func TestDeleteRootRepeatedly(t *testing.T) {
+	tr := NewArena[int](intLess)
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 120; i++ {
+		tr.Insert(rng.Intn(40))
+	}
+	for tr.Len() > 0 {
+		tr.Delete(tr.Root())
+		checkArenaInvariants(t, tr)
+		if !sort.IntsAreSorted(collectArena(tr)) {
+			t.Fatal("order broken after deleting the root")
+		}
+	}
+}
+
+func TestSearchMissing(t *testing.T) {
+	tr := NewArena[int](intLess)
+	for i := 0; i < 50; i += 2 {
+		tr.Insert(i)
+	}
+	for i := 1; i < 50; i += 2 {
+		if tr.Search(i) != None {
+			t.Fatalf("Search(%d) should be None", i)
+		}
+	}
+}
+
+// TestRefresh lowers a value under a subtree-max aggregate: the root
+// aggregate must fall back to the next largest.
+func TestRefresh(t *testing.T) {
+	type item struct{ key, val, subtreeMax int }
+	var items []item
+	tr := NewArena[int32](func(a, b int32) bool { return items[a].key < items[b].key })
+	tr.SetUpdate(func(n int32) {
+		i := tr.Item(n)
+		m := items[i].val
+		for _, c := range []int32{tr.Left(n), tr.Right(n)} {
+			if c != None && items[tr.Item(c)].subtreeMax > m {
+				m = items[tr.Item(c)].subtreeMax
+			}
+		}
+		items[i].subtreeMax = m
+	})
+	var top int32
+	for i := 0; i < 64; i++ {
+		items = append(items, item{key: i, val: i, subtreeMax: i})
+		top = tr.Insert(int32(i))
+	}
+	items[tr.Item(top)].val = -1
+	tr.Refresh(top)
+	if got := items[tr.Item(tr.Root())].subtreeMax; got != 62 {
+		t.Fatalf("after lowering the max, root aggregate = %d, want 62", got)
+	}
+}
+
+// FloorFunc(above) must agree with Floor(q) when above(item) == item > q:
+// both return the greatest item <= q. The predicate form exists so hot
+// paths can query without building a probe item.
+func TestFloorFuncMatchesFloor(t *testing.T) {
+	tr := NewArena[int](intLess)
+	vals := []int{10, 20, 30, 40, 50}
+	for _, v := range vals {
+		tr.Insert(v)
+	}
+	for q := 0; q <= 60; q++ {
+		checkFloorCeil(t, tr, vals, q)
+	}
+}
+
+func TestFloorFuncEmptyTree(t *testing.T) {
+	tr := NewArena[int](intLess)
+	if n := tr.FloorFunc(func(int) bool { return false }); n != None {
+		t.Fatalf("FloorFunc on empty arena = %d", n)
+	}
+}
+
+func TestFloorFuncRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tr := NewArena[int](intLess)
+	var vals []int
+	for i := 0; i < 500; i++ {
+		v := rng.Intn(1000)
+		tr.Insert(v)
+		vals = append(vals, v)
+		checkFloorCeil(t, tr, vals, rng.Intn(1100)-50)
 	}
 }
 

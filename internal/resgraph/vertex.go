@@ -104,13 +104,6 @@ type Vertex struct {
 	// mutations are copy-on-write.
 	overlay atomic.Pointer[overlayEdges]
 
-	// specClaims counts units tentatively claimed by in-flight
-	// speculative match attempts that have not yet committed spans into
-	// the planner. Speculating traversers subtract it from planner
-	// availability so concurrent first-fit searches diverge onto
-	// different pools instead of all racing for the same one.
-	specClaims atomic.Int64
-
 	graph *Graph
 
 	// TypeID is Type interned in the graph's type table (Graph.Types),
@@ -316,16 +309,6 @@ func (v *Vertex) InSubtreeOf(root *Vertex) bool {
 
 // Parent returns the vertex's unique containment parent, or nil for roots.
 func (v *Vertex) Parent() *Vertex { return v.parent }
-
-// AddSpecClaim adjusts the vertex's speculative-claim counter by delta
-// units. Speculating match workers publish positive deltas while they hold
-// tentative allocations and negative deltas when those are committed or
-// abandoned.
-func (v *Vertex) AddSpecClaim(delta int64) { v.specClaims.Add(delta) }
-
-// SpecClaims returns the units currently claimed by in-flight speculative
-// match attempts on this vertex.
-func (v *Vertex) SpecClaims() int64 { return v.specClaims.Load() }
 
 // InEdges returns the incoming edges in the subsystem. Overlay subsystems
 // return the stored slice; containment edges are synthesized from the tree

@@ -327,16 +327,12 @@ func (s *Scheduler) scheduleIncremental() {
 // on failure.
 func (s *Scheduler) resolveAttempt(job *Job, spec *traverser.Allocation, blocked bool) (*traverser.Allocation, error) {
 	if job.poisoned {
-		// The speculation worker's fence caught a panic for this job;
-		// release its claims and let the cycle loop quarantine it.
-		if spec != nil {
-			s.tr.Abandon(spec)
-		}
+		// The speculation worker's fence caught a panic for this job; drop
+		// its speculation and let the cycle loop quarantine it.
 		return nil, fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
 	}
 	if spec != nil {
 		if s.policy == FCFS && blocked {
-			s.tr.Abandon(spec)
 			spec = nil
 		} else if err := s.tr.Commit(spec); err == nil {
 			job.sigOK = false

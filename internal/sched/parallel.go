@@ -22,9 +22,9 @@ import (
 // fails Commit with ErrConflict and the job falls back to the sequential
 // match path at its queue position, so the scheduling decisions — which
 // jobs start, which block, which reserve — match the policy exactly.
-// Vertex placement may differ from a sequential run (speculators steer
-// around each other's claims), but every placement is validated against
-// committed planner state before it becomes visible.
+// Every placement is validated against committed planner state before it
+// becomes visible; an uncommitted speculation publishes nothing, so one
+// that is not used is simply dropped.
 
 // scheduleParallel plans the pending queue with a pool of speculative
 // match workers, committing in queue order.
@@ -73,16 +73,10 @@ func (s *Scheduler) scheduleParallel() {
 				// A worker's fence caught a panic (or deadline) for this
 				// job: quarantine it without touching `blocked`, so jobs
 				// behind see the schedule of a run without it.
-				if spec != nil {
-					s.tr.Abandon(spec)
-				}
 				s.quarantinePoisoned(job)
 				continue
 			}
 			if blocked && (s.policy == FCFS || s.shedBackfill()) {
-				if spec != nil {
-					s.tr.Abandon(spec)
-				}
 				keep[workIdx[off+i]] = true
 				continue
 			}
@@ -155,8 +149,7 @@ func (s *Scheduler) commitOrFallback(job *Job, spec *traverser.Allocation, block
 			return spec, nil
 		}
 		// Conflict: an earlier commit took the capacity. Fall through to
-		// a fresh match at this queue position. (Commit consumed the
-		// speculation's claims.)
+		// a fresh match at this queue position.
 		if s.noteConflict(job) {
 			return nil, fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
 		}

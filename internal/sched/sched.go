@@ -448,17 +448,17 @@ func (s *Scheduler) SubmitPriority(id int64, spec *jobspec.Jobspec, priority int
 
 // compiledSpec returns job.Spec compiled against the scheduler's graph,
 // compiling lazily and caching on the job (jobs restored from a
-// checkpoint reach here without passing through Submit). It returns nil
-// when compilation fails; callers fall back to the per-call path.
-func (s *Scheduler) compiledSpec(job *Job) *jobspec.Compiled {
+// checkpoint or stolen from another shard reach here without passing
+// through Submit).
+func (s *Scheduler) compiledSpec(job *Job) (*jobspec.Compiled, error) {
 	if job.compiled == nil {
 		c, err := s.tr.Compile(job.Spec)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		job.compiled = c
 	}
-	return job.compiled
+	return job.compiled, nil
 }
 
 // matchOp enumerates the traverser match entry points so the defense
@@ -486,39 +486,25 @@ func (s *Scheduler) dispatchMatch(op matchOp, job *Job, at int64, ep *resgraph.E
 	return s.rawMatch(op, job, at, ep)
 }
 
-// rawMatch is the unfenced dispatch across the match entry points,
-// preferring the compiled fast path when the job's spec compiles (jobs
-// restored from a checkpoint reach here without passing through Submit).
-// The Sig forms capture a blocking signature on ErrNoMatch, arming the
+// rawMatch is the unfenced dispatch across the match entry points. The
+// Sig forms capture a blocking signature on ErrNoMatch, arming the
 // incremental engine's skip test for later cycles; a captured
 // reservation-probe signature additionally justifies conservative-mode
 // skips (sigReserve).
 func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch) (*traverser.Allocation, error) {
-	cjs := s.compiledSpec(job)
+	cjs, err := s.compiledSpec(job)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case opAllocate:
-		if cjs != nil {
-			return s.tr.MatchAllocateCompiled(job.ID, cjs, at)
-		}
-		return s.tr.MatchAllocate(job.ID, job.Spec, at)
+		return s.tr.MatchAllocateCompiled(job.ID, cjs, at)
 	case opAllocateOrReserve:
-		if cjs != nil {
-			return s.tr.MatchAllocateOrReserveCompiled(job.ID, cjs, at)
-		}
-		return s.tr.MatchAllocateOrReserve(job.ID, job.Spec, at)
+		return s.tr.MatchAllocateOrReserveCompiled(job.ID, cjs, at)
 	case opSpeculate:
-		if cjs != nil {
-			return s.tr.MatchSpeculateCompiledEpoch(job.ID, cjs, at, ep)
-		}
-		// Uncompiled specs pin their own epoch inside the traverser; with
-		// the cycle's epoch batch open no transition can be published
-		// mid-cycle, so the self-pinned epoch equals the batch's.
-		return s.tr.MatchSpeculate(job.ID, job.Spec, at)
+		return s.tr.MatchSpeculateCompiledEpoch(job.ID, cjs, at, ep)
 	case opAllocateSig:
 		job.sigOK = false
-		if cjs == nil {
-			return s.tr.MatchAllocate(job.ID, job.Spec, at)
-		}
 		alloc, err := s.tr.MatchAllocateCompiledSig(job.ID, cjs, at, &job.sig)
 		if err != nil && errors.Is(err, traverser.ErrNoMatch) {
 			job.sigOK = true
@@ -527,9 +513,6 @@ func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch)
 		return alloc, err
 	default: // opAllocateOrReserveSig
 		job.sigOK = false
-		if cjs == nil {
-			return s.tr.MatchAllocateOrReserve(job.ID, job.Spec, at)
-		}
 		alloc, err := s.tr.MatchAllocateOrReserveCompiledSig(job.ID, cjs, at, &job.sig)
 		if err != nil && errors.Is(err, traverser.ErrNoMatch) {
 			job.sigOK = true
@@ -539,8 +522,7 @@ func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch)
 	}
 }
 
-// matchAllocate matches job at time `at` through the traverser's
-// compiled fast path when the job's spec compiles.
+// matchAllocate matches job at time `at`, charging one attempt.
 func (s *Scheduler) matchAllocate(job *Job, at int64) (*traverser.Allocation, error) {
 	s.stats.MatchAttempts++
 	return s.dispatchMatch(opAllocate, job, at, nil)

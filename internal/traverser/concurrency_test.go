@@ -13,7 +13,7 @@ import (
 
 // checkQuiescent asserts the store is back to a fully idle, consistent
 // state: every planner and filter passes its invariant checker with zero
-// live spans, and no speculative claims are outstanding.
+// live spans.
 func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 	t.Helper()
 	for _, v := range g.Vertices() {
@@ -22,9 +22,6 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 		}
 		if n := v.Planner().SpanCount(); n != 0 {
 			t.Errorf("%s: %d leaked spans", v.Path(), n)
-		}
-		if c := v.SpecClaims(); c != 0 {
-			t.Errorf("%s: %d leaked speculative claims", v.Path(), c)
 		}
 		if f := v.Filter(); f != nil {
 			if err := f.CheckInvariants(); err != nil {
@@ -38,7 +35,7 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 }
 
 // TestConcurrentMatchStress hammers one traverser from many goroutines —
-// committed allocate/cancel churn, speculate/commit/abandon churn, and
+// committed allocate/cancel churn, speculate/commit-or-drop churn, and
 // availability queries — under the race detector, then asserts every
 // planner invariant (no double-booked units, SP/ET tree agreement, exact
 // span accounting) holds and nothing leaked.
@@ -85,14 +82,19 @@ func TestConcurrentMatchStress(t *testing.T) {
 		}()
 	}
 
-	// Speculative path: MatchSpeculate then Commit (and Cancel) or Abandon.
+	// Speculative path: speculate against a fresh pin, then Commit (and
+	// Cancel) or drop the speculation uncommitted.
+	cjs, err := tr.Compile(js)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for w := 0; w < speculators; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				id := ids.Add(1)
-				alloc, err := tr.MatchSpeculate(id, js, 0)
+				alloc, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch())
 				if err != nil {
 					if errors.Is(err, ErrNoMatch) {
 						continue
@@ -101,8 +103,7 @@ func TestConcurrentMatchStress(t *testing.T) {
 					return
 				}
 				if (i+w)%3 == 0 {
-					tr.Abandon(alloc)
-					continue
+					continue // dropped: an uncommitted speculation holds nothing
 				}
 				if err := tr.Commit(alloc); err != nil {
 					if errors.Is(err, ErrConflict) {

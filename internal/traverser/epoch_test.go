@@ -26,9 +26,6 @@ func TestEpochCommitFastPath(t *testing.T) {
 
 	// Stable pin: nothing changed between speculation and commit.
 	ep := tr.PinEpoch()
-	if ep == nil {
-		t.Fatal("no epoch to pin")
-	}
 	spec, err := tr.MatchSpeculateCompiledEpoch(1, cjs, 0, ep)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +111,84 @@ func TestEpochSpeculationSeesPinnedState(t *testing.T) {
 		t.Fatalf("fresh pin: %v", err)
 	} else if err := tr.Commit(spec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUncommittedSpeculationLeavesNoTrace drops a batch of speculations
+// against one pin without committing any: the epoch version, every
+// planner's and filter's span count, the delta stream, and the job table
+// must be exactly as before — dropping a speculation is the whole of
+// abandoning it — and a fresh speculation must still commit.
+func TestUncommittedSpeculationLeavesNoTrace(t *testing.T) {
+	g := buildSmall(t, 2, 2, 4, 0, defaultSpec())
+	tr := newT(t, g, match.First{})
+	tr.EnableSteering()
+	cjs, err := tr.Compile(jobspec.NodeLocal(1, 1, 2, 0, 0, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Standing state, so the span counts being compared are not all zero.
+	if _, err := tr.MatchAllocateCompiled(1, cjs, 0); err != nil {
+		t.Fatal(err)
+	}
+	var deltas int
+	g.SetDeltaSink(func(resgraph.Delta) { deltas++ })
+	spans := func() []int {
+		var out []int
+		for _, v := range g.Vertices() {
+			out = append(out, v.Planner().SpanCount())
+			if f := v.Filter(); f != nil {
+				out = append(out, f.SpanCount())
+			}
+		}
+		return out
+	}
+
+	ep := tr.PinEpoch()
+	version, builds, before := g.EpochVersion(), g.EpochBuilds(), spans()
+	const k = 16
+	for id := int64(2); id < 2+k; id++ {
+		spec, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, ep)
+		if err != nil {
+			t.Fatalf("speculation %d: %v", id, err)
+		}
+		if spec.Units("core") != 2 {
+			t.Fatalf("speculation %d: %s", id, spec.Describe())
+		}
+	}
+	if v := g.EpochVersion(); v != version {
+		t.Errorf("epoch version %d -> %d", version, v)
+	}
+	if b := g.EpochBuilds(); b != builds {
+		t.Errorf("epoch builds %d -> %d", builds, b)
+	}
+	after := spans()
+	for i := range before {
+		if before[i] != after[i] {
+			t.Fatalf("span counts changed: %v -> %v", before, after)
+		}
+	}
+	if deltas != 0 {
+		t.Errorf("%d deltas published by uncommitted speculations", deltas)
+	}
+	if n := tr.JobCount(); n != 1 {
+		t.Errorf("JobCount = %d, want 1", n)
+	}
+
+	spec, err := tr.MatchSpeculateCompiledEpoch(2+k, cjs, 0, tr.PinEpoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Commit(spec); err != nil {
+		t.Fatalf("fresh speculation after %d dropped ones: %v", k, err)
+	}
+	if n := tr.JobCount(); n != 2 {
+		t.Errorf("JobCount after commit = %d, want 2", n)
+	}
+	// The commit's publish flushes any buffered delta, and an immediate
+	// allocation emits none of its own, so the sink must still be silent.
+	if deltas != 0 {
+		t.Errorf("%d deltas flushed by the commit after the dropped speculations", deltas)
 	}
 }
 
@@ -203,10 +278,6 @@ func TestEpochChurnRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				ep := tr.PinEpoch()
-				if ep == nil {
-					t.Error("nil epoch pinned")
-					return
-				}
 				id := jobSeq.Add(1)
 				spec, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, ep)
 				if err != nil {
@@ -320,54 +391,6 @@ func TestEpochDeepImmutability(t *testing.T) {
 	}
 }
 
-// TestLegacyPathStillWorks pins the non-MVCC configuration: speculation
-// under WithMVCC(false) takes the claims path and commits release claims.
-func TestLegacyPathStillWorks(t *testing.T) {
-	g := buildSmall(t, 1, 2, 4, 0, defaultSpec())
-	tr, err := New(g, match.First{}, WithMVCC(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	js := jobspec.NodeLocal(1, 1, 4, 0, 0, 100)
-	cjs, err := tr.Compile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ep := tr.PinEpoch(); ep != nil {
-		t.Fatal("non-MVCC traverser pinned an epoch")
-	}
-	spec, err := tr.MatchSpeculateCompiled(1, cjs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Legacy speculation holds per-vertex claims until commit/abandon.
-	var claimed int64
-	for _, va := range spec.Vertices {
-		claimed += va.V.SpecClaims()
-	}
-	if claimed == 0 {
-		t.Fatal("legacy speculation holds no claims")
-	}
-	if err := tr.Commit(spec); err != nil {
-		t.Fatal(err)
-	}
-	for _, va := range spec.Vertices {
-		if va.V.SpecClaims() != 0 {
-			t.Fatalf("claims leaked on %s", va.V.Name)
-		}
-	}
-	spec2, err := tr.MatchSpeculateCompiled(2, cjs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Abandon(spec2)
-	for _, va := range spec2.Vertices {
-		if va.V.SpecClaims() != 0 {
-			t.Fatalf("claims leaked after abandon on %s", va.V.Name)
-		}
-	}
-}
-
 // TestEpochPinNeverTearsAnAllocation races pinners against the
 // traverser's mutating operations. Epochs are built when pinned, from
 // live planners, so the pin must land between two operations: every job
@@ -437,7 +460,7 @@ func TestEpochPinNeverTearsAnAllocation(t *testing.T) {
 				var err error
 				if w == 0 {
 					_, err = tr.MatchAllocateCompiled(id, cjs, 0)
-				} else if spec, serr := tr.MatchSpeculateCompiled(id, cjs, 0); serr != nil {
+				} else if spec, serr := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch()); serr != nil {
 					err = serr
 				} else {
 					err = tr.Commit(spec)

@@ -22,7 +22,8 @@ import (
 //     returned Allocation only on success.
 //
 // Cache correctness: within one attempt the graph topology and status
-// bits are frozen (the traverser holds the graph's reader lock) and
+// bits are frozen (the traverser holds the graph's reader lock, or reads
+// an immutable pinned epoch) and
 // pruning filters only change after the walk (SDFU runs at commit), so
 // a cached candidate list can only be invalidated by a claim — or a
 // rollback of a claim — of units on a vertex the collection descended
@@ -42,15 +43,14 @@ type matcher struct {
 	at    int64
 	dur   int64
 	dry   bool // capacity-only satisfiability check: no spans
-	snap  bool // speculative run: per-vertex claims instead of spans
-	// ep, when non-nil, is the pinned MVCC epoch of an epoch speculation
-	// (snap mode only): status, subtree labels, planners, and filters are
-	// read from its immutable snapshots with zero synchronization, and
-	// tentative claims stay in the attempt's private scratch.
+	// ep, when non-nil, is the pinned MVCC epoch of a speculation: status,
+	// subtree labels, planners, and filters are read from its immutable
+	// snapshots with zero synchronization, and tentative claims stay in
+	// the attempt's private scratch instead of becoming spans.
 	ep *resgraph.Epoch
-	// rot rotates first-fit candidate lists by a jobID-derived offset in
-	// epoch mode, so concurrent speculators probe disjoint pools without
-	// the shared claim counters the legacy path used for divergence.
+	// rot rotates first-fit candidate lists by a jobID-derived offset
+	// (see EnableSteering), so concurrent speculators probe disjoint pools
+	// without any shared state.
 	rot uint64
 	// sig, when non-nil, accumulates blocking reasons as the walk prunes
 	// or rejects candidates (see signature.go). Reasons survive
@@ -78,10 +78,7 @@ func (m *matcher) up(v *resgraph.Vertex) bool {
 
 // availUnits returns the units of v available throughout the window,
 // memoized per vertex for the attempt (claims and rollbacks invalidate
-// the vertex's entry). A speculative run additionally subtracts the
-// units claimed by in-flight speculations (its own included) so
-// concurrent first-fit searches diverge onto disjoint pools instead of
-// colliding at commit.
+// the vertex's entry).
 func (m *matcher) availUnits(v *resgraph.Vertex) int64 {
 	s := m.s
 	uid := v.UniqID
@@ -107,9 +104,6 @@ func (m *matcher) availUnits(v *resgraph.Vertex) int64 {
 		if err == nil {
 			a = avail
 		}
-		if m.snap {
-			a -= v.SpecClaims()
-		}
 	}
 	s.avail[uid] = a
 	s.availGen[uid] = s.gen
@@ -124,8 +118,6 @@ func (m *matcher) claim(v *resgraph.Vertex, units int64) bool {
 		switch {
 		case m.dry, m.ep != nil:
 			m.s.tentative[v.UniqID] += units
-		case m.snap:
-			v.AddSpecClaim(units)
 		default:
 			id, err := v.Planner().AddSpan(m.at, m.dur, units)
 			if err != nil {
@@ -150,7 +142,7 @@ func (m *matcher) rollbackTo(mark int) {
 	if len(undo) == 0 {
 		return
 	}
-	if !m.dry && !m.snap {
+	if !m.dry && m.ep == nil {
 		m.t.markDirty(undo, nil) // commit mode: the spans below were live
 	}
 	for _, va := range undo {
@@ -160,8 +152,6 @@ func (m *matcher) rollbackTo(mark int) {
 		switch {
 		case m.dry, m.ep != nil:
 			m.s.tentative[va.V.UniqID] -= va.Units
-		case m.snap:
-			va.V.AddSpecClaim(-va.Units)
 		default:
 			_ = va.V.Planner().RemoveSpan(va.span)
 		}
@@ -216,7 +206,7 @@ func (m *matcher) matchRequest(v *resgraph.Vertex, ni int32, excl bool) bool {
 		buf := m.s.cands.getBuf()
 		buf = m.collect(buf[:0], v, cn)
 		if m.rot != 0 && len(buf) > 1 {
-			// Epoch-mode divergence steering: rotate the traversal-order
+			// Divergence steering: rotate the traversal-order
 			// list by a jobID-derived offset so concurrent first-fit
 			// speculators start their scans at different pools. Done
 			// once at collect time so cursors stay consistent.

@@ -6,8 +6,9 @@ import (
 
 // matchScratch is the reusable working memory of one match attempt. A
 // traverser keeps one instance for the serialized paths (the write lock
-// is held) and a sync.Pool for the lock-free one (MatchSpeculate), so
-// steady-state matching allocates nothing.
+// is held) and a sync.Pool for the lock-free one
+// (MatchSpeculateCompiledEpoch), so steady-state matching allocates
+// nothing.
 //
 // The dense per-vertex arrays are indexed by Vertex.UniqID and
 // generation-stamped: begin bumps gen, and a slot is live only when its
@@ -22,9 +23,10 @@ type matchScratch struct {
 	availGen []uint32
 	gen      uint32
 
-	// tentative carries dry-run claims per vertex. It is kept zeroed
-	// between attempts (dry runs always roll back fully) rather than
-	// generation-stamped, so claims survive availability invalidation.
+	// tentative carries dry-run and speculative claims per vertex. It is
+	// kept zeroed between attempts (dry runs roll back fully, speculations
+	// subtract their selection) rather than generation-stamped, so claims
+	// survive availability invalidation.
 	tentative []int64
 
 	// ordered holds per-recursion-depth copies of cached candidate lists

@@ -1,9 +1,6 @@
 package traverser
 
 import (
-	"errors"
-	"fmt"
-
 	"fluxion/internal/jobspec"
 	"fluxion/internal/resgraph"
 )
@@ -140,94 +137,6 @@ func (t *Traverser) captureHint(cjs *jobspec.Compiled, at, dur int64, s *BlockSi
 		}
 	}
 	s.HintAt = hint
-}
-
-// MatchAllocateCompiledSig is MatchAllocateCompiled that, on ErrNoMatch,
-// captures the attempt's blocking signature into sig (previous contents
-// are discarded). sig may be nil to skip capture.
-func (t *Traverser) MatchAllocateCompiledSig(jobID int64, cjs *jobspec.Compiled, at int64, sig *BlockSig) (*Allocation, error) {
-	if err := t.checkCompiled(cjs); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.allocs[jobID]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
-	}
-	alloc, err := t.tryMatch(jobID, cjs, at, modeCommit, sig, nil)
-	if err != nil {
-		if sig != nil && errors.Is(err, ErrNoMatch) {
-			t.captureHint(cjs, at, t.effectiveDuration(cjs.Spec(), at), sig)
-		}
-		return nil, err
-	}
-	t.allocs[jobID] = alloc
-	t.g.PublishEpoch()
-	return alloc, nil
-}
-
-// MatchAllocateOrReserveCompiledSig is MatchAllocateOrReserveCompiled with
-// signature capture. The signature reflects the immediate attempt at
-// `now`; when even the reservation probe fails, the signature is marked
-// WakeAnyFree since the failure spans future windows it cannot localize.
-func (t *Traverser) MatchAllocateOrReserveCompiledSig(jobID int64, cjs *jobspec.Compiled, now int64, sig *BlockSig) (*Allocation, error) {
-	if err := t.checkCompiled(cjs); err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.allocs[jobID]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
-	}
-	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, sig, nil); err == nil {
-		t.allocs[jobID] = alloc
-		t.g.PublishEpoch()
-		return alloc, nil
-	}
-	if sig != nil {
-		t.captureHint(cjs, now, t.effectiveDuration(cjs.Spec(), now), sig)
-	}
-	alloc, err := t.reserveProbe(jobID, cjs, now)
-	if err != nil {
-		if sig != nil {
-			sig.WakeAnyFree = true
-		}
-		return nil, err
-	}
-	return alloc, nil
-}
-
-// reserveProbe is the reservation half of allocateOrReserve: walk the root
-// filter's candidate times and commit the first that matches. Callers hold
-// t.mu and have already failed the immediate attempt at `now`. On success
-// the reservation's per-vertex claims are published as DeltaClaim events
-// so delta subscribers see future capacity being taken.
-func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) (*Allocation, error) {
-	rf := t.root.Filter()
-	if rf == nil {
-		return nil, ErrNoFilter
-	}
-	counts := trackedCounts(cjs, rf)
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("%w: root filter tracks none of the requested types", ErrNoFilter)
-	}
-	dur := t.effectiveDuration(cjs.Spec(), now)
-	after := now
-	for i := 0; i < t.maxReserveDepth; i++ {
-		cand, err := rf.AvailPointTimeAfter(after, dur, counts)
-		if err != nil {
-			return nil, fmt.Errorf("%w: no candidate reservation time: %v", ErrNoMatch, err)
-		}
-		if alloc, err := t.tryMatch(jobID, cjs, cand, modeCommit, nil, nil); err == nil {
-			alloc.Reserved = true
-			t.allocs[jobID] = alloc
-			t.publishClaims(alloc)
-			t.g.PublishEpoch()
-			return alloc, nil
-		}
-		after = cand
-	}
-	return nil, fmt.Errorf("%w: gave up after %d candidate times", ErrNoMatch, t.maxReserveDepth)
 }
 
 // publishClaims emits a DeltaClaim per consuming vertex of alloc.

@@ -63,37 +63,26 @@ func WithMaxReserveDepth(n int) Option {
 	return func(t *Traverser) { t.maxReserveDepth = n }
 }
 
-// WithMVCC toggles epoch-snapshot speculation (default on). When on,
-// MatchSpeculate pins the graph's current MVCC epoch and matches against
-// it with zero synchronization — no graph reader lock, no per-vertex
-// claim atomics — and Commit re-validates with a cheap epoch-stability
-// check. When off, speculation falls back to the legacy path: reader
-// lock for the walk plus per-vertex speculative claim counters. The
-// toggle exists for decision-parity testing of the two paths.
-func WithMVCC(on bool) Option {
-	return func(t *Traverser) { t.mvcc = on }
-}
-
 // EnableSteering turns on per-job first-fit steering: every match attempt
 // (speculative or sequential) rotates candidate lists by a jobID-derived
-// offset, so concurrent MVCC speculators probe disjoint pools instead of
+// offset, so concurrent epoch speculators probe disjoint pools instead of
 // all claiming the head of the same list and conflicting at commit.
 // Placement stays deterministic — a pure function of (jobID, graph state),
 // identical on every match path — but differs from the natural first-fit
 // order, so direct API users keep it off by default; the scheduler enables
 // it when it owns all matching on the traverser. Call before any
 // concurrent use; the flag is read without synchronization. No effect on
-// ranking policies (they re-sort candidates) or the non-MVCC path (it
-// steers with shared claim counters).
+// ranking policies (they re-sort candidates).
 func (t *Traverser) EnableSteering() { t.steer = true }
 
 // Traverser matches jobspecs against a finalized resource graph.
 //
 // A Traverser is safe for concurrent use. Committing operations
 // (MatchAllocate, Commit, Cancel, ...) serialize under a writer lock, while
-// MatchSpeculate and the read-only queries run concurrently under a reader
-// lock; speculative matches coordinate through per-vertex claim counters
-// and are validated against committed planner state at Commit time.
+// the read-only queries run concurrently under a reader lock.
+// MatchSpeculateCompiledEpoch takes no lock at all: it matches against an
+// immutable pinned epoch, keeps its tentative claims in private scratch,
+// and is validated against committed planner state at Commit time.
 // Lock ordering is t.mu, then the graph's lock, then per-vertex planner
 // locks.
 type Traverser struct {
@@ -104,7 +93,6 @@ type Traverser struct {
 	root            *resgraph.Vertex // cached: Graph.Root self-locks
 	containment     bool             // subsystem is containment: subtree intervals are valid
 	staticOrder     bool             // policy keeps traversal order: first-fit cursors apply
-	mvcc            bool             // speculate against pinned MVCC epochs (see WithMVCC)
 	steer           bool             // rotate first-fit order per job (see EnableSteering)
 
 	mu     sync.RWMutex
@@ -112,8 +100,8 @@ type Traverser struct {
 	dirty  []*resgraph.Vertex // markDirty's scratch; guarded by mu (writer side)
 
 	// scratch is the match working memory for paths serialized under
-	// t.mu; scratchPool serves the lock-free path (MatchSpeculate), which
-	// may run concurrently.
+	// t.mu; scratchPool serves the lock-free path
+	// (MatchSpeculateCompiledEpoch), which may run concurrently.
 	scratch     *matchScratch
 	scratchPool sync.Pool
 }
@@ -131,7 +119,6 @@ func New(g *resgraph.Graph, policy match.Policy, opts ...Option) (*Traverser, er
 		policy:          policy,
 		subsystem:       resgraph.Containment,
 		maxReserveDepth: 4096,
-		mvcc:            true,
 		allocs:          make(map[int64]*Allocation),
 	}
 	for _, o := range opts {
@@ -204,10 +191,9 @@ type Allocation struct {
 	filterSpans []filterSpan
 
 	// pin is the MVCC epoch this allocation speculated against (nil for
-	// committed allocations and legacy claim-counter speculations).
-	// Commit compares it against the current epoch: a still-stable pin
-	// proves nothing changed since the match, skipping per-vertex
-	// re-validation.
+	// allocations that were matched directly). Commit compares it against
+	// the current epoch: a still-stable pin proves nothing changed since
+	// the match, skipping per-vertex re-validation.
 	pin *resgraph.Epoch
 }
 
@@ -264,21 +250,23 @@ func (t *Traverser) effectiveDuration(js *jobspec.Jobspec, at int64) int64 {
 // jobID. It fails with ErrNoMatch when the system cannot host the request
 // at that time.
 func (t *Traverser) MatchAllocate(jobID int64, js *jobspec.Jobspec, at int64) (*Allocation, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.allocs[jobID]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
-	}
 	cjs, err := t.Compile(js)
 	if err != nil {
 		return nil, err
 	}
-	return t.allocate(jobID, cjs, at)
+	return t.MatchAllocateCompiled(jobID, cjs, at)
 }
 
 // MatchAllocateCompiled is MatchAllocate for a precompiled jobspec,
 // skipping the per-call validation and compilation pass.
 func (t *Traverser) MatchAllocateCompiled(jobID int64, cjs *jobspec.Compiled, at int64) (*Allocation, error) {
+	return t.MatchAllocateCompiledSig(jobID, cjs, at, nil)
+}
+
+// MatchAllocateCompiledSig is MatchAllocateCompiled that, on ErrNoMatch,
+// captures the attempt's blocking signature into sig (previous contents
+// are discarded). sig may be nil to skip capture.
+func (t *Traverser) MatchAllocateCompiledSig(jobID int64, cjs *jobspec.Compiled, at int64, sig *BlockSig) (*Allocation, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return nil, err
 	}
@@ -287,13 +275,11 @@ func (t *Traverser) MatchAllocateCompiled(jobID int64, cjs *jobspec.Compiled, at
 	if _, dup := t.allocs[jobID]; dup {
 		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
 	}
-	return t.allocate(jobID, cjs, at)
-}
-
-// allocate matches and registers; callers hold t.mu and have dup-checked.
-func (t *Traverser) allocate(jobID int64, cjs *jobspec.Compiled, at int64) (*Allocation, error) {
-	alloc, err := t.tryMatch(jobID, cjs, at, modeCommit, nil, nil)
+	alloc, err := t.tryMatch(jobID, cjs, at, modeCommit, sig, nil)
 	if err != nil {
+		if sig != nil && errors.Is(err, ErrNoMatch) {
+			t.captureHint(cjs, at, t.effectiveDuration(cjs.Spec(), at), sig)
+		}
 		return nil, err
 	}
 	t.allocs[jobID] = alloc
@@ -305,21 +291,24 @@ func (t *Traverser) allocate(jobID int64, cjs *jobspec.Compiled, at int64) (*All
 // earliest future time the request fits (paper §3.4: the root filter's
 // PlannerMulti enumerates candidate times, Figure 2).
 func (t *Traverser) MatchAllocateOrReserve(jobID int64, js *jobspec.Jobspec, now int64) (*Allocation, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.allocs[jobID]; dup {
-		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
-	}
 	cjs, err := t.Compile(js)
 	if err != nil {
 		return nil, err
 	}
-	return t.allocateOrReserve(jobID, cjs, now)
+	return t.MatchAllocateOrReserveCompiled(jobID, cjs, now)
 }
 
 // MatchAllocateOrReserveCompiled is MatchAllocateOrReserve for a
 // precompiled jobspec.
 func (t *Traverser) MatchAllocateOrReserveCompiled(jobID int64, cjs *jobspec.Compiled, now int64) (*Allocation, error) {
+	return t.MatchAllocateOrReserveCompiledSig(jobID, cjs, now, nil)
+}
+
+// MatchAllocateOrReserveCompiledSig is MatchAllocateOrReserveCompiled with
+// signature capture. The signature reflects the immediate attempt at
+// `now`; when even the reservation probe fails, the signature is marked
+// WakeAnyFree since the failure spans future windows it cannot localize.
+func (t *Traverser) MatchAllocateOrReserveCompiledSig(jobID int64, cjs *jobspec.Compiled, now int64, sig *BlockSig) (*Allocation, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return nil, err
 	}
@@ -328,18 +317,55 @@ func (t *Traverser) MatchAllocateOrReserveCompiled(jobID int64, cjs *jobspec.Com
 	if _, dup := t.allocs[jobID]; dup {
 		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
 	}
-	return t.allocateOrReserve(jobID, cjs, now)
-}
-
-// allocateOrReserve implements the allocate-else-reserve probe loop;
-// callers hold t.mu and have dup-checked.
-func (t *Traverser) allocateOrReserve(jobID int64, cjs *jobspec.Compiled, now int64) (*Allocation, error) {
-	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, nil, nil); err == nil {
+	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, sig, nil); err == nil {
 		t.allocs[jobID] = alloc
 		t.g.PublishEpoch()
 		return alloc, nil
 	}
-	return t.reserveProbe(jobID, cjs, now)
+	if sig != nil {
+		t.captureHint(cjs, now, t.effectiveDuration(cjs.Spec(), now), sig)
+	}
+	alloc, err := t.reserveProbe(jobID, cjs, now)
+	if err != nil {
+		if sig != nil {
+			sig.WakeAnyFree = true
+		}
+		return nil, err
+	}
+	return alloc, nil
+}
+
+// reserveProbe is the reservation half of allocate-or-reserve: walk the
+// root filter's candidate times and commit the first that matches. Callers
+// hold t.mu and have already failed the immediate attempt at `now`. On
+// success the reservation's per-vertex claims are published as DeltaClaim
+// events so delta subscribers see future capacity being taken.
+func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) (*Allocation, error) {
+	rf := t.root.Filter()
+	if rf == nil {
+		return nil, ErrNoFilter
+	}
+	counts := trackedCounts(cjs, rf)
+	if len(counts) == 0 {
+		return nil, fmt.Errorf("%w: root filter tracks none of the requested types", ErrNoFilter)
+	}
+	dur := t.effectiveDuration(cjs.Spec(), now)
+	after := now
+	for i := 0; i < t.maxReserveDepth; i++ {
+		cand, err := rf.AvailPointTimeAfter(after, dur, counts)
+		if err != nil {
+			return nil, fmt.Errorf("%w: no candidate reservation time: %v", ErrNoMatch, err)
+		}
+		if alloc, err := t.tryMatch(jobID, cjs, cand, modeCommit, nil, nil); err == nil {
+			alloc.Reserved = true
+			t.allocs[jobID] = alloc
+			t.publishClaims(alloc)
+			t.g.PublishEpoch()
+			return alloc, nil
+		}
+		after = cand
+	}
+	return nil, fmt.Errorf("%w: gave up after %d candidate times", ErrNoMatch, t.maxReserveDepth)
 }
 
 // MatchSatisfy reports whether js could ever be satisfied by the system,
@@ -349,21 +375,17 @@ func (t *Traverser) MatchSatisfy(js *jobspec.Jobspec) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return t.satisfy(cjs)
+	return t.MatchSatisfyCompiled(cjs)
 }
 
-// MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec.
+// MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec. The dry
+// match runs under t.mu, on the traverser's own scratch: a submit-time
+// check has no use for a second graph-sized working set, and a pooled one
+// would live or die with the collector's pacing.
 func (t *Traverser) MatchSatisfyCompiled(cjs *jobspec.Compiled) (bool, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return false, err
 	}
-	return t.satisfy(cjs)
-}
-
-// satisfy runs the dry match under t.mu, on the traverser's own scratch: a
-// submit-time check has no use for a second graph-sized working set, and a
-// pooled one would live or die with the collector's pacing.
-func (t *Traverser) satisfy(cjs *jobspec.Compiled) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	_, err := t.tryMatch(0, cjs, t.g.Base(), modeDry, nil, nil)
@@ -692,9 +714,9 @@ const (
 	modeCommit matchMode = iota
 	// modeDry checks capacity only: no spans, no claims.
 	modeDry
-	// modeSnap speculates: selections are published as per-vertex claim
-	// counters against a read snapshot, to be validated and committed
-	// later by Commit (or released by Abandon).
+	// modeSnap speculates against the pinned epoch ep: tentative claims
+	// stay in the attempt's private scratch, and the selection is
+	// validated and installed later by Commit (or simply dropped).
 	modeSnap
 )
 
@@ -702,14 +724,13 @@ const (
 // vertex spans are committed and ancestor filters updated (SDFU) on
 // success; on failure everything is rolled back and ErrNoMatch returned.
 //
-// With ep == nil, the graph's reader lock is held for the whole traversal
-// so topology mutations (attach/detach, status flips) never interleave
-// with a match — which is also what freezes the topology and status bits
-// the match kernel's candidate cache relies on. With a non-nil ep (epoch
-// speculation, modeSnap only), no graph lock is taken at all: every
-// status bit, subtree label, planner window, and pruning filter is read
-// from the immutable pinned epoch, and tentative claims live in the
-// attempt's private scratch.
+// Commit and dry attempts pass ep == nil and hold the graph's reader lock
+// for the whole traversal, so topology mutations (attach/detach, status
+// flips) never interleave with a match — which is also what freezes the
+// topology and status bits the match kernel's candidate cache relies on.
+// Speculations (modeSnap) pass the pinned epoch and take no graph lock at
+// all: every status bit, subtree label, planner window, and pruning filter
+// is read from the immutable snapshot.
 func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode matchMode, sig *BlockSig, ep *resgraph.Epoch) (*Allocation, error) {
 	dur := t.effectiveDuration(cjs.Spec(), at)
 	if dur <= 0 {
@@ -799,7 +820,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		at:    at,
 		dur:   dur,
 		dry:   mode == modeDry,
-		snap:  mode == modeSnap,
 		ep:    ep,
 		sig:   sig,
 	}
@@ -808,11 +828,10 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		// rotates first-fit candidate lists by a jobID-derived offset, so
 		// concurrent speculators probe disjoint pools instead of all
 		// racing for the head of the same list. The rotation applies on
-		// every path (speculative and sequential alike) and in both the
-		// MVCC and legacy configurations, making a job's placement a pure
-		// function of (jobID, graph state) — speculation and its
-		// sequential fallback agree, which keeps full, incremental, and
-		// cross-configuration runs decision-identical.
+		// every path (speculative and sequential alike), making a job's
+		// placement a pure function of (jobID, graph state) — speculation
+		// and its sequential fallback agree, which keeps full, incremental,
+		// and parallel runs decision-identical.
 		m.rot = splitmix64(uint64(jobID))
 	}
 	if !m.matchForest(root, cjs.Roots(), false) {
@@ -835,17 +854,14 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	case modeDry:
 		m.rollbackTo(0)
 	case modeSnap:
-		// The selection must outlive this attempt's scratch.
+		// The selection must outlive this attempt's scratch. Tentative
+		// claims are scratch-local; zero them so the pooled scratch comes
+		// back clean.
 		alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
-		if ep != nil {
-			// Epoch speculation: tentative claims are scratch-local;
-			// zero them so the pooled scratch comes back clean. (Legacy
-			// claims stay published until Commit or Abandon.)
-			alloc.pin = ep
-			for _, va := range s.verts {
-				if va.Units > 0 {
-					s.tentative[va.V.UniqID] -= va.Units
-				}
+		alloc.pin = ep
+		for _, va := range s.verts {
+			if va.Units > 0 {
+				s.tentative[va.V.UniqID] -= va.Units
 			}
 		}
 	}
@@ -862,50 +878,29 @@ func splitmix64(x uint64) uint64 {
 }
 
 // PinEpoch returns the graph's current MVCC epoch for a batch of epoch
-// speculations, or nil when epoch speculation is disabled
-// (WithMVCC(false)) — a nil pin routes MatchSpeculateEpoch to the legacy
-// claim-counter path. Epochs are materialised on demand, so the pin holds
-// t.mu's reader side across the call: a build then reads the planners
-// between two mutating operations, never in the middle of one, and every
-// allocation is in the epoch whole or not at all.
+// speculations. Epochs are materialised on demand, so the pin holds t.mu's
+// reader side across the call: a build then reads the planners between two
+// mutating operations, never in the middle of one, and every allocation is
+// in the epoch whole or not at all.
 func (t *Traverser) PinEpoch() *resgraph.Epoch {
-	if !t.mvcc {
-		return nil
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.g.Epoch()
 }
 
-// MatchSpeculate matches js at time `at` against a read snapshot without
-// committing anything: the returned Allocation is tentative and MUST be
-// handed to exactly one of Commit or Abandon. Multiple goroutines may
-// speculate concurrently, and concurrently with read queries.
-//
-// In MVCC mode (the default) the attempt pins the current epoch and runs
-// with zero synchronization against its immutable snapshots. In legacy
-// mode, selected units are published to per-vertex claim counters so
-// concurrent speculations steer around each other.
-func (t *Traverser) MatchSpeculate(jobID int64, js *jobspec.Jobspec, at int64) (*Allocation, error) {
-	cjs, err := t.Compile(js)
-	if err != nil {
-		return nil, err
-	}
-	return t.MatchSpeculateCompiledEpoch(jobID, cjs, at, t.PinEpoch())
-}
-
-// MatchSpeculateCompiled is MatchSpeculate for a precompiled jobspec.
-func (t *Traverser) MatchSpeculateCompiled(jobID int64, cjs *jobspec.Compiled, at int64) (*Allocation, error) {
-	return t.MatchSpeculateCompiledEpoch(jobID, cjs, at, t.PinEpoch())
-}
-
-// MatchSpeculateCompiledEpoch is MatchSpeculateCompiled against an
-// explicitly pinned epoch, letting a scheduling cycle pin once and fan a
-// whole batch of speculations out against the same consistent snapshot.
-// A nil ep selects the legacy claim-counter path.
+// MatchSpeculateCompiledEpoch matches cjs at time `at` against ep, an epoch
+// from PinEpoch, without committing anything: the returned Allocation is
+// tentative and is installed by Commit or simply dropped — an uncommitted
+// speculation publishes nothing. The attempt runs with zero
+// synchronization against the epoch's immutable snapshots, so many
+// goroutines may speculate concurrently, typically a scheduling cycle
+// fanning a whole batch out against one pin.
 func (t *Traverser) MatchSpeculateCompiledEpoch(jobID int64, cjs *jobspec.Compiled, at int64, ep *resgraph.Epoch) (*Allocation, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return nil, err
+	}
+	if ep == nil {
+		return nil, fmt.Errorf("traverser: speculation needs a pinned epoch")
 	}
 	t.mu.RLock()
 	_, dup := t.allocs[jobID]
@@ -926,8 +921,7 @@ func (t *Traverser) MatchSpeculateCompiledEpoch(jobID int64, cjs *jobspec.Compil
 // fails if a concurrent commit took the capacity first; shared structural
 // vertices are re-checked for exclusive takeover and detached or downed
 // vertices rejected. On any conflict every span added so far is rolled
-// back and ErrConflict returned — the job must be re-matched. The
-// speculation is consumed either way; do not call Abandon afterwards.
+// back and ErrConflict returned — the job must be re-matched.
 func (t *Traverser) Commit(alloc *Allocation) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -942,12 +936,6 @@ func (t *Traverser) Commit(alloc *Allocation) error {
 // t.mu. Split out so the epoch publication above runs after the graph
 // reader lock is released.
 func (t *Traverser) commitSpans(alloc *Allocation) error {
-	if alloc.pin == nil {
-		// Legacy speculation: release claims before unlocking but after
-		// spans are in place, so concurrent speculators never observe
-		// the capacity as free. (Epoch speculations publish no claims.)
-		defer t.releaseClaims(alloc)
-	}
 	if _, dup := t.allocs[alloc.JobID]; dup {
 		return fmt.Errorf("%w: %d", ErrExists, alloc.JobID)
 	}
@@ -999,26 +987,6 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 	}
 	t.allocs[alloc.JobID] = alloc
 	return nil
-}
-
-// Abandon releases a speculative allocation without committing it. Safe
-// to call from any goroutine; must not be called after Commit. For epoch
-// speculations this is a no-op — they publish no shared state.
-func (t *Traverser) Abandon(alloc *Allocation) {
-	if alloc == nil || alloc.pin != nil {
-		return
-	}
-	t.releaseClaims(alloc)
-}
-
-// releaseClaims retracts the per-vertex claim counters a speculation
-// published.
-func (t *Traverser) releaseClaims(alloc *Allocation) {
-	for _, va := range alloc.Vertices {
-		if va.Units > 0 {
-			va.V.AddSpecClaim(-va.Units)
-		}
-	}
 }
 
 // updateFilters is the Scheduler-Driven Filter Update (paper §3.4): for
