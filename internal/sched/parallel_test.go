@@ -74,6 +74,37 @@ func TestParallelMatchesSequentialDecisions(t *testing.T) {
 	}
 }
 
+// TestParallelVsSequentialBothPaths extends the parallel-vs-sequential
+// decision guarantee to both scheduling engines: for each of the
+// full-requeue loop and the incremental engine, the parallel pipeline at
+// several worker counts must reproduce that same engine's sequential
+// decision timeline on the fixed mixed workload.
+func TestParallelVsSequentialBothPaths(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
+			seq := newSchedOpts(t, policy, 1, 4, 4,
+				WithIncremental(incremental), WithMatchWorkers(1))
+			runWorkload(t, seq)
+			for _, workers := range []int{2, 4} {
+				par := newSchedOpts(t, policy, 1, 4, 4,
+					WithIncremental(incremental), WithMatchWorkers(workers))
+				runWorkload(t, par)
+				for id, sj := range seq.Jobs() {
+					pj, ok := par.Job(id)
+					if !ok {
+						t.Fatalf("incremental=%v/%s/w%d: job %d missing", incremental, policy, workers, id)
+					}
+					if sj.State != pj.State || sj.StartAt != pj.StartAt || sj.EndAt != pj.EndAt {
+						t.Errorf("incremental=%v/%s/w%d: job %d diverged: %v@[%d,%d] vs %v@[%d,%d]",
+							incremental, policy, workers, id,
+							sj.State, sj.StartAt, sj.EndAt, pj.State, pj.StartAt, pj.EndAt)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestParallelQueueDepth verifies the queue-depth bound and pending-order
 // preservation survive the parallel path: jobs beyond the depth stay
 // pending in their original order.
