@@ -257,7 +257,8 @@ func BenchmarkPlannerSatDuring(b *testing.B) {
 }
 
 // BenchmarkPlannerEarliestAt measures the earliest-fit search — paper
-// Algorithm 1 on the ET tree (Fig. 6b, EarliestAt series).
+// Algorithm 1 as a min-prefix descent of the time-keyed tree (Fig. 6b,
+// EarliestAt series).
 func BenchmarkPlannerEarliestAt(b *testing.B) {
 	for _, spans := range plannerSizes {
 		b.Run(fmt.Sprintf("spans-%d", spans), func(b *testing.B) {
@@ -288,6 +289,34 @@ func BenchmarkPlannerAddRemoveSpan(b *testing.B) {
 					b.Fatal(err)
 				}
 				id, err := p.AddSpan(at, 10, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.RemoveSpan(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlannerAddRemoveLongSpan measures the span update path when the
+// span covers about half the occupied calendar — the regime in which an
+// update that visits every covered point is linear in the span count. The
+// pool grows by one unit first so the one-unit span always fits.
+func BenchmarkPlannerAddRemoveLongSpan(b *testing.B) {
+	for _, spans := range plannerSizes {
+		b.Run(fmt.Sprintf("spans-%d", spans), func(b *testing.B) {
+			b.ReportAllocs()
+			p := prepopulated(b, spans)
+			if err := p.Update(1); err != nil {
+				b.Fatal(err)
+			}
+			var end int64
+			p.Points(func(at, _ int64) bool { end = at; return true })
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				id, err := p.AddSpan(end/4, end/2, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,12 +6,13 @@ import (
 	"fluxion/internal/rbtree"
 )
 
-// CheckInvariants validates the planner's internal consistency: the SP and
-// ET trees agree, every scheduled point's amounts are exactly what the live
-// spans imply, and the tree augmentations (ET subtree-minimum time, SP
-// max-remaining/max-time) are correct. It is the oracle behind the
-// concurrency stress tests — after any interleaving of AddSpan/RemoveSpan
-// and queries, a planner must still satisfy all of these.
+// CheckInvariants validates the planner's internal consistency: every
+// scheduled point's amount (the prefix sum of the deltas) is exactly what
+// the live spans imply and never exceeds the pool, and the SP-tree
+// aggregates (sum, left-subtree sum, min/max prefix, latest time) are
+// correct. It is the oracle behind the concurrency stress tests — after any
+// interleaving of AddSpan/RemoveSpan/Update and queries, a planner must
+// still satisfy all of these.
 func (p *Planner) CheckInvariants() error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -27,14 +28,11 @@ func (p *Planner) CheckInvariants() error {
 		return nil
 	}
 
-	if p.sp.Len() != p.et.Len() {
-		return fmt.Errorf("planner: SP tree has %d points, ET tree %d", p.sp.Len(), p.et.Len())
-	}
-
 	// Walk the SP tree in time order, recomputing the expected profile
 	// from the span set.
 	prev := int64(-1 << 62)
 	sawBase := false
+	var sched int64
 	for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
 		pt := &p.pts[p.sp.Item(n)]
 		if pt.at <= prev {
@@ -44,12 +42,9 @@ func (p *Planner) CheckInvariants() error {
 		if pt.at == p.base {
 			sawBase = true
 		}
-		if pt.scheduled+pt.remaining != p.total {
-			return fmt.Errorf("planner: point %d: scheduled %d + remaining %d != total %d",
-				pt.at, pt.scheduled, pt.remaining, p.total)
-		}
-		if pt.remaining < 0 {
-			return fmt.Errorf("planner: point %d double-booked: remaining %d", pt.at, pt.remaining)
+		sched += pt.delta
+		if sched > p.total {
+			return fmt.Errorf("planner: point %d double-booked: scheduled %d of %d", pt.at, sched, p.total)
 		}
 		var want int64
 		var bounds int32
@@ -61,17 +56,14 @@ func (p *Planner) CheckInvariants() error {
 				bounds++
 			}
 		}
-		if pt.scheduled != want {
-			return fmt.Errorf("planner: point %d: scheduled %d but spans imply %d", pt.at, pt.scheduled, want)
+		if sched != want {
+			return fmt.Errorf("planner: point %d: scheduled %d but spans imply %d", pt.at, sched, want)
 		}
 		if pt.refCount != bounds {
 			return fmt.Errorf("planner: point %d: refCount %d but %d span boundaries", pt.at, pt.refCount, bounds)
 		}
 		if pt.at != p.base && bounds == 0 {
 			return fmt.Errorf("planner: point %d is unreferenced garbage", pt.at)
-		}
-		if !pt.inET {
-			return fmt.Errorf("planner: point %d missing from ET tree", pt.at)
 		}
 	}
 	if !sawBase {
@@ -85,73 +77,52 @@ func (p *Planner) CheckInvariants() error {
 		if id >= p.nextSpanID || (i > 0 && id <= p.spans[i-1].ID) {
 			return fmt.Errorf("planner: span %d out of ID order at index %d", id, i)
 		}
-		if f := p.floorPoint(s.Start); f == noPoint || p.pts[f].at != s.Start {
+		if f, _ := p.floor(s.Start); f == noPoint || p.pts[f].at != s.Start {
 			return fmt.Errorf("planner: span %d start %d has no scheduled point", id, s.Start)
 		}
-		if f := p.floorPoint(s.Last); f == noPoint || p.pts[f].at != s.Last {
+		if f, _ := p.floor(s.Last); f == noPoint || p.pts[f].at != s.Last {
 			return fmt.Errorf("planner: span %d end %d has no scheduled point", id, s.Last)
 		}
 	}
 
-	if err := p.checkETAug(p.et.Root()); err != nil {
-		return err
-	}
-	return p.checkSPAug(p.sp.Root())
+	_, err := p.checkSPAug(p.sp.Root())
+	return err
 }
 
-// checkETAug verifies the subtree-minimum-time augmentation of the ET tree.
-func (p *Planner) checkETAug(n int32) error {
+// checkSPAug verifies the aggregates of n's subtree against a recomputation
+// from its children and returns the subtree's point (nil for rbtree.None).
+func (p *Planner) checkSPAug(n int32) (*schedPoint, error) {
 	if n == rbtree.None {
-		return nil
+		return nil, nil
 	}
-	i := p.et.Item(n)
-	min := i
-	for _, c := range [2]int32{p.et.Left(n), p.et.Right(n)} {
-		if c == rbtree.None {
-			continue
-		}
-		if err := p.checkETAug(c); err != nil {
-			return err
-		}
-		if m := p.pts[p.et.Item(c)].subtreeMin; p.pts[m].at < p.pts[min].at {
-			min = m
-		}
+	l, err := p.checkSPAug(p.sp.Left(n))
+	if err != nil {
+		return nil, err
 	}
-	if p.pts[i].subtreeMin != min {
-		return fmt.Errorf("planner: ET point %d: subtreeMin %d, want %d",
-			p.pts[i].at, p.pts[p.pts[i].subtreeMin].at, p.pts[min].at)
-	}
-	return nil
-}
-
-// checkSPAug verifies the max-remaining / max-time augmentations of the SP
-// tree.
-func (p *Planner) checkSPAug(n int32) error {
-	if n == rbtree.None {
-		return nil
+	r, err := p.checkSPAug(p.sp.Right(n))
+	if err != nil {
+		return nil, err
 	}
 	pt := &p.pts[p.sp.Item(n)]
-	maxRem, maxAt := pt.remaining, pt.at
-	for _, c := range [2]int32{p.sp.Left(n), p.sp.Right(n)} {
-		if c == rbtree.None {
-			continue
-		}
-		if err := p.checkSPAug(c); err != nil {
-			return err
-		}
-		ci := &p.pts[p.sp.Item(c)]
-		if ci.spMaxRemaining > maxRem {
-			maxRem = ci.spMaxRemaining
-		}
-		if ci.spMaxAt > maxAt {
-			maxAt = ci.spMaxAt
-		}
+	var leftSum int64
+	maxPre, minPre := pt.delta, pt.delta
+	if l != nil {
+		leftSum = l.sum
+		maxPre = max(l.maxPre, leftSum+pt.delta)
+		minPre = min(l.minPre, leftSum+pt.delta)
 	}
-	if pt.spMaxRemaining != maxRem || pt.spMaxAt != maxAt {
-		return fmt.Errorf("planner: SP point %d: aug (%d,%d), want (%d,%d)",
-			pt.at, pt.spMaxRemaining, pt.spMaxAt, maxRem, maxAt)
+	sum, maxAt := leftSum+pt.delta, pt.at
+	if r != nil {
+		maxPre = max(maxPre, sum+r.maxPre)
+		minPre = min(minPre, sum+r.minPre)
+		sum += r.sum
+		maxAt = r.maxAt
 	}
-	return nil
+	if pt.sum != sum || pt.leftSum != leftSum || pt.maxPre != maxPre || pt.minPre != minPre || pt.maxAt != maxAt {
+		return nil, fmt.Errorf("planner: SP point %d: aug (sum %d, left %d, pre [%d,%d], at %d), want (%d, %d, [%d,%d], %d)",
+			pt.at, pt.sum, pt.leftSum, pt.minPre, pt.maxPre, pt.maxAt, sum, leftSum, minPre, maxPre, maxAt)
+	}
+	return pt, nil
 }
 
 // CheckInvariants validates every member planner.

@@ -7,23 +7,40 @@
 // boundaries induce scheduled points; between two consecutive points the
 // amount in use is constant.
 //
-// Two red-black trees index the points:
+// One red-black tree, the scheduled-point (SP) tree, indexes the points by
+// time. A point does not store how much is in use there, only its delta:
+// the units scheduled at this point minus those scheduled at the previous
+// one. The amount in use at a point is therefore the prefix sum of the
+// deltas up to it, and a span changes exactly two deltas — at its start and
+// at its end — however many points it covers. Every node carries bottom-up
+// aggregates over its subtree's in-order deltas (sum, left-subtree sum,
+// maximum and minimum prefix, latest time), so each operation is one
+// descent or one root-ward refresh, O(log N):
 //
-//   - the scheduled-point (SP) tree, keyed by time, answers "how much is
-//     available at time t" and window-minimum queries in O(log N + K);
-//   - the earliest-time (ET) tree, keyed by remaining capacity and
-//     augmented with the subtree-minimum scheduled time, answers "what is
-//     the earliest point at which request r fits" in O(log N) (paper
-//     Algorithm 1).
+//   - AddSpan/RemoveSpan: find or create the two boundary points, edit
+//     their deltas, refresh their root paths;
+//   - AvailAt, AvailDuring, CanFit: the maximum prefix over a window,
+//     found in a single fused descent;
+//   - AvailTimeFirst (paper Algorithm 1, FINDEARLIESTAT): a min-prefix
+//     descent for the earliest point with enough remaining capacity;
+//   - Update (grow/shrink the pool): only the total changes.
+//
+// The paper's second index, the earliest-time (ET) tree, keys points by
+// remaining capacity. A span changes the remaining capacity of every point
+// it covers, so each span edit had to delete and re-insert all K covered
+// points of the ET tree; a key cannot absorb a range change the way a
+// prefix-sum delta does. This package answers FINDEARLIESTAT from the
+// prefix-sum SP tree instead and keeps no ET tree — its one deliberate
+// departure from the paper's data structures.
 //
 // The representation is slab-based: scheduled points live in one flat
-// slice per planner and the two trees are index-linked arenas
-// (rbtree.Arena), so an active calendar with N points costs three
-// contiguous allocations instead of ~3N heap objects. A planner with no
-// spans is *flat*: it holds no slab and no trees at all — availability is
-// total everywhere — which makes the resting per-vertex calendar a few
-// plain fields. The slab and trees materialize on the first AddSpan and
-// are reset (capacity retained) when the last span is removed.
+// slice per planner and the SP tree is an index-linked arena
+// (rbtree.Arena), so an active calendar with N points costs two contiguous
+// allocations instead of ~2N heap objects. A planner with no spans is
+// *flat*: it holds no slab and no tree at all — availability is total
+// everywhere — which makes the resting per-vertex calendar a few plain
+// fields. The slab and tree materialize on the first AddSpan and are reset
+// (capacity retained) when the last span is removed.
 package planner
 
 import (
@@ -53,31 +70,27 @@ var (
 const noPoint int32 = -1
 
 // schedPoint is one scheduled time point: the boundary of at least one span
-// (or the planner's base point). scheduled/remaining describe the interval
-// [at, nextPoint.at). Points live in the planner's slab and reference each
-// other and their tree nodes by index.
+// (or the planner's base point). Points live in the planner's slab and
+// reference their tree nodes by index.
 type schedPoint struct {
-	at        int64
-	scheduled int64
-	remaining int64
+	at int64
+	// delta is the units scheduled throughout [at, next point) minus
+	// those scheduled just before at: the scheduled amount here is the
+	// sum of the deltas of every point up to and including this one.
+	delta int64
 
-	// SP-tree augmentation: the maximum remaining and maximum at in
-	// the SP subtree rooted at this point's node. They power the
-	// time-filtered candidate search (nextPointGE) that iterates
-	// qualifying scheduled points in O(log N) each.
-	spMaxRemaining int64
-	spMaxAt        int64
-
-	// ET-tree augmentation: the slab index of the point with the minimum
-	// at in the ET subtree rooted at this point's node. Doubles as the
-	// freelist link while the slot is free.
-	subtreeMin int32
+	// SP-tree aggregates over the in-order deltas of the subtree rooted
+	// at this point's node: their sum, the sum of the left child's
+	// subtree, the maximum and minimum non-empty prefix sums, and the
+	// latest time. All are recomputed bottom-up by spUpdate.
+	sum     int64
+	leftSum int64
+	maxPre  int64
+	minPre  int64
+	maxAt   int64
 
 	refCount int32 // spans starting or ending here; base point is pinned
-
-	spNode int32 // this point's node in the SP arena
-	etNode int32 // this point's node in the ET arena
-	inET   bool
+	spNode   int32 // this point's SP-arena node; freelist link while free
 }
 
 // Span is a planned activity: planned units reserved during [Start, Last).
@@ -106,9 +119,8 @@ type Planner struct {
 	// exist the planner is flat — remaining == total over the whole
 	// horizon — and every query short-circuits on plain fields.
 	sp  *rbtree.Arena[int32]
-	et  *rbtree.Arena[int32]
 	pts []schedPoint
-	// freePt heads the slab freelist, linked through subtreeMin.
+	// freePt heads the slab freelist, linked through spNode.
 	freePt int32
 
 	// spans holds live spans by value in ascending ID order: IDs are handed
@@ -167,70 +179,38 @@ func (p *Planner) active() bool { return p.sp != nil && p.sp.Len() > 0 }
 // spLess orders SP-tree items (point indices) by time.
 func (p *Planner) spLess(a, b int32) bool { return p.pts[a].at < p.pts[b].at }
 
-// etLess orders ET-tree items by remaining capacity, then time.
-func (p *Planner) etLess(a, b int32) bool {
-	pa, pb := &p.pts[a], &p.pts[b]
-	if pa.remaining != pb.remaining {
-		return pa.remaining < pb.remaining
-	}
-	return pa.at < pb.at
-}
-
-func (p *Planner) etUpdate(n int32) {
-	i := p.et.Item(n)
-	m := i
-	if l := p.et.Left(n); l != rbtree.None {
-		if lm := p.pts[p.et.Item(l)].subtreeMin; p.pts[lm].at < p.pts[m].at {
-			m = lm
-		}
-	}
-	if r := p.et.Right(n); r != rbtree.None {
-		if rm := p.pts[p.et.Item(r)].subtreeMin; p.pts[rm].at < p.pts[m].at {
-			m = rm
-		}
-	}
-	p.pts[i].subtreeMin = m
-}
-
+// spUpdate recomputes n's subtree aggregates from its point and children.
 func (p *Planner) spUpdate(n int32) {
-	i := p.sp.Item(n)
-	pt := &p.pts[i]
-	maxRem, maxAt := pt.remaining, pt.at
+	pt := &p.pts[p.sp.Item(n)]
+	var leftSum int64
+	maxPre, minPre := pt.delta, pt.delta
 	if l := p.sp.Left(n); l != rbtree.None {
-		if li := &p.pts[p.sp.Item(l)]; li.spMaxRemaining > maxRem {
-			maxRem = li.spMaxRemaining
-		}
+		lp := &p.pts[p.sp.Item(l)]
+		leftSum = lp.sum
+		maxPre = max(lp.maxPre, leftSum+pt.delta)
+		minPre = min(lp.minPre, leftSum+pt.delta)
 	}
+	sum, maxAt := leftSum+pt.delta, pt.at
 	if r := p.sp.Right(n); r != rbtree.None {
-		ri := &p.pts[p.sp.Item(r)]
-		if ri.spMaxRemaining > maxRem {
-			maxRem = ri.spMaxRemaining
-		}
-		if ri.spMaxAt > maxAt {
-			maxAt = ri.spMaxAt
-		}
+		rp := &p.pts[p.sp.Item(r)]
+		maxPre = max(maxPre, sum+rp.maxPre)
+		minPre = min(minPre, sum+rp.minPre)
+		sum += rp.sum
+		maxAt = rp.maxAt
 	}
-	pt.spMaxRemaining = maxRem
-	pt.spMaxAt = maxAt
+	pt.sum, pt.leftSum, pt.maxPre, pt.minPre, pt.maxAt = sum, leftSum, maxPre, minPre, maxAt
 }
 
-// materialize builds the slab calendar: trees plus the base point. Called
+// materialize builds the slab calendar: tree plus the base point. Called
 // under the writer lock on the first AddSpan (and again after a demotion).
 func (p *Planner) materialize() {
 	if p.sp == nil {
 		p.sp = rbtree.NewArena(p.spLess)
-		p.et = rbtree.NewArena(p.etLess)
 		p.sp.SetUpdate(p.spUpdate)
-		p.et.SetUpdate(p.etUpdate)
 	}
 	if p.sp.Len() == 0 {
-		i := p.allocPoint(p.base, 0, p.total)
-		pt := &p.pts[i]
-		pt.subtreeMin = i
-		pt.spMaxRemaining, pt.spMaxAt = p.total, p.base
-		pt.spNode = p.sp.Insert(i)
-		pt.etNode = p.et.Insert(i)
-		pt.inET = true
+		i := p.allocPoint(p.base)
+		p.pts[i].spNode = p.sp.Insert(i)
 	}
 }
 
@@ -238,25 +218,24 @@ func (p *Planner) materialize() {
 // allocated capacity so a busy/idle/busy vertex does not churn the heap.
 func (p *Planner) demote() {
 	p.sp.Reset()
-	p.et.Reset()
 	p.pts = p.pts[:0]
 	p.freePt = noPoint
 }
 
 // allocPoint takes a slot from the slab freelist or grows the slab.
-func (p *Planner) allocPoint(at, scheduled, remaining int64) int32 {
+func (p *Planner) allocPoint(at int64) int32 {
 	if f := p.freePt; f != noPoint {
-		p.freePt = p.pts[f].subtreeMin
-		p.pts[f] = schedPoint{at: at, scheduled: scheduled, remaining: remaining}
+		p.freePt = p.pts[f].spNode
+		p.pts[f] = schedPoint{at: at}
 		return f
 	}
-	p.pts = append(p.pts, schedPoint{at: at, scheduled: scheduled, remaining: remaining})
+	p.pts = append(p.pts, schedPoint{at: at})
 	return int32(len(p.pts) - 1)
 }
 
 // freePoint recycles a slab slot onto the freelist.
 func (p *Planner) freePoint(i int32) {
-	p.pts[i] = schedPoint{subtreeMin: p.freePt}
+	p.pts[i] = schedPoint{spNode: p.freePt}
 	p.freePt = i
 }
 
@@ -320,61 +299,53 @@ func (p *Planner) spanIndex(id int64) (int, bool) {
 // end returns the exclusive end of the schedulable range.
 func (p *Planner) end() int64 { return p.base + p.horizon }
 
-// floorPoint returns the slab index of the last point at or before t
-// (noPoint if t < base). Callers must have checked p.active().
-func (p *Planner) floorPoint(t int64) int32 {
-	// Predicate search: building a probe schedPoint for Floor would put
-	// one heap allocation on every availability query.
-	n := p.sp.FloorFunc(func(i int32) bool { return p.pts[i].at > t })
-	if n == rbtree.None {
-		return noPoint
+// floor returns the slab index of the last point at or before t and the
+// units scheduled there (noPoint, 0 if t < base). Callers must have
+// checked p.active().
+func (p *Planner) floor(t int64) (int32, int64) {
+	best, sched := noPoint, int64(0)
+	for n := p.sp.Root(); n != rbtree.None; {
+		i := p.sp.Item(n)
+		pt := &p.pts[i]
+		if pt.at > t {
+			n = p.sp.Left(n)
+			continue
+		}
+		sched += pt.leftSum + pt.delta
+		best = i
+		n = p.sp.Right(n)
 	}
-	return p.sp.Item(n)
+	return best, sched
 }
 
-// reposition refreshes both trees after a point's remaining value changed:
-// the ET tree is re-keyed (remaining is its key) and the SP tree's
-// max-remaining augmentation recomputed in place.
-func (p *Planner) reposition(i int32) {
-	pt := &p.pts[i]
-	if pt.inET {
-		p.et.Delete(pt.etNode)
-	}
-	pt.subtreeMin = i
-	pt.etNode = p.et.Insert(i)
-	pt.inET = true
-	p.sp.Refresh(p.pts[i].spNode)
-}
-
-// getOrCreatePoint returns the point at exactly time t, creating it (with
-// the scheduled amount inherited from its predecessor) if needed.
+// getOrCreatePoint returns the point at exactly time t, creating it if
+// needed. A new point's delta is zero: it inherits its predecessor's
+// scheduled amount and leaves every later prefix sum unchanged.
 func (p *Planner) getOrCreatePoint(t int64) int32 {
-	f := p.floorPoint(t)
-	if p.pts[f].at == t {
+	if f, _ := p.floor(t); p.pts[f].at == t {
 		return f
 	}
-	i := p.allocPoint(t, p.pts[f].scheduled, p.pts[f].remaining)
-	pt := &p.pts[i]
-	pt.subtreeMin = i
-	pt.spMaxRemaining, pt.spMaxAt = pt.remaining, pt.at
-	sn := p.sp.Insert(i)
-	en := p.et.Insert(i)
-	pt = &p.pts[i] // Insert may have run update hooks; re-take the pointer
-	pt.spNode = sn
-	pt.etNode = en
-	pt.inET = true
+	i := p.allocPoint(t)
+	n := p.sp.Insert(i)
+	p.pts[i].spNode = n
 	return i
 }
 
-// dropPoint removes a point from both trees and recycles its slot.
-func (p *Planner) dropPoint(i int32) {
+// edit adds units to the amount scheduled from time t onward and ref to the
+// boundary count of the point at t: one delta and one root-ward refresh,
+// however many points lie beyond t. A point no span bounds any more has
+// delta zero again and is dropped (the base point is pinned).
+func (p *Planner) edit(t, units int64, ref int32) {
+	i := p.getOrCreatePoint(t)
 	pt := &p.pts[i]
-	p.sp.Delete(pt.spNode)
-	if pt.inET {
-		p.et.Delete(pt.etNode)
-		pt.inET = false
+	pt.delta += units
+	pt.refCount += ref
+	if pt.refCount == 0 && pt.at != p.base {
+		p.sp.Delete(pt.spNode)
+		p.freePoint(i)
+		return
 	}
-	p.freePoint(i)
+	p.sp.Refresh(pt.spNode)
 }
 
 // AvailAt returns the units available at instant t.
@@ -387,7 +358,8 @@ func (p *Planner) AvailAt(t int64) (int64, error) {
 	if !p.active() {
 		return p.total, nil
 	}
-	return p.pts[p.floorPoint(t)].remaining, nil
+	_, sched := p.floor(t)
+	return p.total - sched, nil
 }
 
 // AvailDuring returns the minimum units available throughout
@@ -409,18 +381,68 @@ func (p *Planner) availDuring(start, duration int64) (int64, error) {
 	if !p.active() {
 		return p.total, nil
 	}
-	f := p.floorPoint(start)
-	min := p.pts[f].remaining
-	for n := p.sp.Next(p.pts[f].spNode); n != rbtree.None; n = p.sp.Next(n) {
+	return p.total - p.peak(start, start+duration), nil
+}
+
+// peak returns the most units scheduled at any instant of [start, end):
+// the maximum prefix sum over the floor point of start and every point
+// strictly inside (start, end). It is one fused descent: walk down to the
+// first node inside the window, picking up the prefix at the floor of
+// start on the way; the rest of the window then hangs off that node's two
+// subtrees as one-sided paths, each covered by whole-subtree aggregates.
+func (p *Planner) peak(start, end int64) int64 {
+	var off int64 // sum of the deltas in-order before n's subtree
+	n := p.sp.Root()
+	for n != rbtree.None {
 		pt := &p.pts[p.sp.Item(n)]
-		if pt.at >= start+duration {
+		if pt.at <= start {
+			off += pt.leftSum + pt.delta
+			n = p.sp.Right(n)
+		} else if pt.at >= end {
+			n = p.sp.Left(n)
+		} else {
 			break
 		}
-		if pt.remaining < min {
-			min = pt.remaining
-		}
 	}
-	return min, nil
+	atFloor := off
+	if n == rbtree.None {
+		return atFloor
+	}
+	split := &p.pts[p.sp.Item(n)]
+	here := off + split.leftSum + split.delta
+	peak := here
+	// Left of the split: the floor of start, then points in (start, split).
+	for m, o := p.sp.Left(n), off; m != rbtree.None; {
+		pt := &p.pts[p.sp.Item(m)]
+		pre := o + pt.leftSum + pt.delta // scheduled at m
+		if pt.at <= start {
+			o, atFloor = pre, pre
+			m = p.sp.Right(m)
+			continue
+		}
+		// m and its whole right subtree lie inside the window.
+		peak = max(peak, pre)
+		if r := p.sp.Right(m); r != rbtree.None {
+			peak = max(peak, pre+p.pts[p.sp.Item(r)].maxPre)
+		}
+		m = p.sp.Left(m)
+	}
+	// Right of the split: points in (split, end).
+	for m, o := p.sp.Right(n), here; m != rbtree.None; {
+		pt := &p.pts[p.sp.Item(m)]
+		if pt.at >= end {
+			m = p.sp.Left(m)
+			continue
+		}
+		// m and its whole left subtree lie inside the window.
+		if l := p.sp.Left(m); l != rbtree.None {
+			peak = max(peak, o+p.pts[p.sp.Item(l)].maxPre)
+		}
+		o += pt.leftSum + pt.delta
+		peak = max(peak, o)
+		m = p.sp.Right(m)
+	}
+	return max(peak, atFloor)
 }
 
 // CanFit reports whether request units fit throughout [start, start+duration).
@@ -454,72 +476,96 @@ func (p *Planner) ShortfallDuring(start, duration, request int64) int64 {
 	return request - avail
 }
 
-// minTimeGE returns the scheduled point with the smallest at among points
-// whose remaining >= request (paper Algorithm 1: FINDANCHOR + FINDETPOINT,
-// realized by chasing the subtree-minimum augmentation).
-func (p *Planner) minTimeGE(request int64) int32 {
-	best := noPoint
-	n := p.et.Root()
-	for n != rbtree.None {
-		i := p.et.Item(n)
-		pt := &p.pts[i]
-		if pt.remaining >= request {
-			// This node and its whole right subtree satisfy the
-			// request: the right subtree's earliest time is a
-			// single augmented lookup (RIGHTET in the paper).
-			if best == noPoint || pt.at < p.pts[best].at {
-				best = i
-			}
-			if r := p.et.Right(n); r != rbtree.None {
-				if m := p.pts[p.et.Item(r)].subtreeMin; best == noPoint || p.pts[m].at < p.pts[best].at {
-					best = m
-				}
-			}
-			n = p.et.Left(n) // earlier times may hide among smaller remainders
-		} else {
-			n = p.et.Right(n)
-		}
-	}
-	return best
-}
-
-// nextPointGE returns the earliest scheduled point strictly after `after`
-// whose remaining capacity is at least request, or noPoint. It descends the
-// SP tree pruning subtrees by the max-remaining and max-time augmentations,
-// so each call is O(log N) — the candidate iterator behind AvailTimeFirst
-// and AvailPointTimeAfter. (flux-sched iterates by temporarily unlinking
-// ET-tree nodes; the augmented search visits the same candidates without
-// mutating the trees.)
-func (p *Planner) nextPointGE(after, request int64) int32 {
-	return p.nextPointGEAt(p.sp.Root(), after, request)
-}
-
-func (p *Planner) nextPointGEAt(n int32, after, request int64) int32 {
+// nextPointGE returns the earliest point of n's subtree strictly after
+// `after` that schedules at most limit units (leaves at least total-limit
+// remaining), or noPoint; off is the sum of the deltas in-order before the
+// subtree. It is paper Algorithm 1's FINDEARLIESTAT as a descent of the
+// time-keyed tree, pruning every subtree whose minimum prefix (least
+// scheduled) still exceeds limit or whose latest time is not after
+// `after`. O(log N).
+func (p *Planner) nextPointGE(n int32, off, after, limit int64) int32 {
 	if n == rbtree.None {
 		return noPoint
 	}
 	i := p.sp.Item(n)
 	pt := &p.pts[i]
-	if pt.spMaxRemaining < request || pt.spMaxAt <= after {
+	if off+pt.minPre > limit || pt.maxAt <= after {
 		return noPoint
 	}
+	here := off + pt.leftSum + pt.delta
 	if pt.at > after {
-		if r := p.nextPointGEAt(p.sp.Left(n), after, request); r != noPoint {
+		if r := p.nextPointGE(p.sp.Left(n), off, after, limit); r != noPoint {
 			return r
 		}
-		if p.pts[i].remaining >= request {
+		if here <= limit {
 			return i
 		}
 	}
-	return p.nextPointGEAt(p.sp.Right(n), after, request)
+	return p.nextPointGE(p.sp.Right(n), here, after, limit)
+}
+
+// lastOver returns the last point in (lo, hi) of n's subtree scheduling
+// more than limit units, or noPoint; off is the sum of the deltas in-order
+// before the subtree. It is a max-prefix descent that tries later points
+// first and prunes every subtree whose maximum prefix stays within limit.
+func (p *Planner) lastOver(n int32, off, lo, hi, limit int64) int32 {
+	for n != rbtree.None {
+		i := p.sp.Item(n)
+		pt := &p.pts[i]
+		if off+pt.maxPre <= limit {
+			return noPoint
+		}
+		here := off + pt.leftSum + pt.delta
+		switch {
+		case pt.at >= hi:
+			n = p.sp.Left(n)
+		case pt.at <= lo:
+			off, n = here, p.sp.Right(n)
+		default:
+			if r := p.lastOver(p.sp.Right(n), here, lo, hi, limit); r != noPoint {
+				return r
+			}
+			if here > limit {
+				return i
+			}
+			n = p.sp.Left(n)
+		}
+	}
+	return noPoint
+}
+
+// fitAfter returns the earliest scheduled-point time strictly after `after`
+// at which request units fit throughout the following duration. A
+// candidate qualifies on its own remaining capacity, so it fits unless a
+// later point inside its window is short; every candidate up to the last
+// such point has that point in its window too, so the search resumes after
+// it instead of trying them one by one.
+func (p *Planner) fitAfter(after, duration, request int64) (int64, error) {
+	limit := p.total - request
+	for {
+		i := p.nextPointGE(p.sp.Root(), 0, after, limit)
+		if i == noPoint {
+			return -1, ErrNoSpace
+		}
+		t := p.pts[i].at
+		if t+duration > p.end() {
+			// Candidates arrive in increasing time order; all later
+			// ones overflow the horizon too.
+			return -1, ErrNoSpace
+		}
+		short := p.lastOver(p.sp.Root(), 0, t, t+duration, limit)
+		if short == noPoint {
+			return t, nil
+		}
+		after = p.pts[short].at
+	}
 }
 
 // AvailTimeFirst returns the earliest time t >= at such that request units
 // are available throughout [t, t+duration). It first tries at itself;
-// afterwards the earliest candidate comes from the ET tree (paper
-// Algorithm 1) and subsequent candidates — points that qualify on
-// remaining capacity but fail the span check (SPANOK) — from the SP
-// tree's augmented time-filtered search.
+// afterwards the candidates are the scheduled points after at with enough
+// remaining capacity (paper Algorithm 1), in time order, skipping every
+// candidate whose window contains a known short point.
 func (p *Planner) AvailTimeFirst(at, duration, request int64) (int64, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -538,23 +584,7 @@ func (p *Planner) AvailTimeFirst(at, duration, request int64) (int64, error) {
 	if p.canFit(at, duration, request) {
 		return at, nil
 	}
-	// First candidate via Algorithm 1 (FINDEARLIESTAT on the ET tree).
-	pt := p.minTimeGE(request)
-	for pt != noPoint {
-		t := p.pts[pt].at
-		if t > at {
-			if t+duration > p.end() {
-				// Candidates arrive in increasing time order;
-				// all later ones overflow the horizon too.
-				return -1, ErrNoSpace
-			}
-			if p.canFit(t, duration, request) {
-				return t, nil
-			}
-		}
-		pt = p.nextPointGE(max64(t, at), request)
-	}
-	return -1, ErrNoSpace
+	return p.fitAfter(at, duration, request)
 }
 
 // AvailPointTimeAfter returns the earliest scheduled-point time strictly
@@ -580,28 +610,7 @@ func (p *Planner) AvailPointTimeAfter(after, duration, request int64) (int64, er
 		}
 		return -1, ErrNoSpace
 	}
-	t := after
-	for {
-		pt := p.nextPointGE(t, request)
-		if pt == noPoint {
-			return -1, ErrNoSpace
-		}
-		at := p.pts[pt].at
-		if at+duration > p.end() {
-			return -1, ErrNoSpace
-		}
-		if p.canFit(at, duration, request) {
-			return at, nil
-		}
-		t = at
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return p.fitAfter(after, duration, request)
 }
 
 // AddSpan plans request units during [start, start+duration) and returns
@@ -621,20 +630,8 @@ func (p *Planner) AddSpan(start, duration, request int64) (int64, error) {
 		return -1, fmt.Errorf("%w: want %d, have %d in [%d,%d)", ErrNoSpace, request, avail, start, start+duration)
 	}
 	p.materialize()
-	p1 := p.getOrCreatePoint(start)
-	p2 := p.getOrCreatePoint(start + duration)
-	p.pts[p1].refCount++
-	p.pts[p2].refCount++
-	for n := p.pts[p1].spNode; n != rbtree.None; {
-		i := p.sp.Item(n)
-		if p.pts[i].at >= start+duration {
-			break
-		}
-		n = p.sp.Next(n) // advance before reposition re-links the node
-		p.pts[i].scheduled += request
-		p.pts[i].remaining -= request
-		p.reposition(i)
-	}
+	p.edit(start, request, 1)
+	p.edit(start+duration, -request, 1)
 	id := p.nextSpanID
 	p.nextSpanID++
 	p.spans = append(p.spans, Span{ID: id, Start: start, Last: start + duration, Planned: request})
@@ -665,35 +662,8 @@ func (p *Planner) RemoveSpan(id int64) error {
 	} else {
 		p.spans = append(p.spans[:at], p.spans[at+1:]...)
 	}
-	start := p.floorPoint(s.Start)
-	boundary := [2]int32{noPoint, noPoint}
-	for n := p.pts[start].spNode; n != rbtree.None; {
-		i := p.sp.Item(n)
-		at := p.pts[i].at
-		if at > s.Last {
-			break
-		}
-		n = p.sp.Next(n) // advance before any mutation of the point
-		if at == s.Start {
-			p.pts[i].refCount--
-			boundary[0] = i
-		}
-		if at == s.Last {
-			p.pts[i].refCount--
-			boundary[1] = i
-			break
-		}
-		if at >= s.Start {
-			p.pts[i].scheduled -= s.Planned
-			p.pts[i].remaining += s.Planned
-			p.reposition(i)
-		}
-	}
-	for _, i := range boundary {
-		if i != noPoint && p.pts[i].refCount <= 0 && p.pts[i].at != p.base {
-			p.dropPoint(i)
-		}
-	}
+	p.edit(s.Start, -s.Planned, -1)
+	p.edit(s.Last, s.Planned, -1)
 	return nil
 }
 
@@ -706,27 +676,22 @@ func (p *Planner) Update(delta int64) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	total := p.total + delta
 	if !p.active() {
-		if p.total+delta < 0 {
+		if total < 0 {
 			return fmt.Errorf("%w: shrink by %d leaves point %d negative", ErrNoSpace, -delta, p.base)
 		}
-		p.total += delta
-		return nil
-	}
-	if delta < 0 {
+	} else if total < p.pts[p.sp.Item(p.sp.Root())].maxPre {
+		// Name the first point the shrink would leave negative.
+		var sched int64
 		for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
-			if pt := &p.pts[p.sp.Item(n)]; pt.remaining+delta < 0 {
+			pt := &p.pts[p.sp.Item(n)]
+			if sched += pt.delta; sched > total {
 				return fmt.Errorf("%w: shrink by %d leaves point %d negative", ErrNoSpace, -delta, pt.at)
 			}
 		}
 	}
-	p.total += delta
-	for n := p.sp.Min(); n != rbtree.None; {
-		i := p.sp.Item(n)
-		n = p.sp.Next(n) // advance before reposition re-links the node
-		p.pts[i].remaining += delta
-		p.reposition(i)
-	}
+	p.total = total
 	return nil
 }
 
@@ -739,9 +704,11 @@ func (p *Planner) Points(fn func(at, avail int64) bool) {
 		fn(p.base, p.total)
 		return
 	}
+	var sched int64
 	for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
 		pt := &p.pts[p.sp.Item(n)]
-		if !fn(pt.at, pt.remaining) {
+		sched += pt.delta
+		if !fn(pt.at, p.total-sched) {
 			return
 		}
 	}
@@ -774,22 +741,17 @@ func (p *Planner) Utilization(from, to int64) (float64, error) {
 		return 0, nil
 	}
 	var used int64
-	cur := p.floorPoint(from)
+	cur, sched := p.floor(from)
 	curAt := from
 	for n := p.sp.Next(p.pts[cur].spNode); ; n = p.sp.Next(n) {
-		segEnd := to
-		next := noPoint
-		if n != rbtree.None {
-			next = p.sp.Item(n)
-			if p.pts[next].at < to {
-				segEnd = p.pts[next].at
-			}
-		}
-		used += p.pts[cur].scheduled * (segEnd - curAt)
-		if next == noPoint || p.pts[next].at >= to {
+		if n == rbtree.None || p.pts[p.sp.Item(n)].at >= to {
+			used += sched * (to - curAt)
 			break
 		}
-		cur, curAt = next, p.pts[next].at
+		pt := &p.pts[p.sp.Item(n)]
+		used += sched * (pt.at - curAt)
+		sched += pt.delta
+		curAt = pt.at
 	}
 	return float64(used) / float64(p.total*(to-from)), nil
 }

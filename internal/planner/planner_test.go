@@ -2,8 +2,13 @@ package planner
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"fluxion/internal/rbtree"
 )
@@ -53,6 +58,15 @@ func TestPaperFigure3(t *testing.T) {
 	}
 	if got, err := p.AvailTimeFirst(0, 2, 6); err != nil || got != 7 {
 		t.Errorf("AvailTimeFirst(0,2,6) = %d, %v; want 7", got, err)
+	}
+}
+
+// TestSchedPointSizeof pins the scheduled-point slab element to one cache
+// line: a busy calendar holds one per span boundary, and the prefix-sum
+// aggregates already fill it.
+func TestSchedPointSizeof(t *testing.T) {
+	if got, max := unsafe.Sizeof(schedPoint{}), uintptr(64); got > max {
+		t.Fatalf("sizeof(schedPoint) = %d, budget %d", got, max)
 	}
 }
 
@@ -177,7 +191,7 @@ func TestAvailTimeFirstNoSpace(t *testing.T) {
 	if _, err := p.AvailTimeFirst(0, 10, 2); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
-	// ET tree must be restored after the failed search.
+	// A failed search must leave the planner unchanged.
 	if got, err := p.AvailTimeFirst(0, 10, 1); err != nil || got != 0 {
 		t.Fatalf("after failed search: got %d, %v; want 0", got, err)
 	}
@@ -272,8 +286,108 @@ func (r *refModel) availTimeFirst(at, dur, req int64) int64 {
 	return -1
 }
 
+// firstNegative returns the first tick a pool of total units would leave
+// over-booked, or -1.
+func (r *refModel) firstNegative(total int64) int64 {
+	for t, u := range r.use {
+		if u > total {
+			return int64(t)
+		}
+	}
+	return -1
+}
+
+// used returns the unit-ticks in use over [from, to).
+func (r *refModel) used(from, to int64) (n int64) {
+	for t := from; t < to; t++ {
+		n += r.use[t]
+	}
+	return n
+}
+
+// refSpan is a live span as the reference tracks it.
+type refSpan struct {
+	id              int64
+	start, dur, req int64
+}
+
+// refPoints returns the scheduled-point times the live spans induce: the
+// base point 0 plus every span boundary, ascending and unique.
+func refPoints(spans []refSpan) []int64 {
+	set := map[int64]bool{0: true}
+	for _, s := range spans {
+		set[s.start], set[s.start+s.dur] = true, true
+	}
+	out := make([]int64, 0, len(set))
+	for t := range set {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// checkAgainstRef compares every whole-calendar observable of p with the
+// reference: the point profile (Points), an epoch Snapshot, Utilization,
+// the AvailPointTimeAfter iterator, and the internal invariants.
+func checkAgainstRef(t *testing.T, op int, rng *rand.Rand, p *Planner, ref *refModel, spans []refSpan) {
+	t.Helper()
+	horizon := int64(len(ref.use))
+	wantPts := refPoints(spans)
+	var k int
+	p.Points(func(at, avail int64) bool {
+		want := ref.total
+		if at < horizon {
+			want -= ref.use[at]
+		}
+		if k >= len(wantPts) || at != wantPts[k] || avail != want {
+			t.Fatalf("op %d: point %d = (%d,%d), ref points %v avail %d", op, k, at, avail, wantPts, want)
+		}
+		k++
+		return true
+	})
+	if k != len(wantPts) {
+		t.Fatalf("op %d: Points visited %d, ref has %d", op, k, len(wantPts))
+	}
+
+	at := int64(rng.Intn(int(horizon)))
+	dur := int64(rng.Intn(int(horizon-at))) + 1
+	if got, err := p.Snapshot().AvailDuring(at, dur); err != nil || got != ref.availDuring(at, dur) {
+		t.Fatalf("op %d: Snapshot.AvailDuring(%d,%d) = %d, %v; ref %d", op, at, dur, got, err, ref.availDuring(at, dur))
+	}
+	if ref.total > 0 {
+		want := float64(ref.used(at, at+dur)) / float64(ref.total*dur)
+		if got, err := p.Utilization(at, at+dur); err != nil || got != want {
+			t.Fatalf("op %d: Utilization(%d,%d) = %v, %v; ref %v", op, at, at+dur, got, err, want)
+		}
+	}
+
+	after := int64(rng.Intn(int(horizon))) - 5
+	qdur := int64(rng.Intn(40)) + 1
+	req := int64(rng.Intn(int(ref.total)+2)) + 1
+	want := int64(-1)
+	for _, pt := range wantPts {
+		if pt > after && pt+qdur <= horizon && ref.availDuring(pt, qdur) >= req {
+			want = pt
+			break
+		}
+	}
+	got, err := p.AvailPointTimeAfter(after, qdur, req)
+	if want == -1 {
+		if err == nil {
+			t.Fatalf("op %d: AvailPointTimeAfter(%d,%d,%d) = %d, ref says none", op, after, qdur, req, got)
+		}
+	} else if err != nil || got != want {
+		t.Fatalf("op %d: AvailPointTimeAfter(%d,%d,%d) = %d, %v; ref %d", op, after, qdur, req, got, err, want)
+	}
+
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatalf("op %d: %v", op, err)
+	}
+}
+
 // TestRandomAgainstReference cross-checks every planner query against the
-// brute-force model across thousands of random add/remove operations.
+// brute-force model across thousands of random add/remove/resize
+// operations, including shrinks the calendar must reject.
 func TestRandomAgainstReference(t *testing.T) {
 	const (
 		horizon = 240
@@ -282,18 +396,19 @@ func TestRandomAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := MustNew(0, horizon, total, "x")
 	ref := newRef(total, horizon)
-	type live struct {
-		id              int64
-		start, dur, req int64
-	}
-	var spans []live
+	var spans []refSpan
 
 	for op := 0; op < 6000; op++ {
-		switch {
-		case len(spans) == 0 || rng.Intn(100) < 50:
+		switch k := rng.Intn(100); {
+		case len(spans) == 0 || k < 55:
+			// Mostly short spans, so dozens stay live and the tree is
+			// several levels deep; every fifth may run to the horizon.
 			start := int64(rng.Intn(horizon - 1))
-			dur := int64(rng.Intn(int(int64(horizon)-start))) + 1
-			req := int64(rng.Intn(total)) + 1
+			dur := int64(rng.Intn(int(min(int64(horizon)-start, 30)))) + 1
+			if rng.Intn(5) == 0 {
+				dur = int64(rng.Intn(int(int64(horizon)-start))) + 1
+			}
+			req := int64(rng.Intn(int(ref.total)/2+2)) + 1
 			wantOK := ref.availDuring(start, dur) >= req
 			id, err := p.AddSpan(start, dur, req)
 			if wantOK != (err == nil) {
@@ -301,7 +416,26 @@ func TestRandomAgainstReference(t *testing.T) {
 			}
 			if err == nil {
 				ref.add(start, dur, req)
-				spans = append(spans, live{id, start, dur, req})
+				spans = append(spans, refSpan{id, start, dur, req})
+			}
+		case k < 65:
+			// -4..4, pulled back towards the initial pool size.
+			delta := int64(rng.Intn(9)) - 4 + (total-ref.total)/4
+			if delta == 0 {
+				delta = 1
+			}
+			first := ref.firstNegative(ref.total + delta)
+			err := p.Update(delta)
+			switch {
+			case first < 0 && err != nil:
+				t.Fatalf("op %d: Update(%d) on total %d: %v", op, delta, ref.total, err)
+			case first < 0:
+				ref.total += delta
+			case !errors.Is(err, ErrNoSpace) || !strings.Contains(err.Error(), fmt.Sprintf("point %d negative", first)):
+				t.Fatalf("op %d: Update(%d) on total %d = %v, want ErrNoSpace naming point %d", op, delta, ref.total, err, first)
+			}
+			if got := p.Total(); got != ref.total {
+				t.Fatalf("op %d: Total = %d, ref %d", op, got, ref.total)
 			}
 		default:
 			i := rng.Intn(len(spans))
@@ -336,10 +470,8 @@ func TestRandomAgainstReference(t *testing.T) {
 			if n != len(spans) {
 				t.Fatalf("op %d: Spans visited %d, %d live", op, n, len(spans))
 			}
-			if err := p.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
 		}
+		checkAgainstRef(t, op, rng, p, ref, spans)
 
 		// Cross-check queries.
 		at := int64(rng.Intn(horizon))
@@ -350,7 +482,7 @@ func TestRandomAgainstReference(t *testing.T) {
 		if got, err := p.AvailDuring(at, dur); err != nil || got != ref.availDuring(at, dur) {
 			t.Fatalf("op %d: AvailDuring(%d,%d) = %d, %v; ref %d", op, at, dur, got, err, ref.availDuring(at, dur))
 		}
-		req := int64(rng.Intn(total)) + 1
+		req := int64(rng.Intn(int(ref.total)+1)) + 1
 		qdur := int64(rng.Intn(40)) + 1
 		qat := int64(rng.Intn(horizon - 40))
 		want := ref.availTimeFirst(qat, qdur, req)
@@ -365,10 +497,11 @@ func TestRandomAgainstReference(t *testing.T) {
 	}
 }
 
-// TestETTreeRestoredAfterSearch verifies the stash-and-reinsert iteration
-// leaves the ET tree intact (point count preserved, subsequent queries
-// agree with a fresh scan).
-func TestETTreeRestoredAfterSearch(t *testing.T) {
+// TestSearchLeavesPlannerUnchanged verifies that earliest-fit searches are
+// pure reads: the point profile, the span set and the invariants are the
+// same after a batch of successful and failed searches, and a repeated
+// query gives the same answer.
+func TestSearchLeavesPlannerUnchanged(t *testing.T) {
 	p := MustNew(0, 10000, 32, "c")
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
@@ -377,11 +510,27 @@ func TestETTreeRestoredAfterSearch(t *testing.T) {
 		req := int64(rng.Intn(8)) + 1
 		_, _ = p.AddSpan(start, dur, req)
 	}
-	before := p.PointCount()
-	// Query from a late offset so many satisfying points get stashed.
+	profile := func() (pts [][2]int64, spans []Span) {
+		p.Points(func(at, avail int64) bool { pts = append(pts, [2]int64{at, avail}); return true })
+		p.Spans(func(s Span) bool { spans = append(spans, s); return true })
+		return pts, spans
+	}
+	beforePts, beforeSpans := profile()
+	// Query from a late offset so many qualifying candidates are skipped.
 	t1, err1 := p.AvailTimeFirst(8000, 100, 30)
-	if p.PointCount() != before {
-		t.Fatalf("point count changed: %d -> %d", before, p.PointCount())
+	for q := 0; q < 200; q++ {
+		at := int64(rng.Intn(9900))
+		req := int64(rng.Intn(33))
+		_, _ = p.AvailTimeFirst(at, 100, req)
+		_, _ = p.AvailPointTimeAfter(at, 100, req)
+	}
+	afterPts, afterSpans := profile()
+	if !reflect.DeepEqual(beforePts, afterPts) || !reflect.DeepEqual(beforeSpans, afterSpans) {
+		t.Fatalf("searches changed the planner: %d points/%d spans -> %d/%d",
+			len(beforePts), len(beforeSpans), len(afterPts), len(afterSpans))
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	t2, err2 := p.AvailTimeFirst(8000, 100, 30)
 	if t1 != t2 || (err1 == nil) != (err2 == nil) {
@@ -505,8 +654,9 @@ func TestAvailPointTimeAfterAgainstReference(t *testing.T) {
 	}
 }
 
-// TestSPAugmentationValid verifies the max-remaining/max-at augmentation
-// after random mutations via an exhaustive subtree walk.
+// TestSPAugmentationValid verifies the prefix-sum aggregates of every SP
+// subtree after random mutations, recomputing each from the subtree's
+// in-order deltas rather than from its children.
 func TestSPAugmentationValid(t *testing.T) {
 	p := MustNew(0, 500, 10, "x")
 	rng := rand.New(rand.NewSource(23))
@@ -538,27 +688,36 @@ func validateSPAug(t *testing.T, p *Planner) {
 	if !p.active() {
 		return
 	}
-	var walk func(n int32) (maxRem, maxAt int64)
-	walk = func(n int32) (int64, int64) {
+	var inorder func(n int32) []schedPoint
+	inorder = func(n int32) []schedPoint {
 		if n == rbtree.None {
-			return -1 << 62, -1 << 62
+			return nil
+		}
+		out := append(inorder(p.sp.Left(n)), p.pts[p.sp.Item(n)])
+		return append(out, inorder(p.sp.Right(n))...)
+	}
+	var walk func(n int32)
+	walk = func(n int32) {
+		if n == rbtree.None {
+			return
+		}
+		sub := inorder(n)
+		var sum, leftSum int64
+		maxPre, minPre := int64(-1<<62), int64(1<<62)
+		for _, q := range sub {
+			sum += q.delta
+			maxPre, minPre = max(maxPre, sum), min(minPre, sum)
+		}
+		for _, q := range inorder(p.sp.Left(n)) {
+			leftSum += q.delta
 		}
 		pt := p.pts[p.sp.Item(n)]
-		maxRem, maxAt := pt.remaining, pt.at
-		for _, c := range [2]int32{p.sp.Left(n), p.sp.Right(n)} {
-			r, a := walk(c)
-			if r > maxRem {
-				maxRem = r
-			}
-			if a > maxAt {
-				maxAt = a
-			}
+		if pt.sum != sum || pt.leftSum != leftSum || pt.maxPre != maxPre || pt.minPre != minPre || pt.maxAt != sub[len(sub)-1].at {
+			t.Fatalf("aug stale at t=%d: (%d,%d,%d,%d,%d) want (%d,%d,%d,%d,%d)", pt.at,
+				pt.sum, pt.leftSum, pt.maxPre, pt.minPre, pt.maxAt, sum, leftSum, maxPre, minPre, sub[len(sub)-1].at)
 		}
-		if pt.spMaxRemaining != maxRem || pt.spMaxAt != maxAt {
-			t.Fatalf("aug stale at t=%d: (%d,%d) want (%d,%d)",
-				pt.at, pt.spMaxRemaining, pt.spMaxAt, maxRem, maxAt)
-		}
-		return maxRem, maxAt
+		walk(p.sp.Left(n))
+		walk(p.sp.Right(n))
 	}
 	walk(p.sp.Root())
 }

@@ -43,9 +43,11 @@ func (p *Planner) Snapshot() *Snapshot {
 	}
 	s := p.newSnapshot(p.sp.Len())
 	i := 0
+	var sched int64
 	for node := p.sp.Min(); node != rbtree.None; node = p.sp.Next(node) {
 		pt := &p.pts[p.sp.Item(node)]
-		s.times[i], s.avail[i] = pt.at, pt.remaining
+		sched += pt.delta
+		s.times[i], s.avail[i] = pt.at, p.total-sched
 		i++
 	}
 	return s

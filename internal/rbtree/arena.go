@@ -1,12 +1,12 @@
 // Package rbtree implements a generic, augmented red-black binary search
 // tree stored in a flat slab.
 //
-// The tree is the foundation of the Planner (see internal/planner): the
-// scheduled-point tree keys nodes by time, and the earliest-time tree keys
-// nodes by remaining resource quantity and maintains a subtree aggregate
-// (the earliest scheduled time in the subtree) through every rotation,
-// insertion, and deletion. The aggregate is maintained via a caller-provided
-// update hook, so the tree itself stays policy free.
+// The tree is the foundation of the Planner (see internal/planner): its
+// scheduled-point tree keys nodes by time and maintains prefix-sum
+// aggregates over the points' scheduled-unit deltas (subtree sum, minimum
+// and maximum prefix, latest time) through every rotation, insertion, and
+// deletion. Aggregates are maintained via a caller-provided update hook,
+// so the tree itself stays policy free.
 //
 // All operations are O(log n). The tree permits duplicate keys; Delete takes
 // a node handle (not a key) so the caller always removes exactly the element

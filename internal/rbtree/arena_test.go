@@ -269,8 +269,8 @@ func TestArenaReset(t *testing.T) {
 }
 
 // TestArenaAugmentation maintains a subtree-minimum aggregate in a side
-// slab keyed by the item, the exact shape the planner's earliest-time tree
-// uses (items are indices into a point slab; aggregates live in the slab).
+// slab keyed by the item, the shape the planner's scheduled-point tree uses
+// (items are indices into a point slab; aggregates live in the slab).
 func TestArenaAugmentation(t *testing.T) {
 	type point struct {
 		val, subtreeMin int64

@@ -22,9 +22,11 @@ func TestVertexPacking(t *testing.T) {
 // TestPlannerSizeof pins the planner slab element the same way: every
 // vertex carries one and every filter one per tracked type, so the span
 // index's slice header had to be paid for by dropping the stored type
-// label, not by growing the struct.
+// label, not by growing the struct. The budget is what a single (SP) tree
+// costs; the per-point element is pinned by the planner package's
+// TestSchedPointSizeof.
 func TestPlannerSizeof(t *testing.T) {
-	if got, max := unsafe.Sizeof(planner.Planner{}), uintptr(128); got > max {
+	if got, max := unsafe.Sizeof(planner.Planner{}), uintptr(120); got > max {
 		t.Fatalf("sizeof(planner.Planner) = %d, budget %d", got, max)
 	}
 }

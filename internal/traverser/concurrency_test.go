@@ -37,7 +37,7 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 // TestConcurrentMatchStress hammers one traverser from many goroutines —
 // committed allocate/cancel churn, speculate/commit-or-drop churn, and
 // availability queries — under the race detector, then asserts every
-// planner invariant (no double-booked units, SP/ET tree agreement, exact
+// planner invariant (no double-booked units, exact SP-tree aggregates, exact
 // span accounting) holds and nothing leaked.
 func TestConcurrentMatchStress(t *testing.T) {
 	g := buildSmall(t, 2, 8, 8, 0, resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
