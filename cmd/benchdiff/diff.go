@@ -192,6 +192,19 @@ func roundMap(m map[string]float64) map[string]float64 {
 	return out
 }
 
+// Rows whose baseline is under smallRowNs per op get an absolute floor on
+// the time gate: they fail only when their calibrated slowdown is also
+// more than timeFloorNs per op. On a shared 2-core VM, sub-microsecond
+// benchmarks (planner probes, an idle scheduling cycle) move by tens of
+// percent between runs of one binary, so the ratio gate alone fails a
+// different one of them on every run; a regression of a microsecond or
+// more per op still fails. Rows at or above smallRowNs keep the plain
+// ratio gate.
+const (
+	smallRowNs  = 50_000
+	timeFloorNs = 1_000
+)
+
 // Row is one benchmark's comparison outcome.
 type Row struct {
 	Name       string
@@ -239,7 +252,8 @@ type Report struct {
 // regressions. Every benchmark present in both sets feeds the median;
 // only benchmarks matching a gate prefix can fail the build. A gated
 // row fails its time gate when its calibrated ns/op ratio exceeds
-// 1 + threshold + the benchmark's recorded baseline spread, and its
+// 1 + threshold + the benchmark's recorded baseline spread (and, below
+// smallRowNs, its calibrated slowdown exceeds timeFloorNs), and its
 // allocation gate when allocs/op grew by more than threshold AND by
 // more than two allocations (the absolute floor keeps tiny counts,
 // where one allocation is a huge ratio, from flaking). Benchmarks with
@@ -281,8 +295,10 @@ func Compare(base *Baseline, currentSamples *Samples, gates []string, threshold 
 		return nil, fmt.Errorf("degenerate median ratio %v", med)
 	}
 	for i := range rows {
-		rows[i].Calibrated = rows[i].Ratio / med
-		rows[i].Regressed = rows[i].Gated && rows[i].Calibrated > rows[i].Limit
+		r := &rows[i]
+		r.Calibrated = r.Ratio / med
+		r.Regressed = r.Gated && r.Calibrated > r.Limit &&
+			(r.BaseNs >= smallRowNs || r.CurrentNs/med-r.BaseNs > timeFloorNs)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 
@@ -441,8 +457,8 @@ func (r *Report) Failed() bool {
 
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "benchdiff: machine-speed median ratio %.3f, gate threshold +%.0f%% (+ per-benchmark baseline spread; allocs/op gated raw)\n",
-		r.Median, r.Threshold*100)
+	fmt.Fprintf(&sb, "benchdiff: machine-speed median ratio %.3f, gate threshold +%.0f%% (+ per-benchmark baseline spread; rows under %d ns/op also need > %d ns/op; allocs/op gated raw)\n",
+		r.Median, r.Threshold*100, smallRowNs, timeFloorNs)
 	fmt.Fprintf(&sb, "%-44s %14s %14s %9s %9s %7s %12s %12s  %s\n",
 		"benchmark", "base ns/op", "curr ns/op", "ratio", "calib", "limit", "base allocs", "curr allocs", "verdict")
 	for _, row := range r.Rows {

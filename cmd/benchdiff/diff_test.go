@@ -130,17 +130,18 @@ func TestCompareCalibratesMachineSpeed(t *testing.T) {
 }
 
 // One gated benchmark regressing beyond the threshold while the rest
-// hold steady must fail, and an ungated one must not.
+// hold steady must fail, and an ungated one must not. (Rows here sit
+// above smallRowNs, where the time floor does not apply.)
 func TestCompareFlagsRealRegression(t *testing.T) {
 	base := &Baseline{NsPerOp: map[string]float64{
-		"BenchmarkLODMatch/High": 1000,
-		"BenchmarkPlannerSatAt":  2000,
-		"BenchmarkSDFU":          3000,
+		"BenchmarkLODMatch/High": 100_000,
+		"BenchmarkPlannerSatAt":  200_000,
+		"BenchmarkSDFU":          300_000,
 	}}
 	current := one(map[string]float64{
-		"BenchmarkLODMatch/High": 1500, // +50%, gated -> fail
-		"BenchmarkPlannerSatAt":  2000,
-		"BenchmarkSDFU":          3000,
+		"BenchmarkLODMatch/High": 150_000, // +50%, gated -> fail
+		"BenchmarkPlannerSatAt":  200_000,
+		"BenchmarkSDFU":          300_000,
 	})
 	rep, err := Compare(base, current, []string{"BenchmarkLODMatch", "BenchmarkPlanner"}, 0.20)
 	if err != nil {
@@ -158,9 +159,9 @@ func TestCompareFlagsRealRegression(t *testing.T) {
 
 	// The same slowdown on the ungated BenchmarkSDFU must pass.
 	current = one(map[string]float64{
-		"BenchmarkLODMatch/High": 1000,
-		"BenchmarkPlannerSatAt":  2000,
-		"BenchmarkSDFU":          4500,
+		"BenchmarkLODMatch/High": 100_000,
+		"BenchmarkPlannerSatAt":  200_000,
+		"BenchmarkSDFU":          450_000,
 	})
 	rep, err = Compare(base, current, []string{"BenchmarkLODMatch", "BenchmarkPlanner"}, 0.20)
 	if err != nil {
@@ -176,9 +177,9 @@ func TestCompareFlagsRealRegression(t *testing.T) {
 func TestCompareSpreadWidensLimit(t *testing.T) {
 	base := &Baseline{
 		NsPerOp: map[string]float64{
-			"BenchmarkLODMatch/Jittery": 1000,
-			"BenchmarkLODMatch/Stable":  1000,
-			"BenchmarkSDFU":             3000,
+			"BenchmarkLODMatch/Jittery": 100_000,
+			"BenchmarkLODMatch/Stable":  100_000,
+			"BenchmarkSDFU":             300_000,
 		},
 		Spread: map[string]float64{
 			"BenchmarkLODMatch/Jittery": 0.40,
@@ -186,9 +187,9 @@ func TestCompareSpreadWidensLimit(t *testing.T) {
 		},
 	}
 	current := one(map[string]float64{
-		"BenchmarkLODMatch/Jittery": 1500, // +50% < 1+0.20+0.40 -> ok
-		"BenchmarkLODMatch/Stable":  1000,
-		"BenchmarkSDFU":             3000,
+		"BenchmarkLODMatch/Jittery": 150_000, // +50% < 1+0.20+0.40 -> ok
+		"BenchmarkLODMatch/Stable":  100_000,
+		"BenchmarkSDFU":             300_000,
 	})
 	rep, err := Compare(base, current, []string{"BenchmarkLODMatch"}, 0.20)
 	if err != nil {
@@ -198,9 +199,9 @@ func TestCompareSpreadWidensLimit(t *testing.T) {
 		t.Fatalf("slowdown within recorded spread failed the gate:\n%s", rep)
 	}
 	current = one(map[string]float64{
-		"BenchmarkLODMatch/Jittery": 1000,
-		"BenchmarkLODMatch/Stable":  1500, // +50% > 1+0.20+0.02 -> fail
-		"BenchmarkSDFU":             3000,
+		"BenchmarkLODMatch/Jittery": 100_000,
+		"BenchmarkLODMatch/Stable":  150_000, // +50% > 1+0.20+0.02 -> fail
+		"BenchmarkSDFU":             300_000,
 	})
 	rep, err = Compare(base, current, []string{"BenchmarkLODMatch"}, 0.20)
 	if err != nil {
@@ -230,6 +231,43 @@ func TestCompareMissingGatedBenchmark(t *testing.T) {
 	}
 	if len(rep.Missing) != 1 || rep.Missing[0] != "BenchmarkLODMatch/High" {
 		t.Fatalf("Missing = %v", rep.Missing)
+	}
+}
+
+// Sub-50µs rows need the absolute time floor: +50% on a 600 ns row is
+// 300 ns of jitter and must pass, while the same row slowing by several
+// microseconds, or a 60 µs row slowing by +50%, must still fail.
+func TestCompareTimeGateAbsoluteFloor(t *testing.T) {
+	base := &Baseline{NsPerOp: map[string]float64{
+		"BenchmarkPlannerSatAt": 600,
+		"BenchmarkLODMatch/Big": 60_000,
+		"BenchmarkSDFU":         3000,
+		"BenchmarkSDFU2":        3000,
+	}}
+	gates := []string{"BenchmarkPlanner", "BenchmarkLODMatch"}
+	cases := []struct {
+		small, big float64
+		fail       bool
+	}{
+		{900, 60_000, false},   // +300 ns on the small row: under the floor
+		{5_000, 60_000, true},  // +4.4 µs on the small row: over it
+		{600, 90_000, true},    // +50% on a row above 50 µs: no floor
+		{1_500, 60_000, false}, // +150%, but only 900 ns
+	}
+	for _, c := range cases {
+		current := one(map[string]float64{
+			"BenchmarkPlannerSatAt": c.small,
+			"BenchmarkLODMatch/Big": c.big,
+			"BenchmarkSDFU":         3000,
+			"BenchmarkSDFU2":        3000,
+		})
+		rep, err := Compare(base, current, gates, 0.20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() != c.fail {
+			t.Errorf("small=%v big=%v: failed=%v, want %v\n%s", c.small, c.big, rep.Failed(), c.fail, rep)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@
 //	fluxion-bench -experiment varaware  # Fig. 7b, Table 1, Fig. 8
 //	fluxion-bench -experiment parmatch  # parallel match pipeline sweep
 //	fluxion-bench -experiment epochscale # lock-free epoch-snapshot match scaling
-//	fluxion-bench -experiment increment # incremental vs full-requeue engines
 //	fluxion-bench -experiment recovery  # WAL crash-recovery time vs log length
 //	fluxion-bench -experiment chaos     # self-defense survival vs fault intensity
 //	fluxion-bench -experiment memscale  # resting-graph memory vs system scale
@@ -40,7 +39,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "lod | planner | classes | varaware | parmatch | epochscale | increment | recovery | chaos | memscale | shardscale | shardchaos | all")
+		experiment = flag.String("experiment", "all", "lod | planner | classes | varaware | parmatch | epochscale | recovery | chaos | memscale | shardscale | shardchaos | all")
 		racks      = flag.Int64("racks", 56, "LOD system scale in racks (56 = the paper's 1008 nodes)")
 		spans      = flag.String("spans", "1000,10000,100000,1000000", "planner pre-population sweep")
 		queries    = flag.Int("queries", 4096, "planner queries per measurement")
@@ -48,7 +47,6 @@ func main() {
 		nodes      = flag.Int64("quartz-nodes", 2418, "variation-aware system size (racks of 62)")
 		seed       = flag.Int64("seed", 2023, "workload seed")
 		workers    = flag.String("workers", "1,2,4,8", "parallel-match worker sweep")
-		incJobs    = flag.Int("increment-jobs", 512, "queue depth for the incremental-scheduling study")
 		recJobs    = flag.Int("recovery-jobs", 512, "queue depth for the WAL recovery study")
 		recPoints  = flag.Int("recovery-points", 8, "log-length sample points for the WAL recovery study")
 		chaosJobs  = flag.Int("chaos-jobs", 200, "trace length for the chaos self-defense study")
@@ -170,17 +168,6 @@ func main() {
 		writeCSV("epochscale.csv", func(w *os.File) error { return experiments.WriteEpochScaleCSV(w, results) })
 		fmt.Printf("(epochscale experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
 	}
-	if run("increment") {
-		ran = true
-		cfg := experiments.DefaultIncrement()
-		cfg.Jobs = *incJobs
-		start := time.Now()
-		results, err := experiments.RunIncrement(cfg)
-		fail(err)
-		experiments.PrintIncrement(os.Stdout, results, cfg)
-		writeCSV("increment.csv", func(w *os.File) error { return experiments.WriteIncrementCSV(w, results) })
-		fmt.Printf("(increment experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
-	}
 	if run("recovery") {
 		ran = true
 		cfg := experiments.DefaultRecovery()
@@ -251,7 +238,7 @@ func main() {
 		fmt.Printf("(shardscale experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want lod, planner, classes, varaware, parmatch, epochscale, increment, recovery, chaos, memscale, shardscale, shardchaos, or all)\n", *experiment)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want lod, planner, classes, varaware, parmatch, epochscale, recovery, chaos, memscale, shardscale, shardchaos, or all)\n", *experiment)
 		os.Exit(2)
 	}
 }

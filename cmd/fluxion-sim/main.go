@@ -45,7 +45,6 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection seed; same seed, same failures")
 		maxRetries = flag.Int("max-retries", 0, "failure requeues per job before it fails (0 = default)")
 		drill      = flag.Bool("drill", false, "run the crash-recovery drill: checkpoint mid-run, restore, verify convergence")
-		increment  = flag.Bool("incremental", true, "event-driven incremental scheduling (false = full requeue every cycle)")
 		shards     = flag.Int("shards", 1, "partition the graph into N subtree shards, each with its own scheduler loop (1 = flat)")
 		shardCut   = flag.String("shard-cut", "rack", "containment type sharding cuts the graph at")
 		walDir     = flag.String("wal-dir", "", "durable state directory: journal every mutation to a write-ahead log and recover prior state on start")
@@ -174,7 +173,6 @@ func main() {
 		FaultSeed:    *faultSeed,
 		MaxRetries:   *maxRetries,
 		Drill:        *drill,
-		FullRequeue:  !*increment,
 		Shards:       *shards,
 		ShardCut:     *shardCut,
 

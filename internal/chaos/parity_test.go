@@ -18,7 +18,7 @@ import (
 // validation) schedules every non-poisoned job identically — same
 // state, start, and end — to a defense-free run whose trace simply
 // never contained the poisoned jobs. Quarantine must be invisible to
-// the surviving schedule, across every queue policy and both engines.
+// the surviving schedule, across every queue policy.
 func TestDecisionParity(t *testing.T) {
 	jobs := trace.Synthesize(150, 4, 8, 11)
 	plan := &chaos.Plan{
@@ -29,74 +29,67 @@ func TestDecisionParity(t *testing.T) {
 		MalformedFrac: 0.12,
 	}
 	for _, qp := range []sched.QueuePolicy{sched.FCFS, sched.EASY, sched.Conservative} {
-		for _, full := range []bool{false, true} {
-			engine := "incremental"
-			if full {
-				engine = "full-requeue"
+		t.Run(fmt.Sprintf("%s-incremental", qp), func(t *testing.T) {
+			base := simcli.Config{
+				Recipe:      grug.Small(2, 4, 8, 0, 0),
+				QueuePolicy: qp,
+				Chaos:       plan,
 			}
-			t.Run(fmt.Sprintf("%s-%s", qp, engine), func(t *testing.T) {
-				base := simcli.Config{
-					Recipe:      grug.Small(2, 4, 8, 0, 0),
-					QueuePolicy: qp,
-					FullRequeue: full,
-					Chaos:       plan,
-				}
-				dryCfg := base
-				dryCfg.ChaosDry = true
-				defended, err := simcli.Run(base, jobs, io.Discard)
-				if err != nil {
-					t.Fatalf("defended run: %v", err)
-				}
-				dry, err := simcli.Run(dryCfg, jobs, io.Discard)
-				if err != nil {
-					t.Fatalf("dry run: %v", err)
-				}
+			dryCfg := base
+			dryCfg.ChaosDry = true
+			defended, err := simcli.Run(base, jobs, io.Discard)
+			if err != nil {
+				t.Fatalf("defended run: %v", err)
+			}
+			dry, err := simcli.Run(dryCfg, jobs, io.Discard)
+			if err != nil {
+				t.Fatalf("dry run: %v", err)
+			}
 
-				quarantined := 0
-				for _, j := range jobs {
-					dj, dok := defended.Scheduler.Job(j.ID)
-					bj, bok := dry.Scheduler.Job(j.ID)
-					switch {
-					case plan.Malformed(j.ID):
-						// Rejected at submit in the defended run,
-						// filtered from the dry trace.
-						if dok {
-							t.Errorf("malformed job %d entered the defended run (%v)", j.ID, dj.State)
-						}
-						if bok {
-							t.Errorf("malformed job %d entered the dry run", j.ID)
-						}
-					case plan.Panics(j.ID):
-						if !dok || dj.State != sched.StateQuarantined || dj.Quarantine != sched.QuarantinePanic {
-							t.Errorf("panicking job %d not quarantined in defended run", j.ID)
-						} else {
-							quarantined++
-						}
-						if bok {
-							t.Errorf("panicking job %d present in dry run", j.ID)
-						}
-					default:
-						if !dok || !bok {
-							t.Fatalf("job %d missing: defended=%v dry=%v", j.ID, dok, bok)
-						}
-						if dj.State != bj.State || dj.StartAt != bj.StartAt || dj.EndAt != bj.EndAt {
-							t.Errorf("parity: job %d = %v@[%d,%d] defended, %v@[%d,%d] dry",
-								j.ID, dj.State, dj.StartAt, dj.EndAt, bj.State, bj.StartAt, bj.EndAt)
-						}
+			quarantined := 0
+			for _, j := range jobs {
+				dj, dok := defended.Scheduler.Job(j.ID)
+				bj, bok := dry.Scheduler.Job(j.ID)
+				switch {
+				case plan.Malformed(j.ID):
+					// Rejected at submit in the defended run,
+					// filtered from the dry trace.
+					if dok {
+						t.Errorf("malformed job %d entered the defended run (%v)", j.ID, dj.State)
+					}
+					if bok {
+						t.Errorf("malformed job %d entered the dry run", j.ID)
+					}
+				case plan.Panics(j.ID):
+					if !dok || dj.State != sched.StateQuarantined || dj.Quarantine != sched.QuarantinePanic {
+						t.Errorf("panicking job %d not quarantined in defended run", j.ID)
+					} else {
+						quarantined++
+					}
+					if bok {
+						t.Errorf("panicking job %d present in dry run", j.ID)
+					}
+				default:
+					if !dok || !bok {
+						t.Fatalf("job %d missing: defended=%v dry=%v", j.ID, dok, bok)
+					}
+					if dj.State != bj.State || dj.StartAt != bj.StartAt || dj.EndAt != bj.EndAt {
+						t.Errorf("parity: job %d = %v@[%d,%d] defended, %v@[%d,%d] dry",
+							j.ID, dj.State, dj.StartAt, dj.EndAt, bj.State, bj.StartAt, bj.EndAt)
 					}
 				}
-				// The property is vacuous if the plan poisoned nothing.
-				if quarantined == 0 {
-					t.Fatal("chaos plan quarantined nothing — property did not bite")
-				}
-				if got := defended.Scheduler.Stats().Quarantined; int(got) != quarantined {
-					t.Errorf("Stats().Quarantined = %d, counted %d", got, quarantined)
-				}
-				if defended.Scheduler.Stats().InvalidSpecRejects == 0 {
-					t.Error("no malformed specs rejected — validation leg did not bite")
-				}
-			})
-		}
+			}
+			// The property is vacuous if the plan poisoned nothing.
+			if quarantined == 0 {
+				t.Fatal("chaos plan quarantined nothing — property did not bite")
+			}
+			if got := defended.Scheduler.Stats().Quarantined; int(got) != quarantined {
+				t.Errorf("Stats().Quarantined = %d, counted %d", got, quarantined)
+			}
+			if defended.Scheduler.Stats().InvalidSpecRejects == 0 {
+				t.Error("no malformed specs rejected — validation leg did not bite")
+			}
+		})
 	}
 }
 

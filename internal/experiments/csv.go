@@ -317,31 +317,3 @@ func WriteChaosCSV(w io.Writer, results []ChaosResult) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteIncrementCSV renders the E7 engine-comparison rows.
-func WriteIncrementCSV(w io.Writer, results []IncrementResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"policy", "engine", "completed", "cycles", "match_attempts",
-		"attempts_per_cycle", "skipped_jobs", "wall_ns", "reduction", "parity"}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		rec := []string{
-			string(r.Policy),
-			r.Engine,
-			strconv.Itoa(r.Completed),
-			strconv.FormatInt(r.Cycles, 10),
-			strconv.FormatInt(r.MatchAttempts, 10),
-			strconv.FormatFloat(r.AttemptsPerCycle, 'f', 2, 64),
-			strconv.FormatInt(r.SkippedJobs, 10),
-			strconv.FormatInt(r.Wall.Nanoseconds(), 10),
-			strconv.FormatFloat(r.Reduction, 'f', 2, 64),
-			strconv.FormatBool(r.Parity),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

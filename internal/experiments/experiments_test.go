@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"fluxion/internal/sched"
 )
 
 func TestLODSmallScale(t *testing.T) {
@@ -299,54 +297,6 @@ func TestChaosSmallScale(t *testing.T) {
 	}
 	if !strings.HasPrefix(buf.String(), "intensity,clean,survived,survival_rate") {
 		t.Fatalf("chaos header: %s", buf.String())
-	}
-}
-
-func TestIncrementSmallScale(t *testing.T) {
-	cfg := IncrementConfig{Nodes: 4, Cores: 4, Jobs: 64, Duration: 50}
-	results, err := RunIncrement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 { // 3 policies × 2 engines
-		t.Fatalf("rows = %d", len(results))
-	}
-	var consFull, consInc *IncrementResult
-	for i := range results {
-		r := &results[i]
-		if r.Completed != cfg.Jobs {
-			t.Fatalf("%s/%s completed %d of %d", r.Policy, r.Engine, r.Completed, cfg.Jobs)
-		}
-		if !r.Parity {
-			t.Fatalf("%s/%s lost decision parity", r.Policy, r.Engine)
-		}
-		if r.Policy == sched.Conservative {
-			if r.Engine == "full" {
-				consFull = r
-			} else {
-				consInc = r
-			}
-		}
-	}
-	if consFull == nil || consInc == nil {
-		t.Fatal("missing conservative rows")
-	}
-	// The headline property at small scale: the incremental engine does a
-	// fraction of the full engine's matching on a conservative deep queue.
-	if consInc.MatchAttempts*2 >= consFull.MatchAttempts {
-		t.Fatalf("conservative attempts: full=%d incremental=%d",
-			consFull.MatchAttempts, consInc.MatchAttempts)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteIncrementCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 7 { // header + 6 rows
-		t.Fatalf("increment csv lines = %d\n%s", lines, buf.String())
-	}
-	if !strings.HasPrefix(buf.String(), "policy,engine,completed,cycles,match_attempts") {
-		t.Fatalf("increment header: %s", buf.String())
 	}
 }
 

@@ -447,17 +447,3 @@ func (s *Scheduler) attemptBound() int {
 	}
 	return DefaultBoundedWake
 }
-
-// planBound folds the bounded-wake cap into the configured queue depth
-// for the full-requeue loops.
-func (s *Scheduler) planBound() int {
-	b := s.attemptBound()
-	switch {
-	case b == 0:
-		return s.queueDepth
-	case s.queueDepth == 0 || b < s.queueDepth:
-		return b
-	default:
-		return s.queueDepth
-	}
-}

@@ -10,11 +10,12 @@ import (
 	"fluxion/internal/jobspec"
 )
 
-// TestPanicQuarantineParity drives every engine with a match hook that
-// panics for one job and asserts (a) the panic is contained: the job is
-// quarantined with QuarantinePanic and the run completes, and (b)
-// decision parity: every other job schedules exactly as in a run where
-// the poisoned job was never submitted.
+// TestPanicQuarantineParity drives the engine, sequentially and with
+// match workers, with a match hook that panics for one job and asserts
+// (a) the panic is contained: the job is quarantined with QuarantinePanic
+// and the run completes, and (b) decision parity: every other job
+// schedules exactly as in a run where the poisoned job was never
+// submitted.
 func TestPanicQuarantineParity(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -24,7 +25,6 @@ func TestPanicQuarantineParity(t *testing.T) {
 		{"fcfs-incremental", FCFS, nil},
 		{"easy-incremental", EASY, nil},
 		{"conservative-incremental", Conservative, nil},
-		{"conservative-full-requeue", Conservative, []SchedOption{WithIncremental(false)}},
 		{"conservative-parallel", Conservative, []SchedOption{WithMatchWorkers(4)}},
 	}
 	for _, tc := range cases {

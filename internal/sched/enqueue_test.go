@@ -48,8 +48,7 @@ func TestEnqueueStableFIFOWithinPriority(t *testing.T) {
 // enters the planning window and a low-priority job beyond the depth
 // bound is not even match-attempted.
 func TestEnqueuePriorityWithQueueDepth(t *testing.T) {
-	s := newSchedOpts(t, FCFS, 1, 1, 4,
-		WithQueueDepth(1), WithIncremental(false))
+	s := newSchedOpts(t, FCFS, 1, 1, 4, WithQueueDepth(1))
 	mustSubmit(t, s, 1, nodeJob(1, 4, 50)) // fills the node
 	if _, err := s.SubmitPriority(2, nodeJob(1, 4, 50), 0); err != nil {
 		t.Fatal(err)

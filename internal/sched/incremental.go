@@ -2,16 +2,17 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"fluxion/internal/traverser"
 )
 
-// This file implements the event-driven incremental scheduling engine.
-// The full-requeue loop (scheduleSequential / scheduleParallel with
-// WithIncremental(false)) re-plans the whole pending queue every cycle:
-// O(pending × match). The incremental engine keeps the same decisions —
-// which jobs start, when, and in what state — while doing only O(woken ×
+// This file implements the scheduling engine. Its decisions — which jobs
+// start, when, and in what state — are those of the qmanager loop stated
+// in reference_test.go (paper §3.4): every cycle cancel all reservations,
+// then walk the priority queue front to back under the policy and the
+// queue-depth bound, O(pending × match). The engine does only O(woken ×
 // match) work in steady state:
 //
 //   - a blocked job carries the blocking signature of its last failed
@@ -27,21 +28,34 @@ import (
 //   - a reservation whose start time matures (Alloc.At == now) converts
 //     to running in place, with no match at all.
 //
-// Decision parity with the full loop rests on a replay argument: an
-// incremental cycle is a resume of the full loop's deterministic walk.
-// A job's outcome at its queue position depends only on the running
-// allocations and the decisions of jobs ahead of it (reservations behind
-// it are cancelled upfront by the full loop and never exist at its
-// replay position). Skips are sound because the environment at a skipped
-// job's position is never better than when its signature was captured:
-// attempts only claim capacity, kept reservations re-create the full
-// loop's own re-plan, and everything that can add capacity — frees,
-// structural changes, demotions — either wakes the job or clears its
-// signature. Before the first real match of a cycle, every reservation
-// behind that queue position is demoted (dropSuffix) so the attempt sees
-// exactly the full loop's environment; demotions in turn clear the
-// signatures of every job behind them, since their muted cancel frees
-// capacity signatures cannot see.
+// Parity with the reference rests on a replay argument: an engine cycle
+// is a resume of the reference's deterministic walk. A job's outcome at
+// its queue position depends only on the running allocations and the
+// decisions of jobs ahead of it (reservations behind it are cancelled
+// upfront by the reference and never exist at its replay position).
+// Skips are sound because the environment at a skipped job's position is
+// never better than when its signature was captured: attempts only claim
+// capacity, kept reservations re-create the reference's own re-plan, and
+// everything that can add capacity — frees, structural changes,
+// demotions — either wakes the job or clears its signature. Behind the
+// first real match of a cycle no reservation stands: the classification
+// walk demotes every one it reaches from there on, before any match runs,
+// so the attempt sees exactly the reference's environment. Demotions in
+// turn clear the signatures of every job behind them, since their muted
+// cancel frees capacity signatures cannot see. A reservation is carried,
+// or converted in place when it matures, only while its environment is
+// the one it was planned in; otherwise it is re-matched, because a
+// changed environment may give the reference's first fit other
+// resources.
+//
+// With match workers, a cycle's attempts are speculated in batches
+// against one pinned epoch (speculateBatch) that already holds the
+// cycle's demotions, and committed strictly in queue order. Commits only
+// take capacity, so a speculation whose resources are still free at
+// commit time is the first fit a sequential match would find there; one
+// that lost its capacity to an earlier commit fails Commit with
+// ErrConflict and the job re-matches at its queue position. Decisions and
+// placements do not depend on the worker count.
 
 // dirKind is the per-job action a cycle's classification pass decides.
 type dirKind uint8
@@ -49,11 +63,11 @@ type dirKind uint8
 const (
 	// dirDepth keeps a job pending past the queue-depth bound, unmatched.
 	dirDepth dirKind = iota
-	// dirFail synthesizes the FCFS behind-blocked-head failure (the full
-	// loop does not match these either).
+	// dirFail synthesizes the FCFS behind-blocked-head failure (the
+	// reference does not match these either).
 	dirFail
 	// dirSkip keeps a blocked job pending without matching: its
-	// signature proves the full loop's attempt would fail.
+	// signature proves the reference's attempt would fail.
 	dirSkip
 	// dirSkipIfBlocked resolves at process time: behind a blocked head
 	// the signature justifies skipping, at the head the job must attempt
@@ -76,8 +90,8 @@ type directive struct {
 	specIdx int32
 }
 
-// blockState is the classification pass's three-valued view of the full
-// loop's `blocked` flag: attempts have unknown outcomes until process
+// blockState is the classification pass's three-valued view of the
+// reference's `blocked` flag: attempts have unknown outcomes until process
 // time, so the flag may be provably false, provably true, or unknown.
 type blockState uint8
 
@@ -123,7 +137,7 @@ func (s *Scheduler) scheduleIncremental() {
 
 	// Classification pass: walk the queue in order and decide each job's
 	// directive, tracking the provable blocked state and demoting
-	// reservations the full loop would not have re-created.
+	// reservations the reference would not have re-created.
 	resAhead := 0
 	for _, job := range s.pending {
 		if job.State == StateReserved {
@@ -137,16 +151,16 @@ func (s *Scheduler) scheduleIncremental() {
 	wakeAll := false // a demotion happened: signatures behind it are void
 	planned := 0
 
-	for i, job := range s.pending {
+	for _, job := range s.pending {
 		switch job.State {
 		case StatePending, StateReserved:
 		default:
-			continue // dropped from the queue, as in the full loop
+			continue // dropped from the queue, as in the reference
 		}
 
 		if s.queueDepth > 0 && planned >= s.queueDepth {
 			if job.State == StateReserved {
-				// The full loop would not re-create a reservation past
+				// The reference would not re-create a reservation past
 				// the depth bound.
 				resAhead--
 				s.demote(job)
@@ -162,16 +176,24 @@ func (s *Scheduler) scheduleIncremental() {
 
 		if job.State == StateReserved {
 			resAhead--
+			// A reservation stands only while its position's environment
+			// is the one it was planned in: same policy branch, no
+			// demotion ahead, no delta into its window.
 			branchOK := s.policy == Conservative || (s.policy == EASY && blockedSt == bNo)
 			switch {
-			case branchOK && job.Alloc != nil && job.Alloc.At == now:
-				// Matured: the full loop's re-match at this position
-				// succeeds at `now` (the reservation's own claims prove
-				// feasibility), so start it without matching.
+			case branchOK && !wakeAll && job.Alloc != nil && job.Alloc.At == now &&
+				!s.plan.changed(job, now):
+				// Matured: the reference's re-match at this position
+				// succeeds at `now` on the same resources (an unchanged
+				// environment picks the same first fit), so start it
+				// without matching. A changed one — a status change, a
+				// free into its window, a demotion ahead — may pick other
+				// resources: re-match it below. Frees the plan did not
+				// keep (overflow) are taken as on-schedule completions,
+				// which cannot move a first fit.
 				dirs = append(dirs, directive{job: job, kind: dirConvert, specIdx: -1})
 				continue
-			case branchOK && !wakeAll && !job.invalidated &&
-				job.Alloc != nil && job.Alloc.At > now:
+			case branchOK && !wakeAll && !job.invalidated && job.Alloc != nil && job.Alloc.At > now:
 				dirs = append(dirs, directive{job: job, kind: dirKeep, specIdx: -1})
 				blockedSt = bYes
 				continue
@@ -232,10 +254,11 @@ func (s *Scheduler) scheduleIncremental() {
 			continue
 		}
 
-		// Attempt. The full loop's match at this position runs with no
-		// reservation behind it in the planners; demote any that stand.
+		// Attempt. The reference's match at this position runs with no
+		// reservation behind it in the planners: every one that stands is
+		// demoted as this walk reaches it (wakeAll makes none valid), all
+		// before the process pass runs the attempt.
 		if resAhead > 0 {
-			s.dropSuffix(i)
 			resAhead = 0
 			wakeAll = true
 		}
@@ -247,12 +270,22 @@ func (s *Scheduler) scheduleIncremental() {
 	}
 	s.directives = dirs
 
-	// Process pass: execute the directives in queue order with the real
-	// blocked flag, exactly mirroring the full loop's outcome handling.
-	blocked := false
-	still := s.pending[:0]
 	workers := s.cycleWorkers() // sequential ladder rung forces 1
 	parallel := workers > 1
+	if parallel && wakeAll {
+		// Speculation pins the published epoch, which still holds the
+		// reservations this pass demoted. Publish the demotions first, so
+		// a speculation sees what a sequential match at its position sees
+		// and places the job where the reference does.
+		g := s.tr.Graph()
+		g.EndEpochBatch()
+		g.BeginEpochBatch()
+	}
+
+	// Process pass: execute the directives in queue order with the real
+	// blocked flag, exactly mirroring the reference's outcome handling.
+	blocked := false
+	still := s.pending[:0]
 	var specs []*traverser.Allocation
 	specDone := 0
 
@@ -321,6 +354,35 @@ func (s *Scheduler) scheduleIncremental() {
 	s.pending = still
 }
 
+// speculateBatch fans one batch out across the worker pool. The batch
+// pins the graph's current MVCC epoch once; each worker speculatively
+// matches its job at the current time against that immutable snapshot
+// with no synchronization at all. Failed speculations are nil. Per-job
+// match time is charged to MatchDuration after the barrier.
+func (s *Scheduler) speculateBatch(batch []*Job) []*traverser.Allocation {
+	specs := make([]*traverser.Allocation, len(batch))
+	durs := make([]time.Duration, len(batch))
+	ep := s.tr.PinEpoch()
+	var wg sync.WaitGroup
+	for i, job := range batch {
+		wg.Add(1)
+		go func(i int, job *Job) {
+			defer wg.Done()
+			start := time.Now()
+			if a, err := s.matchSpeculate(job, s.now, ep); err == nil {
+				specs[i] = a
+			}
+			durs[i] = time.Since(start)
+		}(i, job)
+	}
+	wg.Wait()
+	s.stats.MatchAttempts += int64(len(batch))
+	for i, job := range batch {
+		job.MatchDuration += durs[i]
+	}
+	return specs
+}
+
 // resolveAttempt turns one attempt directive into an allocation under the
 // policy branch for its position, committing a speculation when one is
 // available (parallel pipeline) and capturing a fresh blocking signature
@@ -372,7 +434,7 @@ func (s *Scheduler) convert(job *Job) {
 	s.start(job, job.Alloc)
 }
 
-// demote cancels a standing reservation back to pending (the full loop
+// demote cancels a standing reservation back to pending (the reference
 // does this for every reservation at the top of each cycle). The cancel's
 // frees are muted: within the cycle the queue walk itself accounts for
 // them, and signatures behind the demotion point are cleared by wakeAll.
@@ -383,13 +445,4 @@ func (s *Scheduler) demote(job *Job) {
 	job.State = StatePending
 	job.Alloc = nil
 	job.sigOK = false
-}
-
-// dropSuffix demotes every standing reservation behind queue position i.
-func (s *Scheduler) dropSuffix(i int) {
-	for _, job := range s.pending[i+1:] {
-		if job.State == StateReserved {
-			s.demote(job)
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -44,19 +45,32 @@ type arrival struct {
 // and core requests, staggered arrival times, and occasional priority
 // jumps (which insert ahead of standing reservations).
 func randomWorkload(seed int64, n int) []arrival {
+	return workload(seed, n, 1, 5)
+}
+
+// gridWorkload is randomWorkload on a 10-second grid with a priority jump
+// every third job or so: arrivals, completions, reservation starts and
+// fault events keep landing on the same instant.
+func gridWorkload(seed int64, n int) []arrival {
+	return workload(seed, n, 10, 3)
+}
+
+// workload draws arrival gaps and durations in multiples of tick and
+// gives about one job in jumpEvery a raised priority.
+func workload(seed int64, n int, tick int64, jumpEvery int) []arrival {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]arrival, 0, n)
 	at := int64(0)
 	for i := 0; i < n; i++ {
-		at += rng.Int63n(40)
+		at += tick * rng.Int63n(40/tick)
 		nodes := 1 + rng.Int63n(3)
 		cores := int64(4)
 		if rng.Intn(3) == 0 {
 			cores = 1 + rng.Int63n(4) // fragmenting core-level requests
 		}
-		dur := 20 + rng.Int63n(150)
+		dur := tick * (20/tick + rng.Int63n(150/tick))
 		prio := 0
-		if rng.Intn(5) == 0 {
+		if rng.Intn(jumpEvery) == 0 {
 			prio = 1 + rng.Intn(3)
 		}
 		out = append(out, arrival{
@@ -67,64 +81,141 @@ func randomWorkload(seed int64, n int) []arrival {
 	return out
 }
 
-// drive replays an arrival sequence through the scheduler: events fire in
-// order, each arrival triggers a scheduling cycle, and the run drains.
-func drive(t *testing.T, s *Scheduler, work []arrival) {
+// engine is the discrete-event surface the parity drivers replay a
+// workload through: *Scheduler and *reference implement it.
+type engine interface {
+	SubmitPriority(id int64, spec *jobspec.Jobspec, priority int) (*Job, error)
+	Schedule()
+	Step() bool
+	HasEvents() bool
+	NextEventAt() int64
+	AdvanceTo(t int64) error
+	ScheduleNodeDown(at int64, path string) error
+	ScheduleNodeUp(at int64, path string) error
+	Run(maxSteps int) int
+	Jobs() map[int64]*Job
+	Now() int64
+}
+
+// sameDecisions fails t unless got decided every job exactly as want did
+// (state, start, end, retries, and the nodes a finished job ran on) and
+// finished at the same clock.
+func sameDecisions(t *testing.T, label string, want, got engine) {
 	t.Helper()
-	s.Schedule()
-	for _, a := range work {
-		for s.HasEvents() && s.NextEventAt() <= a.at {
-			s.Step()
+	sameStates(t, label, want, got)
+	for id, w := range want.Jobs() {
+		if g := got.Jobs()[id]; w.State == StateCompleted && nodePaths(w) != nodePaths(g) {
+			t.Errorf("%s: job %d placed on %s, want %s", label, id, nodePaths(g), nodePaths(w))
 		}
-		if err := s.AdvanceTo(a.at); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.SubmitPriority(a.id, a.spec, a.priority); err != nil {
-			t.Fatal(err)
-		}
-		s.Schedule()
 	}
-	s.Run(0)
+	if want.Now() != got.Now() {
+		t.Errorf("%s: makespan diverged: %d vs %d", label, want.Now(), got.Now())
+	}
+}
+
+// sameStates fails t unless every job of got is where want has it: same
+// state, retries, start and end, and a running or reserved job on the
+// same nodes from the same start.
+func sameStates(t *testing.T, label string, want, got engine) {
+	t.Helper()
+	if len(want.Jobs()) != len(got.Jobs()) {
+		t.Fatalf("%s: %d jobs vs %d", label, len(want.Jobs()), len(got.Jobs()))
+	}
+	for id, w := range want.Jobs() {
+		g, ok := got.Jobs()[id]
+		if !ok {
+			t.Fatalf("%s: job %d missing", label, id)
+		}
+		if w.State != g.State || w.StartAt != g.StartAt || w.EndAt != g.EndAt || w.Retries != g.Retries {
+			t.Fatalf("%s: at t=%d job %d diverged: want %v@[%d,%d] retries=%d, got %v@[%d,%d] retries=%d",
+				label, want.Now(), id, w.State, w.StartAt, w.EndAt, w.Retries, g.State, g.StartAt, g.EndAt, g.Retries)
+		}
+		if (w.State == StateRunning || w.State == StateReserved) &&
+			(w.Alloc.At != g.Alloc.At || nodePaths(w) != nodePaths(g)) {
+			t.Fatalf("%s: at t=%d %v job %d holds %s from %d, want %s from %d",
+				label, want.Now(), w.State, id, nodePaths(g), g.Alloc.At, nodePaths(w), w.Alloc.At)
+		}
+	}
+}
+
+func nodePaths(j *Job) string {
+	var paths []string
+	for _, v := range j.Alloc.Nodes() {
+		paths = append(paths, v.Path())
+	}
+	return fmt.Sprint(paths)
+}
+
+// drive replays an arrival sequence through want and every engine in got
+// in lockstep: events fire in order, each arrival triggers a scheduling
+// cycle, and the run drains. After every cycle each engine's job states
+// must match want's, so a carried reservation must be the one want
+// re-plans; at the end their decisions must match (sameDecisions).
+func drive(t *testing.T, label string, work []arrival, want engine, got ...engine) {
+	t.Helper()
+	all := append([]engine{want}, got...)
+	cycle := func(run func(engine)) {
+		t.Helper()
+		for _, e := range all {
+			run(e)
+		}
+		for i, e := range got {
+			sameStates(t, fmt.Sprintf("%s/engine%d", label, i), want, e)
+		}
+	}
+	schedule := func(e engine) { e.Schedule() }
+	step := func(e engine) { e.Step() }
+	cycle(schedule)
+	for _, a := range work {
+		for want.HasEvents() && want.NextEventAt() <= a.at {
+			cycle(step)
+		}
+		for _, e := range all {
+			if err := e.AdvanceTo(a.at); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.SubmitPriority(a.id, a.spec, a.priority); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle(schedule)
+	}
+	cycle(schedule)
+	for want.HasEvents() {
+		cycle(step)
+	}
+	for i, e := range got {
+		sameDecisions(t, fmt.Sprintf("%s/engine%d", label, i), want, e)
+	}
+}
+
+// workloads is both workload shapes for one seed, by name.
+func workloads(seed int64, n int) map[string][]arrival {
+	return map[string][]arrival{"random": randomWorkload(seed, n), "grid": gridWorkload(seed, n)}
+}
+
+// workerEngines builds the engine at one and at three match workers.
+func workerEngines(t *testing.T, policy QueuePolicy, opts ...SchedOption) []engine {
+	var out []engine
+	for _, workers := range []int{1, 3} {
+		o := append([]SchedOption{WithMatchWorkers(workers)}, opts...)
+		out = append(out, newSchedOpts(t, policy, 1, 4, 4, o...))
+	}
+	return out
 }
 
 // TestIncrementalMatchesFullDecisions is the decision-parity property
-// test: random workloads run through the incremental engine must produce
-// identical per-job decisions (state, start, end) to the sequential
-// full-requeue loop, for every policy, both sequentially and with match
-// workers. The sequential full loop is the reference even for the
-// parallel runs: the parallel pipeline's own placements may drift from
-// sequential across cycles (speculators steer around each other — see
-// parallel.go), so full-parallel start times are not canonical, while the
-// incremental engine's sparse attempt batches reproduce the sequential
-// placements exactly.
+// test: random workloads (with priority jumps that insert ahead of
+// standing reservations) run through the engine must produce exactly the
+// per-job states and decisions of the reference qmanager loop, cycle by
+// cycle, for every policy, both sequentially and with match workers.
 func TestIncrementalMatchesFullDecisions(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
 		for seed := int64(1); seed <= 5; seed++ {
-			full := newSchedOpts(t, policy, 1, 4, 4, WithIncremental(false))
-			drive(t, full, randomWorkload(seed, 40))
-			for _, workers := range []int{1, 3} {
-				inc := newSchedOpts(t, policy, 1, 4, 4,
-					WithIncremental(true), WithMatchWorkers(workers))
-				drive(t, inc, randomWorkload(seed, 40))
-
-				for id, fj := range full.Jobs() {
-					ij, ok := inc.Job(id)
-					if !ok {
-						t.Fatalf("%s/w%d/seed%d: job %d missing", policy, workers, seed, id)
-					}
-					if fj.State != ij.State || fj.StartAt != ij.StartAt || fj.EndAt != ij.EndAt {
-						t.Errorf("%s/w%d/seed%d: job %d diverged: full %v@[%d,%d] vs inc %v@[%d,%d]",
-							policy, workers, seed, id,
-							fj.State, fj.StartAt, fj.EndAt, ij.State, ij.StartAt, ij.EndAt)
-					}
-				}
-				if full.Now() != inc.Now() {
-					t.Errorf("%s/w%d/seed%d: makespan diverged: %d vs %d",
-						policy, workers, seed, full.Now(), inc.Now())
-				}
-				if t.Failed() {
-					return
-				}
+			for shape, work := range workloads(seed, 40) {
+				ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work,
+					ref, workerEngines(t, policy)...)
 			}
 		}
 	}
@@ -132,65 +223,106 @@ func TestIncrementalMatchesFullDecisions(t *testing.T) {
 
 // TestIncrementalParityUnderFaults repeats the parity check with a
 // node-down/node-up drill interleaved into the timeline (structural
-// deltas must wake everything both modes would re-plan).
+// deltas must wake everything the reference re-plans).
 func TestIncrementalParityUnderFaults(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
 		for seed := int64(1); seed <= 3; seed++ {
-			run := func(incremental bool) *Scheduler {
-				s := newSchedOpts(t, policy, 1, 4, 4, WithIncremental(incremental))
-				node := s.tr.Graph().ByType("node")[1].Path()
-				if err := s.ScheduleNodeDown(60, node); err != nil {
-					t.Fatal(err)
+			for shape, work := range workloads(seed, 30) {
+				ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
+				engines := workerEngines(t, policy)
+				for _, e := range append(engines, ref) {
+					if err := e.ScheduleNodeDown(60, "/cluster0/rack0/node1"); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.ScheduleNodeUp(200, "/cluster0/rack0/node1"); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := s.ScheduleNodeUp(200, node); err != nil {
-					t.Fatal(err)
-				}
-				drive(t, s, randomWorkload(seed, 30))
-				return s
-			}
-			full := run(false)
-			inc := run(true)
-			for id, fj := range full.Jobs() {
-				ij, _ := inc.Job(id)
-				if ij == nil || fj.State != ij.State || fj.StartAt != ij.StartAt || fj.EndAt != ij.EndAt {
-					t.Fatalf("%s/seed%d: job %d diverged under faults", policy, seed, id)
-				}
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, engines...)
 			}
 		}
 	}
 }
 
+// TestIncrementalParityQueueDepth checks parity under a queue-depth bound
+// of 3: priority jumps push standing reservations past the bound, so the
+// engine must demote them (dirDepth) exactly where the reference stops
+// re-creating them. Under EASY, seed 85 demotes the head reservation in a
+// cycle that then speculates, so it also checks that speculation sees the
+// cycle's demotions.
+func TestIncrementalParityQueueDepth(t *testing.T) {
+	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
+		for _, seed := range []int64{1, 2, 3, 4, 5, 85} {
+			for shape, work := range workloads(seed, 40) {
+				ref := newReference(t, policy, 1, 4, 4, 3, DefaultMaxRetries)
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work,
+					ref, workerEngines(t, policy, WithQueueDepth(3))...)
+			}
+		}
+	}
+}
+
+// TestIncrementalParityMaxRetries flaps one node down and up all through
+// the run under WithMaxRetries(1): jobs evicted twice land in
+// StateFailed, and the engine must fail, requeue and re-plan exactly the
+// jobs the reference does.
+func TestIncrementalParityMaxRetries(t *testing.T) {
+	failed := 0
+	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for shape, work := range workloads(seed, 30) {
+				ref := newReference(t, policy, 1, 4, 4, 0, 1)
+				engines := workerEngines(t, policy, WithMaxRetries(1))
+				for _, e := range append(engines, ref) {
+					for at := int64(50); at < 1500; at += 90 {
+						if err := e.ScheduleNodeDown(at, "/cluster0/rack0/node0"); err != nil {
+							t.Fatal(err)
+						}
+						if err := e.ScheduleNodeUp(at+30, "/cluster0/rack0/node0"); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, engines...)
+				for _, j := range ref.Jobs() {
+					if j.State == StateFailed {
+						failed++
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no job reached StateFailed: the retry bound was never exercised")
+	}
+	t.Logf("%d jobs failed across the reference runs", failed)
+}
+
 // TestIncrementalMatchAttemptReduction is the headline perf property: on
-// a deep conservative queue the incremental engine must do at least 5×
-// fewer match attempts than full requeue, with identical decisions.
+// a deep conservative queue the engine must make at least 5× fewer match
+// attempts than the reference loop, with identical decisions.
 func TestIncrementalMatchAttemptReduction(t *testing.T) {
 	const pendingJobs = 520
-	run := func(incremental bool) *Scheduler {
-		s := newSchedOpts(t, Conservative, 1, 8, 4, WithIncremental(incremental))
+	ref := newReference(t, Conservative, 1, 8, 4, 0, DefaultMaxRetries)
+	inc := newSchedOpts(t, Conservative, 1, 8, 4)
+	for _, e := range []engine{ref, inc} {
 		for i := int64(1); i <= pendingJobs; i++ {
-			mustSubmit(t, s, i, nodeJob(1, 4, 100))
+			if _, err := e.SubmitPriority(i, nodeJob(1, 4, 100), 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		s.Run(0)
-		return s
+		e.Run(0)
 	}
-	full := run(false)
-	inc := run(true)
-
-	for id, fj := range full.Jobs() {
-		ij, _ := inc.Job(id)
-		if ij == nil || fj.State != ij.State || fj.StartAt != ij.StartAt || fj.EndAt != ij.EndAt {
-			t.Fatalf("deep queue: job %d diverged", id)
-		}
-	}
-	fa, ia := full.Stats().MatchAttempts, inc.Stats().MatchAttempts
-	if ia == 0 || fa < 5*ia {
-		t.Fatalf("incremental saved too little: full=%d incremental=%d (want >= 5x)", fa, ia)
+	sameDecisions(t, "deep queue", ref, inc)
+	ra, ia := ref.attempts, inc.Stats().MatchAttempts
+	if ia == 0 || ra < 5*ia {
+		t.Fatalf("engine saved too little: reference=%d engine=%d (want >= 5x)", ra, ia)
 	}
 	if inc.Stats().SkippedJobs == 0 {
 		t.Fatal("no jobs were skipped on a deep queue")
 	}
-	t.Logf("attempts: full=%d incremental=%d (%.1fx), woken=%d skipped=%d",
-		fa, ia, float64(fa)/float64(ia), inc.Stats().WokenJobs, inc.Stats().SkippedJobs)
+	t.Logf("attempts: reference=%d engine=%d (%.1fx), woken=%d skipped=%d",
+		ra, ia, float64(ra)/float64(ia), inc.Stats().WokenJobs, inc.Stats().SkippedJobs)
 }
 
 // TestIncrementalEASYSkipsBackfill checks the EASY steady state: blocked
@@ -222,7 +354,7 @@ func TestIncrementalEASYSkipsBackfill(t *testing.T) {
 // engine and validates every vertex planner and pruning filter afterward.
 func TestIncrementalPlannerInvariants(t *testing.T) {
 	s := newSchedOpts(t, Conservative, 2, 4, 4)
-	drive(t, s, randomWorkload(7, 60))
+	drive(t, "invariants", randomWorkload(7, 60), s)
 	g := s.tr.Graph()
 	for _, v := range g.Vertices() {
 		if p := v.Planner(); p != nil {
@@ -301,7 +433,7 @@ func TestIncrementalCheckpointResume(t *testing.T) {
 	}
 	// Rebuild the scheduler over the same (still-live) traverser, as a
 	// crash-recovery drill would over a restored one.
-	r, err := Resume(s.tr, data, specs, WithIncremental(true))
+	r, err := Resume(s.tr, data, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,23 +442,6 @@ func TestIncrementalCheckpointResume(t *testing.T) {
 	}
 	if r.Stats().MatchAttempts == 0 {
 		t.Fatal("post-resume run did no matching")
-	}
-}
-
-// TestWithIncrementalOffRestoresFullLoop sanity-checks the escape hatch:
-// the full loop re-matches the whole queue every cycle.
-func TestWithIncrementalOffRestoresFullLoop(t *testing.T) {
-	s := newSchedOpts(t, Conservative, 1, 2, 4, WithIncremental(false))
-	mustSubmit(t, s, 1, nodeJob(2, 4, 100))
-	mustSubmit(t, s, 2, nodeJob(2, 4, 100))
-	s.Schedule()
-	before := s.Stats().MatchAttempts
-	s.Schedule()
-	if got := s.Stats().MatchAttempts - before; got == 0 {
-		t.Fatal("full loop did not re-match on an idle cycle")
-	}
-	if s.Stats().SkippedJobs != 0 {
-		t.Fatal("full loop should never skip")
 	}
 }
 

@@ -87,7 +87,6 @@ func TestJournalReplayParity(t *testing.T) {
 		{"fcfs", FCFS, nil},
 		{"easy", EASY, nil},
 		{"conservative", Conservative, nil},
-		{"conservative-full-requeue", Conservative, []SchedOption{WithIncremental(false)}},
 		{"conservative-parallel", Conservative, []SchedOption{WithMatchWorkers(4)}},
 	}
 	for _, tc := range cases {

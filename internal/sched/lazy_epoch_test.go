@@ -40,7 +40,7 @@ func TestOneWorkerReplayBuildsNoEpochs(t *testing.T) {
 		if err := s.ScheduleNodeUp(2500, node); err != nil {
 			t.Fatal(err)
 		}
-		drive(t, s, randomWorkload(11, 300))
+		drive(t, string(policy), randomWorkload(11, 300), s)
 		for id, j := range s.Jobs() {
 			if j.State != StateCompleted {
 				t.Fatalf("%s: job %d ended %s", policy, id, j.State)

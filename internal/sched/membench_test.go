@@ -40,7 +40,7 @@ func BenchmarkSchedMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s, err := New(tr, Conservative, WithIncremental(true))
+			s, err := New(tr, Conservative)
 			if err != nil {
 				b.Fatal(err)
 			}

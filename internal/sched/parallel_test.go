@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"fluxion/internal/grug"
@@ -31,11 +32,13 @@ func newSchedWorkers(t *testing.T, policy QueuePolicy, racks, nodes, cores int64
 // runWorkload submits a fixed mixed workload and drains the event loop,
 // returning the scheduler for inspection. Arrival pattern: a node-hogging
 // head job, mid-size followers, and small backfill candidates.
-func runWorkload(t *testing.T, s *Scheduler) {
+func runWorkload(t *testing.T, e engine) {
 	t.Helper()
 	id := int64(1)
 	submit := func(nodes, dur int64) {
-		mustSubmit(t, s, id, nodeJob(nodes, 4, dur))
+		if _, err := e.SubmitPriority(id, nodeJob(nodes, 4, dur), 0); err != nil {
+			t.Fatal(err)
+		}
 		id++
 	}
 	submit(4, 100) // fills the system
@@ -44,7 +47,7 @@ func runWorkload(t *testing.T, s *Scheduler) {
 	submit(1, 30)
 	submit(1, 200)
 	submit(2, 60)
-	s.Run(0)
+	e.Run(0)
 }
 
 // TestParallelMatchesSequentialDecisions runs the same workload through
@@ -74,33 +77,21 @@ func TestParallelMatchesSequentialDecisions(t *testing.T) {
 	}
 }
 
-// TestParallelVsSequentialBothPaths extends the parallel-vs-sequential
-// decision guarantee to both scheduling engines: for each of the
-// full-requeue loop and the incremental engine, the parallel pipeline at
-// several worker counts must reproduce that same engine's sequential
-// decision timeline on the fixed mixed workload.
+// TestParallelVsSequentialBothPaths holds the parallel pipeline to both
+// of its references on the fixed mixed workload: at several worker
+// counts it must reproduce the engine's own sequential decision timeline
+// and the reference qmanager loop's.
 func TestParallelVsSequentialBothPaths(t *testing.T) {
-	for _, incremental := range []bool{false, true} {
-		for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
-			seq := newSchedOpts(t, policy, 1, 4, 4,
-				WithIncremental(incremental), WithMatchWorkers(1))
-			runWorkload(t, seq)
-			for _, workers := range []int{2, 4} {
-				par := newSchedOpts(t, policy, 1, 4, 4,
-					WithIncremental(incremental), WithMatchWorkers(workers))
-				runWorkload(t, par)
-				for id, sj := range seq.Jobs() {
-					pj, ok := par.Job(id)
-					if !ok {
-						t.Fatalf("incremental=%v/%s/w%d: job %d missing", incremental, policy, workers, id)
-					}
-					if sj.State != pj.State || sj.StartAt != pj.StartAt || sj.EndAt != pj.EndAt {
-						t.Errorf("incremental=%v/%s/w%d: job %d diverged: %v@[%d,%d] vs %v@[%d,%d]",
-							incremental, policy, workers, id,
-							sj.State, sj.StartAt, sj.EndAt, pj.State, pj.StartAt, pj.EndAt)
-					}
-				}
-			}
+	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
+		seq := newSchedOpts(t, policy, 1, 4, 4, WithMatchWorkers(1))
+		runWorkload(t, seq)
+		ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
+		runWorkload(t, ref)
+		for _, workers := range []int{2, 4} {
+			par := newSchedOpts(t, policy, 1, 4, 4, WithMatchWorkers(workers))
+			runWorkload(t, par)
+			sameDecisions(t, fmt.Sprintf("%s/w%d vs w1", policy, workers), seq, par)
+			sameDecisions(t, fmt.Sprintf("%s/w%d vs reference", policy, workers), ref, par)
 		}
 	}
 }

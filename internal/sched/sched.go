@@ -3,10 +3,14 @@
 // EASY backfilling, and conservative backfilling (the paper's evaluation
 // policy, §6.2/§6.3).
 //
-// The scheduler drives Fluxion exactly the way flux-sched's qmanager does:
-// each scheduling cycle drops all standing reservations and re-plans the
-// pending queue front to back with MatchAllocateOrReserve, so reservations
-// always reflect the current resource-time state (paper §3.4).
+// Each scheduling cycle makes the decisions of flux-sched's qmanager loop
+// (paper §3.4): drop every standing reservation, then re-plan the pending
+// queue front to back with MatchAllocateOrReserve. The one engine
+// (incremental.go) reaches those decisions without redoing that work: it
+// re-matches only jobs a capacity delta may have unblocked and carries
+// still-valid reservations across cycles. reference_test.go states the
+// qmanager loop directly, as the test-only spec the engine is checked
+// against.
 package sched
 
 import (
@@ -236,11 +240,6 @@ type Scheduler struct {
 	// moves the job to StateFailed. 0 = unbounded retries.
 	maxRetries int
 
-	// incremental enables the event-driven engine: blocked jobs are
-	// skipped until a capacity delta intersects their blocking signature,
-	// and reservations are carried across cycles (incremental.go). Off,
-	// every cycle re-plans the whole queue (flux-sched qmanager style).
-	incremental bool
 	// wakeup buffers capacity deltas between cycles; plan and directives
 	// are reusable per-cycle scratch.
 	wakeup     wakeupIndex
@@ -292,19 +291,10 @@ func WithMaxRetries(n int) SchedOption {
 
 // WithMatchWorkers sets how many traverser workers speculatively match
 // pending jobs concurrently during each scheduling cycle (the parallel
-// match pipeline). n <= 1 (the default) keeps the sequential loop. See
-// parallel.go for the commit-ordering semantics.
+// match pipeline). n <= 1 (the default) matches sequentially. See
+// incremental.go for the commit-ordering semantics.
 func WithMatchWorkers(n int) SchedOption {
 	return func(s *Scheduler) { s.matchWorkers = n }
-}
-
-// WithIncremental toggles the event-driven incremental engine (default
-// on). Off restores the full-requeue loop: every cycle cancels all
-// reservations and re-plans the entire pending queue. Scheduling
-// decisions (which jobs start, when, and in what state) are identical
-// either way; only the work per cycle differs.
-func WithIncremental(on bool) SchedOption {
-	return func(s *Scheduler) { s.incremental = on }
 }
 
 // Stats counts scheduling work, surfacing what the incremental engine
@@ -361,13 +351,12 @@ func New(tr *traverser.Traverser, policy QueuePolicy, opts ...SchedOption) (*Sch
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPolicy, policy)
 	}
 	s := &Scheduler{
-		tr:          tr,
-		policy:      policy,
-		now:         tr.Graph().Base(),
-		jobs:        make(map[int64]*Job),
-		reserved:    make(map[int64]*Job),
-		maxRetries:  DefaultMaxRetries,
-		incremental: true,
+		tr:         tr,
+		policy:     policy,
+		now:        tr.Graph().Base(),
+		jobs:       make(map[int64]*Job),
+		reserved:   make(map[int64]*Job),
+		maxRetries: DefaultMaxRetries,
 	}
 	for _, o := range opts {
 		o(s)
@@ -377,12 +366,9 @@ func New(tr *traverser.Traverser, policy QueuePolicy, opts ...SchedOption) (*Sch
 	// sequential fallback, incremental wakeup) places a job identically,
 	// while concurrent speculators spread across disjoint candidates.
 	tr.EnableSteering()
-	if s.incremental {
-		// Subscribe to the store's capacity deltas. Publication is
-		// synchronous and the sink only buffers, so this is safe under
-		// graph locks.
-		tr.Graph().SetDeltaSink(s.wakeup.publish)
-	}
+	// Subscribe to the store's capacity deltas. Publication is synchronous
+	// and the sink only buffers, so this is safe under graph locks.
+	tr.Graph().SetDeltaSink(s.wakeup.publish)
 	return s, nil
 }
 
@@ -467,9 +453,7 @@ func (s *Scheduler) compiledSpec(job *Job) (*jobspec.Compiled, error) {
 type matchOp uint8
 
 const (
-	opAllocate matchOp = iota
-	opAllocateOrReserve
-	opSpeculate
+	opSpeculate matchOp = iota
 	opAllocateSig
 	opAllocateOrReserveSig
 )
@@ -497,10 +481,6 @@ func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch)
 		return nil, err
 	}
 	switch op {
-	case opAllocate:
-		return s.tr.MatchAllocateCompiled(job.ID, cjs, at)
-	case opAllocateOrReserve:
-		return s.tr.MatchAllocateOrReserveCompiled(job.ID, cjs, at)
 	case opSpeculate:
 		return s.tr.MatchSpeculateCompiledEpoch(job.ID, cjs, at, ep)
 	case opAllocateSig:
@@ -522,19 +502,7 @@ func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch)
 	}
 }
 
-// matchAllocate matches job at time `at`, charging one attempt.
-func (s *Scheduler) matchAllocate(job *Job, at int64) (*traverser.Allocation, error) {
-	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocate, job, at, nil)
-}
-
-// matchAllocateOrReserve is matchAllocate's allocate-else-reserve form.
-func (s *Scheduler) matchAllocateOrReserve(job *Job, at int64) (*traverser.Allocation, error) {
-	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocateOrReserve, job, at, nil)
-}
-
-// matchSpeculate is matchAllocate's speculative form (parallel pipeline),
+// matchSpeculate is matchAllocateSig's speculative form (parallel pipeline),
 // matching lock-free against ep, the MVCC epoch its batch pinned. It runs
 // on worker goroutines: the attempt counter is charged by speculateBatch
 // after the barrier, not here. With a defense layer the fence runs on the
@@ -544,14 +512,15 @@ func (s *Scheduler) matchSpeculate(job *Job, at int64, ep *resgraph.Epoch) (*tra
 	return s.dispatchMatch(opSpeculate, job, at, ep)
 }
 
-// matchAllocateSig is matchAllocate with blocking-signature capture.
+// matchAllocateSig matches job at time `at`, charging one attempt and
+// capturing a blocking signature on failure.
 func (s *Scheduler) matchAllocateSig(job *Job, at int64) (*traverser.Allocation, error) {
 	s.stats.MatchAttempts++
 	return s.dispatchMatch(opAllocateSig, job, at, nil)
 }
 
-// matchAllocateOrReserveSig is matchAllocateOrReserve with signature
-// capture covering the reservation probe.
+// matchAllocateOrReserveSig is matchAllocateSig's allocate-else-reserve
+// form; the captured signature covers the reservation probe.
 func (s *Scheduler) matchAllocateOrReserveSig(job *Job, at int64) (*traverser.Allocation, error) {
 	s.stats.MatchAttempts++
 	return s.dispatchMatch(opAllocateOrReserveSig, job, at, nil)
@@ -571,14 +540,12 @@ func (s *Scheduler) enqueue(job *Job) {
 }
 
 // Schedule runs one scheduling cycle at the current simulated time under
-// the queue policy. With the incremental engine (the default) the cycle
-// re-attempts only jobs whose blocking signature intersects a capacity
-// delta since the last cycle, carrying valid reservations over
-// (incremental.go). With WithIncremental(false) all standing reservations
-// are dropped and the pending queue is re-planned front to back. Either
-// way, with WithMatchWorkers(n > 1) the immediate-fit matching fans out
-// across a worker pool (parallel.go); otherwise the queue is planned
-// sequentially.
+// the queue policy. The cycle re-attempts only jobs whose blocking
+// signature intersects a capacity delta since the last cycle, and carries
+// valid reservations over; its decisions are those of the qmanager loop
+// that drops every reservation and re-plans the whole queue
+// (incremental.go). With WithMatchWorkers(n > 1) the cycle's attempts
+// are speculated across a worker pool and committed in queue order.
 func (s *Scheduler) Schedule() {
 	s.jBegin()
 	defer s.jEnd()
@@ -597,91 +564,20 @@ func (s *Scheduler) Schedule() {
 		}
 	}
 
+	s.wakeup.drain(s.now, &s.plan)
+	// Mute the sink for the cycle: our own cancels and matches are
+	// ordered by the queue walk and must not wake next cycle.
+	s.wakeup.mute(true)
+	defer s.wakeup.mute(false)
+	// Batch the cycle's epoch transitions: speculation batches pin one
+	// pre-cycle epoch and every mutation the cycle commits publishes as a
+	// single transition at cycle end. Registered after the mute defer so
+	// (LIFO) the batch closes — flushing its buffered deltas — while the
+	// sink is still muted.
 	g := s.tr.Graph()
-	if s.incremental {
-		s.wakeup.drain(s.now, &s.plan)
-		// Mute the sink for the cycle: our own cancels and matches are
-		// ordered by the queue walk and must not wake next cycle.
-		s.wakeup.mute(true)
-		defer s.wakeup.mute(false)
-		// Batch the cycle's epoch transitions: speculation batches pin one
-		// pre-cycle epoch and every mutation the cycle commits publishes as
-		// a single transition at cycle end. Registered after the mute defer
-		// so (LIFO) the batch closes — flushing its buffered deltas — while
-		// the sink is still muted.
-		g.BeginEpochBatch()
-		defer g.EndEpochBatch()
-		s.scheduleIncremental()
-		return
-	}
-
 	g.BeginEpochBatch()
 	defer g.EndEpochBatch()
-
-	for id := range s.reserved {
-		s.demote(s.reserved[id])
-	}
-
-	if s.cycleWorkers() > 1 {
-		s.scheduleParallel()
-		return
-	}
-	s.scheduleSequential()
-}
-
-// scheduleSequential plans the pending queue front to back on the calling
-// goroutine.
-func (s *Scheduler) scheduleSequential() {
-	still := s.pending[:0]
-	blocked := false // FCFS: stop at first failure; EASY: head reserved
-	planned := 0
-	depth := s.planBound()
-	for _, job := range s.pending {
-		if job.State != StatePending {
-			continue
-		}
-		if depth > 0 && planned >= depth {
-			still = append(still, job)
-			continue
-		}
-		planned++
-		var alloc *traverser.Allocation
-		var err error
-		start := time.Now()
-		switch {
-		case s.policy == FCFS:
-			if blocked {
-				err = traverser.ErrNoMatch
-			} else {
-				alloc, err = s.matchAllocate(job, s.now)
-			}
-		case blocked && s.shedBackfill():
-			// Degraded: shed the backfill probe behind the blocked head
-			// (the cycle watchdog's first ladder rung).
-			err = traverser.ErrNoMatch
-		case s.policy == EASY && blocked:
-			alloc, err = s.matchAllocate(job, s.now)
-		default: // Conservative always; EASY head
-			alloc, err = s.matchAllocateOrReserve(job, s.now)
-		}
-		job.MatchDuration += time.Since(start)
-		switch {
-		case job.poisoned:
-			// Quarantine without touching `blocked`: jobs behind see the
-			// schedule of a run where this job never existed.
-			s.quarantinePoisoned(job)
-		case err != nil:
-			blocked = true
-			still = append(still, job)
-		case alloc.Reserved:
-			s.reserve(job, alloc)
-			blocked = true
-			still = append(still, job)
-		default:
-			s.start(job, alloc)
-		}
-	}
-	s.pending = still
+	s.scheduleIncremental()
 }
 
 // start transitions a job to running and schedules its completion. A
@@ -705,9 +601,8 @@ func (s *Scheduler) start(job *Job, alloc *traverser.Allocation) {
 	heap.Push(&s.events, event{at: job.EndAt, kind: evComplete, jobID: job.ID})
 }
 
-// reserve records a future reservation: the single chokepoint behind the
-// sequential, parallel, and incremental planners. The job keeps its
-// queue position (callers append it to the surviving pending list).
+// reserve records a future reservation. The job keeps its queue position
+// (callers append it to the surviving pending list).
 func (s *Scheduler) reserve(job *Job, alloc *traverser.Allocation) {
 	if s.journal != nil {
 		s.jrec(Rec{Kind: RecReserve, ID: job.ID, At: alloc.At, Duration: alloc.Duration,

@@ -18,8 +18,8 @@ import (
 //
 //   - structural deltas (topology or status changes) void every standing
 //     signature and reservation: everything wakes;
-//   - the free list is bounded; on overflow the cycle degrades to a
-//     structural-equivalent full wake rather than dropping deltas;
+//   - the free list is bounded; on overflow the cycle degrades to a full
+//     wake rather than dropping deltas;
 //   - claim deltas are ignored: new claims can never unblock a job, and
 //     the cycle that created them already accounted for them in queue
 //     order.
@@ -36,6 +36,7 @@ type wakeupIndex struct {
 	mu         sync.Mutex
 	muted      bool
 	structural bool
+	overflow   bool // frees were dropped: wake as if structural
 	frees      []resgraph.Delta
 }
 
@@ -54,11 +55,11 @@ func (w *wakeupIndex) publish(d resgraph.Delta) {
 		w.structural = true
 		w.frees = w.frees[:0]
 	case resgraph.DeltaFree:
-		if w.structural {
+		if w.structural || w.overflow {
 			return // already waking everything
 		}
 		if len(w.frees) >= maxFreeDeltas {
-			w.structural = true
+			w.overflow = true
 			w.frees = w.frees[:0]
 			return
 		}
@@ -94,6 +95,7 @@ func (w *wakeupIndex) drain(now int64, plan *cyclePlan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	plan.structural = w.structural
+	plan.overflow = w.overflow
 	plan.frees = plan.frees[:0]
 	for _, f := range w.frees {
 		if f.To > now {
@@ -101,18 +103,22 @@ func (w *wakeupIndex) drain(now int64, plan *cyclePlan) {
 		}
 	}
 	w.structural = false
+	w.overflow = false
 	w.frees = w.frees[:0]
 }
 
-// cyclePlan is one cycle's drained delta view.
+// cyclePlan is one cycle's drained delta view. overflow means frees were
+// published but not kept, so every signature and reservation is treated
+// as hit.
 type cyclePlan struct {
 	structural bool
+	overflow   bool
 	frees      []resgraph.Delta
 }
 
 // empty reports whether the plan carries no wake information at all.
 func (p *cyclePlan) empty() bool {
-	return !p.structural && len(p.frees) == 0
+	return !p.structural && !p.overflow && len(p.frees) == 0
 }
 
 // wakes decides whether a blocked job must be re-attempted at `now`,
@@ -120,7 +126,7 @@ func (p *cyclePlan) empty() bool {
 // (accumulation across cycles: a shortfall relieved half now and half in
 // a later cycle still wakes). Call it exactly once per job per cycle.
 func (p *cyclePlan) wakes(sig *traverser.BlockSig, now int64) bool {
-	if p.structural || !sig.Valid {
+	if p.structural || p.overflow || !sig.Valid {
 		return true
 	}
 	if now >= sig.HintAt {
@@ -165,12 +171,19 @@ func (p *cyclePlan) wakes(sig *traverser.BlockSig, now int64) bool {
 }
 
 // invalidates decides whether a standing reservation must be dropped and
-// re-planned: any structural change, or any free overlapping the
+// re-planned: any structural change, any free overlapping the
 // reservation's window — earlier-starting capacity may now admit the job
-// sooner, and conservatively re-planning is always sound. Frees are not
+// sooner — or frees the plan did not keep. Conservatively re-planning is
+// always sound.
+func (p *cyclePlan) invalidates(job *Job, now int64) bool {
+	return p.overflow || p.changed(job, now)
+}
+
+// changed is invalidates on the deltas the plan kept: a structural change
+// or a kept free overlapping the reservation's window. Frees are not
 // type-filtered: shared structural grants (racks, switches) consumed by
 // the reservation are not in the jobspec's totals.
-func (p *cyclePlan) invalidates(job *Job, now int64) bool {
+func (p *cyclePlan) changed(job *Job, now int64) bool {
 	if p.structural || job.Alloc == nil {
 		return true
 	}

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"fluxion/internal/grug"
-	"fluxion/internal/resgraph"
-	"fluxion/internal/sched"
 	"fluxion/internal/shard"
 	"fluxion/internal/trace"
 )
@@ -38,27 +36,8 @@ func runSharded(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	if shardChaos && sup == nil {
 		sup = &shard.SupervisorConfig{}
 	}
-	spec := cfg.PruneSpec
-	if spec == nil {
-		spec = resgraph.PruneSpec{resgraph.ALL: {"core", "node"}}
-	}
-	qp := cfg.QueuePolicy
-	if qp == "" {
-		qp = sched.Conservative
-	}
-	var sopts []sched.SchedOption
-	if cfg.QueueDepth > 0 {
-		sopts = append(sopts, sched.WithQueueDepth(cfg.QueueDepth))
-	}
-	if cfg.MaxRetries > 0 {
-		sopts = append(sopts, sched.WithMaxRetries(cfg.MaxRetries))
-	}
-	if cfg.MatchWorkers > 1 {
-		sopts = append(sopts, sched.WithMatchWorkers(cfg.MatchWorkers))
-	}
-	sopts = append(sopts, sched.WithIncremental(!cfg.FullRequeue))
-
-	g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, spec)
+	su := cfg.setup()
+	g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, su.prune)
 	if err != nil {
 		return nil, err
 	}
@@ -71,9 +50,8 @@ func runSharded(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		Shards:      cfg.Shards,
 		CutType:     cut,
 		MatchPolicy: cfg.MatchPolicy,
-		Queue:       qp,
-		SchedOpts:   sopts,
-		Defense:     cfg.Defense,
+		Queue:       su.queue,
+		SchedOpts:   su.opts,
 		Supervisor:  sup,
 	})
 	if err != nil {
@@ -83,16 +61,7 @@ func runSharded(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		sh.SetCycleHook(plan.ShardHook())
 	}
 
-	mp := cfg.MatchPolicy
-	if mp == "" {
-		mp = "first"
-	}
-	engine := "incremental"
-	if cfg.FullRequeue {
-		engine = "full-requeue"
-	}
-	fmt.Fprintf(out, "system: %s\n", g.Stats())
-	fmt.Fprintf(out, "policies: match=%s queue=%s engine=%s; %d jobs\n", mp, qp, engine, len(jobs))
+	su.banner(out, cfg, g, len(jobs))
 	fmt.Fprintf(out, "shards: %d cut=%s\n", cfg.Shards, cut)
 	if cfg.MatchWorkers > 1 {
 		fmt.Fprintf(out, "match workers: %d per shard (parallel match pipeline)\n", cfg.MatchWorkers)

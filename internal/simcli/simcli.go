@@ -64,11 +64,6 @@ type Config struct {
 	// checkpoint, and verifies the resumed run reaches the same terminal
 	// state.
 	Drill bool
-	// FullRequeue disables the event-driven incremental engine: every
-	// cycle cancels all reservations and re-plans the whole pending queue
-	// (the pre-incremental behavior, kept as an escape hatch and as the
-	// baseline for experiments).
-	FullRequeue bool
 
 	// Shards > 1 runs the sharded scheduler (internal/shard): the graph
 	// is partitioned into subtree shards cut at ShardCut, each with its
@@ -145,6 +140,48 @@ type Result struct {
 	// WALDegraded reports that a storage fault disabled durability
 	// mid-run (the run completed non-durably).
 	WALDegraded bool
+}
+
+// schedSetup is the scheduler configuration every run derives from a
+// Config: the prune spec and queue policy with defaults applied, and the
+// sched options (flat, sharded and drill-resumed schedulers share it).
+type schedSetup struct {
+	prune resgraph.PruneSpec
+	queue sched.QueuePolicy
+	opts  []sched.SchedOption
+}
+
+func (cfg *Config) setup() schedSetup {
+	su := schedSetup{prune: cfg.PruneSpec, queue: cfg.QueuePolicy}
+	if su.prune == nil {
+		su.prune = resgraph.PruneSpec{resgraph.ALL: {"core", "node"}}
+	}
+	if su.queue == "" {
+		su.queue = sched.Conservative
+	}
+	if cfg.QueueDepth > 0 {
+		su.opts = append(su.opts, sched.WithQueueDepth(cfg.QueueDepth))
+	}
+	if cfg.MaxRetries > 0 {
+		su.opts = append(su.opts, sched.WithMaxRetries(cfg.MaxRetries))
+	}
+	if cfg.MatchWorkers > 1 {
+		su.opts = append(su.opts, sched.WithMatchWorkers(cfg.MatchWorkers))
+	}
+	if cfg.Defense != nil {
+		su.opts = append(su.opts, sched.WithDefense(*cfg.Defense))
+	}
+	return su
+}
+
+// banner prints the system and policy lines that open every report.
+func (su schedSetup) banner(out io.Writer, cfg Config, g *resgraph.Graph, jobs int) {
+	mp := cfg.MatchPolicy
+	if mp == "" {
+		mp = "first"
+	}
+	fmt.Fprintf(out, "system: %s\n", g.Stats())
+	fmt.Fprintf(out, "policies: match=%s queue=%s; %d jobs\n", mp, su.queue, jobs)
 }
 
 // loopTarget is the discrete-event scheduler surface the looper drives,
@@ -275,31 +312,10 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		// would false-fail.
 		return nil, fmt.Errorf("simcli: the crash-recovery drill requires sequential matching (match workers <= 1)")
 	}
-	spec := cfg.PruneSpec
-	if spec == nil {
-		spec = resgraph.PruneSpec{resgraph.ALL: {"core", "node"}}
-	}
-	qp := cfg.QueuePolicy
-	if qp == "" {
-		qp = sched.Conservative
-	}
-	var sopts []sched.SchedOption
-	if cfg.QueueDepth > 0 {
-		sopts = append(sopts, sched.WithQueueDepth(cfg.QueueDepth))
-	}
-	if cfg.MaxRetries > 0 {
-		sopts = append(sopts, sched.WithMaxRetries(cfg.MaxRetries))
-	}
-	if cfg.MatchWorkers > 1 {
-		sopts = append(sopts, sched.WithMatchWorkers(cfg.MatchWorkers))
-	}
-	sopts = append(sopts, sched.WithIncremental(!cfg.FullRequeue))
-	if cfg.Defense != nil {
-		sopts = append(sopts, sched.WithDefense(*cfg.Defense))
-	}
+	su := cfg.setup()
 
 	fresh := func() (*fluxion.Fluxion, *sched.Scheduler, error) {
-		g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, spec)
+		g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, su.prune)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -307,7 +323,7 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		s, err := sched.New(f.Traverser(), qp, sopts...)
+		s, err := sched.New(f.Traverser(), su.queue, su.opts...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -335,9 +351,9 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		if st.Recovered() {
 			f, s, err = st.Restore(fresh, []fluxion.Option{
 				fluxion.WithPolicy(cfg.MatchPolicy),
-				fluxion.WithPruneSpec(spec),
+				fluxion.WithPruneSpec(su.prune),
 				fluxion.WithHorizon(simHorizon),
-			}, sopts)
+			}, su.opts)
 			if err != nil {
 				return nil, fmt.Errorf("simcli: wal recovery: %w", err)
 			}
@@ -359,16 +375,7 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 		s.SetMatchHook(plan.MatchHook())
 	}
 
-	mp := cfg.MatchPolicy
-	if mp == "" {
-		mp = "first"
-	}
-	engine := "incremental"
-	if cfg.FullRequeue {
-		engine = "full-requeue"
-	}
-	fmt.Fprintf(out, "system: %s\n", g.Stats())
-	fmt.Fprintf(out, "policies: match=%s queue=%s engine=%s; %d jobs\n", mp, qp, engine, len(jobs))
+	su.banner(out, cfg, g, len(jobs))
 	if cfg.MatchWorkers > 1 {
 		fmt.Fprintf(out, "match workers: %d (parallel match pipeline)\n", cfg.MatchWorkers)
 	}
@@ -479,7 +486,7 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	if cp != nil {
 		res.DrillRan = true
 		var err error
-		res.DrillOK, err = runDrill(cfg, spec, jobs, cp, s, out)
+		res.DrillOK, err = runDrill(cfg, su, jobs, cp, s, out)
 		if err != nil {
 			return nil, err
 		}
@@ -505,11 +512,11 @@ type drillCheckpoint struct {
 // runDrill rebuilds scheduler + store from the checkpoint, replays the
 // remainder of the trace on the rebuilt instance, and compares every
 // job's terminal state against the uninterrupted run.
-func runDrill(cfg Config, spec resgraph.PruneSpec, jobs []trace.Job,
+func runDrill(cfg Config, su schedSetup, jobs []trace.Job,
 	cp *drillCheckpoint, orig *sched.Scheduler, out io.Writer) (bool, error) {
 	f2, err := fluxion.Restore(cp.resource,
 		fluxion.WithPolicy(cfg.MatchPolicy),
-		fluxion.WithPruneSpec(spec),
+		fluxion.WithPruneSpec(su.prune),
 		fluxion.WithHorizon(simHorizon))
 	if err != nil {
 		return false, fmt.Errorf("simcli: drill restore: %w", err)
@@ -518,11 +525,7 @@ func runDrill(cfg Config, spec resgraph.PruneSpec, jobs []trace.Job,
 	for _, j := range jobs {
 		specs[j.ID] = j.Jobspec()
 	}
-	sopts := []sched.SchedOption{sched.WithIncremental(!cfg.FullRequeue)}
-	if cfg.Defense != nil {
-		sopts = append(sopts, sched.WithDefense(*cfg.Defense))
-	}
-	s2, err := sched.Resume(f2.Traverser(), cp.sched, specs, sopts...)
+	s2, err := sched.Resume(f2.Traverser(), cp.sched, specs, su.opts...)
 	if err != nil {
 		return false, fmt.Errorf("simcli: drill resume: %w", err)
 	}

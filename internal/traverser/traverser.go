@@ -830,8 +830,8 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		// racing for the head of the same list. The rotation applies on
 		// every path (speculative and sequential alike), making a job's
 		// placement a pure function of (jobID, graph state) — speculation
-		// and its sequential fallback agree, which keeps full, incremental,
-		// and parallel runs decision-identical.
+		// and its sequential fallback agree, which keeps sequential and
+		// parallel runs decision-identical.
 		m.rot = splitmix64(uint64(jobID))
 	}
 	if !m.matchForest(root, cjs.Roots(), false) {
