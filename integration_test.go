@@ -6,6 +6,7 @@ package fluxion
 // drift from it, and that cancellation restores the store exactly.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -19,61 +20,80 @@ import (
 // checkFilterConsistency verifies, for every filter-carrying vertex and
 // tracked type, that the filter's busy amount at one instant equals the
 // sum of planner usage across the subtree at that instant — i.e. SDFU kept
-// aggregates exact. (Instantaneous windows are required: the minimum of an
-// aggregate over a window is not the sum of per-vertex window minimums.)
+// aggregates exact — and that the member's pool size equals the in-service
+// capacity of that type in the subtree, which MarkDown/MarkUp and
+// Attach/Detach keep through ID-keyed filter updates. (Instantaneous
+// windows are required: the minimum of an aggregate over a window is not
+// the sum of per-vertex window minimums.)
 func checkFilterConsistency(t *testing.T, g *resgraph.Graph, at int64) {
 	const dur = 1
 	t.Helper()
-	var subtreeBusy func(v *resgraph.Vertex, typ string) int64
-	subtreeBusy = func(v *resgraph.Vertex, typ string) int64 {
-		var busy int64
+	var subtree func(v *resgraph.Vertex, typ string) (busy, up int64)
+	subtree = func(v *resgraph.Vertex, typ string) (busy, up int64) {
 		if v.Type == typ {
 			avail, err := v.Planner().AvailDuring(at, dur)
 			if err != nil {
 				t.Fatal(err)
 			}
 			busy += v.Size - avail
+			if v.Status == resgraph.StatusUp {
+				up += v.Size
+			}
 		}
 		v.EachChild(resgraph.Containment, func(c *resgraph.Vertex) bool {
-			busy += subtreeBusy(c, typ)
+			b, u := subtree(c, typ)
+			busy, up = busy+b, up+u
 			return true
 		})
-		return busy
+		return busy, up
 	}
 	for _, v := range g.Vertices() {
 		f := v.Filter()
 		if f == nil {
 			continue
 		}
-		for _, typ := range f.Types() {
-			p := f.Planner(typ)
+		for _, id := range f.IDs() {
+			typ, p := g.Types().Name(id), f.PlannerByID(id)
 			avail, err := p.AvailDuring(at, dur)
 			if err != nil {
 				t.Fatal(err)
 			}
-			filterBusy := p.Total() - avail
-			truth := subtreeBusy(v, typ)
-			if filterBusy != truth {
+			busy, up := subtree(v, typ)
+			if filterBusy := p.Total() - avail; filterBusy != busy {
 				t.Fatalf("filter drift at %s type %s window [%d,%d): filter busy %d, subtree busy %d",
-					v.Path(), typ, at, at+dur, filterBusy, truth)
+					v.Path(), typ, at, at+dur, filterBusy, busy)
+			}
+			if p.Total() != up {
+				t.Fatalf("filter pool drift at %s type %s: filter total %d, subtree up capacity %d",
+					v.Path(), typ, p.Total(), up)
 			}
 		}
 	}
 }
 
-// checkDrained verifies every planner and filter is fully available.
+// checkDrained verifies every planner and filter member holds no spans.
 func checkDrained(t *testing.T, g *resgraph.Graph) {
 	t.Helper()
 	for _, v := range g.Vertices() {
 		if v.Planner().SpanCount() != 0 {
 			t.Fatalf("%s still holds %d spans", v.Path(), v.Planner().SpanCount())
 		}
-		if f := v.Filter(); f != nil && f.SpanCount() != 0 {
-			t.Fatalf("%s filter still holds %d spans", v.Path(), f.SpanCount())
+		f := v.Filter()
+		if f == nil {
+			continue
+		}
+		for _, id := range f.IDs() {
+			if n := f.PlannerByID(id).SpanCount(); n != 0 {
+				t.Fatalf("%s filter member %s still holds %d spans", v.Path(), g.Types().Name(id), n)
+			}
 		}
 	}
 }
 
+// TestInvariantRandomWorkload drives allocations, reservations and
+// cancellations interleaved with node and rack failures and repairs and
+// with grown and shrunk nodes, checking the filters against the per-vertex
+// ground truth as it goes and that a full drain leaves nothing planned.
 func TestInvariantRandomWorkload(t *testing.T) {
 	g, err := grug.BuildGraph(grug.Small(3, 4, 8, 32, 100), 0, 1<<30,
 		resgraph.PruneSpec{resgraph.ALL: {"core", "node", "memory", "bb"}})
@@ -85,9 +105,30 @@ func TestInvariantRandomWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
-	type live struct{ id int64 }
-	var jobs []live
+	jobs := map[int64]bool{}
+	var order []int64 // live job IDs in submission order, for reproducible picks
 	nextID := int64(1)
+	var grown []*resgraph.Vertex
+	drop := func(id int64) {
+		delete(jobs, id)
+		for i, j := range order {
+			if j == id {
+				order = append(order[:i], order[i+1:]...)
+				return
+			}
+		}
+	}
+	pick := func(types ...string) *resgraph.Vertex {
+		var vs []*resgraph.Vertex
+		for _, v := range g.Vertices() {
+			for _, typ := range types {
+				if v.Type == typ {
+					vs = append(vs, v)
+				}
+			}
+		}
+		return vs[rng.Intn(len(vs))]
+	}
 
 	shapes := []func(dur int64) *jobspec.Jobspec{
 		func(d int64) *jobspec.Jobspec { return jobspec.NodeLocal(1, 1, 3, 8, 10, d) },
@@ -102,9 +143,10 @@ func TestInvariantRandomWorkload(t *testing.T) {
 		},
 	}
 
-	for op := 0; op < 600; op++ {
-		switch {
-		case len(jobs) == 0 || rng.Intn(100) < 55:
+	var downs, ups, grows, shrinks int
+	for op := 0; op < 900; op++ {
+		switch k := rng.Intn(100); {
+		case len(order) == 0 || k < 50:
 			d := int64(rng.Intn(500)) + 10
 			spec := shapes[rng.Intn(len(shapes))](d)
 			at := int64(rng.Intn(200))
@@ -115,25 +157,69 @@ func TestInvariantRandomWorkload(t *testing.T) {
 				_, err = tr.MatchAllocateOrReserve(nextID, spec, at)
 			}
 			if err == nil {
-				jobs = append(jobs, live{nextID})
+				jobs[nextID] = true
+				order = append(order, nextID)
 				nextID++
 			}
-		default:
-			i := rng.Intn(len(jobs))
-			if err := tr.Cancel(jobs[i].id); err != nil {
-				t.Fatalf("op %d: cancel %d: %v", op, jobs[i].id, err)
+		case k < 84:
+			id := order[rng.Intn(len(order))]
+			if err := tr.Cancel(id); err != nil {
+				t.Fatalf("op %d: cancel %d: %v", op, id, err)
 			}
-			jobs = append(jobs[:i], jobs[i+1:]...)
+			drop(id)
+		case k < 90:
+			evicted, err := tr.MarkDown(pick("node", "rack").Path())
+			if err != nil {
+				t.Fatalf("op %d: MarkDown: %v", op, err)
+			}
+			for _, a := range evicted {
+				if !jobs[a.JobID] {
+					t.Fatalf("op %d: MarkDown evicted unknown job %d", op, a.JobID)
+				}
+				drop(a.JobID)
+			}
+			downs++
+		case k < 96:
+			if err := tr.MarkUp(pick("node", "rack").Path()); err != nil {
+				t.Fatalf("op %d: MarkUp: %v", op, err)
+			}
+			ups++
+		case k < 98:
+			sub, err := grug.Build(g, &grug.Recipe{Root: grug.N("node", 1, grug.N("core", 8), grug.N("memory", 1))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Attach(pick("rack"), sub); err != nil {
+				t.Fatalf("op %d: Attach: %v", op, err)
+			}
+			grown = append(grown, sub)
+			grows++
+		default:
+			if len(grown) == 0 {
+				continue
+			}
+			i := rng.Intn(len(grown))
+			switch err := g.Detach(grown[i]); {
+			case err == nil:
+				grown = append(grown[:i], grown[i+1:]...)
+				shrinks++
+			case !errors.Is(err, resgraph.ErrBusy):
+				t.Fatalf("op %d: Detach: %v", op, err)
+			}
 		}
-		if op%50 == 0 {
+		if op%10 == 0 {
 			checkFilterConsistency(t, g, int64(rng.Intn(400)))
 		}
 	}
-	for _, j := range jobs {
-		if err := tr.Cancel(j.id); err != nil {
+	if downs == 0 || ups == 0 || grows == 0 || shrinks == 0 {
+		t.Fatalf("workload skipped an operation: %d downs, %d ups, %d grows, %d shrinks", downs, ups, grows, shrinks)
+	}
+	for _, id := range order {
+		if err := tr.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	checkFilterConsistency(t, g, 0)
 	checkDrained(t, g)
 }
 

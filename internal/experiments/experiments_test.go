@@ -26,16 +26,28 @@ func TestLODSmallScale(t *testing.T) {
 		}
 	}
 	// Expected shapes: pruning helps at High LOD; coarser LODs are
-	// cheaper than High without pruning.
-	byName := map[string]LODResult{}
-	for _, r := range results {
-		byName[r.Config] = r
+	// cheaper than High without pruning. Each config fills in a few
+	// milliseconds, so one GC pause or preemption can flip a single
+	// comparison: compare the fastest of several fills of each config.
+	best := map[string]time.Duration{}
+	for rep := 0; ; rep++ {
+		for _, r := range results {
+			if b, ok := best[r.Config]; !ok || r.Total < b {
+				best[r.Config] = r.Total
+			}
+		}
+		if rep == 4 {
+			break
+		}
+		if results, err = RunLOD(2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if byName["High Prune"].Total > byName["High"].Total {
-		t.Errorf("pruning slower at High: %v > %v", byName["High Prune"].Total, byName["High"].Total)
+	if best["High Prune"] > best["High"] {
+		t.Errorf("pruning slower at High: %v > %v", best["High Prune"], best["High"])
 	}
-	if byName["Low"].Total > byName["High"].Total {
-		t.Errorf("Low slower than High: %v > %v", byName["Low"].Total, byName["High"].Total)
+	if best["Low"] > best["High"] {
+		t.Errorf("Low slower than High: %v > %v", best["Low"], best["High"])
 	}
 	var buf bytes.Buffer
 	PrintLOD(&buf, results, 2)

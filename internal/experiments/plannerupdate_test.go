@@ -33,11 +33,18 @@ func staggered(b *testing.B, n int) map[string]e2Target {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := planner.NewMulti(0, 1<<40, map[string]int64{"core": total, "node": total})
+	// The Multi is a two-member filter (type IDs 0 and 1) driven the way
+	// SDFU and the match kernel drive one: a multi-span is one span per
+	// member, a fit test asks every member, and the earliest fit is the
+	// reservation iterator from just before `at`. Both members see the same
+	// add/remove sequence, so their span IDs stay in lockstep and one ID
+	// names the pair.
+	ids, units := []int32{0, 1}, make([]int64, 2)
+	m, err := planner.NewMulti(0, 1<<40, map[int32]int64{0: total, 1: total})
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := func(r int64) map[string]int64 { return map[string]int64{"core": r, "node": r} }
+	core, node := m.PlannerByID(0), m.PlannerByID(1)
 	targets := map[string]e2Target{
 		"Planner": {
 			add:    func(s, d int64) (int64, error) { return p.AddSpan(s, d, 1) },
@@ -47,11 +54,26 @@ func staggered(b *testing.B, n int) map[string]e2Target {
 			points: p.PointCount,
 		},
 		"Multi": {
-			add:    func(s, d int64) (int64, error) { return m.AddSpan(s, d, req(1)) },
-			remove: m.RemoveSpan,
-			first:  func(at, d, r int64) (int64, error) { return m.AvailTimeFirst(at, d, req(r)) },
-			fits:   func(at, d, r int64) bool { return m.CanFit(at, d, req(r)) },
-			points: m.Planner("core").PointCount,
+			add: func(s, d int64) (int64, error) {
+				id, err := core.AddSpan(s, d, 1)
+				if err != nil {
+					return id, err
+				}
+				_, err = node.AddSpan(s, d, 1)
+				return id, err
+			},
+			remove: func(id int64) error {
+				if err := core.RemoveSpan(id); err != nil {
+					return err
+				}
+				return node.RemoveSpan(id)
+			},
+			first: func(at, d, r int64) (int64, error) {
+				units[0], units[1] = r, r
+				return m.AvailPointTimeAfter(at-1, d, ids, units)
+			},
+			fits:   func(at, d, r int64) bool { return core.CanFit(at, d, r) && node.CanFit(at, d, r) },
+			points: core.PointCount,
 		},
 	}
 	for _, tg := range targets {

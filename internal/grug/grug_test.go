@@ -82,7 +82,8 @@ func TestQuartzPaper(t *testing.T) {
 	if agg["node"] != 2418 || agg["core"] != 87048 || agg["rack"] != 39 {
 		t.Fatalf("aggregates = %v", agg)
 	}
-	if g.Root(resgraph.Containment).Filter().Total("node") != 2418 {
+	nodeID, _ := g.Types().Lookup("node")
+	if g.Root(resgraph.Containment).Filter().PlannerByID(nodeID).Total() != 2418 {
 		t.Fatal("root node filter total")
 	}
 }

@@ -129,17 +129,9 @@ func (p *Planner) checkSPAug(n int32) (*schedPoint, error) {
 func (m *Multi) CheckInvariants() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	for _, rt := range m.types {
-		if err := m.byType[rt].CheckInvariants(); err != nil {
-			return fmt.Errorf("multi member %q: %w", rt, err)
-		}
-	}
-	// Every multi-span's members must still exist in their planners.
-	for id, members := range m.spans {
-		for _, ms := range members {
-			if _, err := m.byType[ms.rt].Span(ms.id); err != nil {
-				return fmt.Errorf("multi-span %d member %q/%d: %w", id, ms.rt, ms.id, err)
-			}
+	for _, id := range m.ids {
+		if err := m.byID[id].CheckInvariants(); err != nil {
+			return fmt.Errorf("multi member %d: %w", id, err)
 		}
 	}
 	return nil

@@ -2,7 +2,7 @@ package planner
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -12,107 +12,69 @@ import (
 // amount of one low-level resource type available in the subtree (paper
 // §3.4), and the root's Multi drives PlannerMultiAvailTimeFirst when
 // searching for the earliest time a whole request can be satisfied.
-// A Multi is safe for concurrent use: queries run under a reader lock and
-// member planners additionally lock themselves, while AddSpan/RemoveSpan/
-// Update serialize under the writer lock so multi-span registration stays
-// atomic with respect to concurrent readers.
+//
+// Members are keyed by interned resource type ID (the resource graph's
+// intern table) and held in a dense table indexed by that ID. A multi-span
+// is one span per requested member; its owner (the traverser's
+// allocation) records the member span IDs, so the Multi keeps no span
+// registry of its own. The lock guards the member table against Update
+// adding a member; member planners lock themselves.
 type Multi struct {
 	mu      sync.RWMutex
 	base    int64
 	horizon int64
-	types   []string // sorted, stable iteration order
-	byType  map[string]*Planner
-
-	// byID is the dense member-planner index built by IndexTypes: the
-	// match kernel resolves interned type IDs through it instead of the
-	// string map. idOf re-indexes types created later by Update.
-	byID []*Planner
-	idOf func(string) int32
-
-	spans      map[int64][]memberSpan // multi-span ID -> member spans
-	nextSpanID int64
-}
-
-// memberSpan records one member planner's span inside a multi-span.
-type memberSpan struct {
-	rt string
-	id int64
+	ids     []int32    // member type IDs, ascending
+	byID    []*Planner // indexed by type ID; nil for untracked types
 }
 
 // NewMulti creates a Multi covering [base, base+horizon) with one member
-// planner per entry of totals (resource type -> pool size). Types with a
-// non-positive total are rejected.
-func NewMulti(base, horizon int64, totals map[string]int64) (*Multi, error) {
+// planner per entry of totals (type ID -> pool size). Negative IDs and
+// non-positive totals are rejected.
+func NewMulti(base, horizon int64, totals map[int32]int64) (*Multi, error) {
 	if len(totals) == 0 {
 		return nil, fmt.Errorf("%w: no resource types", ErrInvalid)
 	}
-	m := &Multi{
-		base:       base,
-		horizon:    horizon,
-		byType:     make(map[string]*Planner, len(totals)),
-		spans:      make(map[int64][]memberSpan),
-		nextSpanID: 1,
-	}
-	for rt, total := range totals {
-		p, err := New(base, horizon, total, rt)
-		if err != nil {
-			return nil, fmt.Errorf("type %q: %w", rt, err)
+	m := &Multi{base: base, horizon: horizon}
+	for id, total := range totals {
+		if err := m.addMember(id, total); err != nil {
+			return nil, err
 		}
-		m.byType[rt] = p
-		m.types = append(m.types, rt)
 	}
-	sort.Strings(m.types)
 	return m, nil
 }
 
-// Types returns the member resource types in sorted order.
-func (m *Multi) Types() []string {
+// addMember installs a member planner of total units for type id; callers
+// hold m.mu or own m exclusively.
+func (m *Multi) addMember(id int32, total int64) error {
+	if id < 0 {
+		return fmt.Errorf("%w: type ID %d", ErrInvalid, id)
+	}
+	p, err := New(m.base, m.horizon, total, "")
+	if err != nil {
+		return fmt.Errorf("type %d: %w", id, err)
+	}
+	if int(id) >= len(m.byID) {
+		m.byID = append(m.byID, make([]*Planner, int(id)+1-len(m.byID))...)
+	}
+	m.byID[id] = p
+	i, _ := slices.BinarySearch(m.ids, id)
+	m.ids = slices.Insert(m.ids, i, id)
+	return nil
+}
+
+// IDs returns the member type IDs in ascending order.
+func (m *Multi) IDs() []int32 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]string(nil), m.types...)
+	return slices.Clone(m.ids)
 }
 
-// Planner returns the member planner for rt, or nil.
-func (m *Multi) Planner(rt string) *Planner {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.byType[rt]
-}
-
-// IndexTypes builds the dense member-planner index consulted by
-// PlannerByID, assigning each member type the ID idOf returns. idOf is
-// retained so member planners created later by Update are indexed too.
-// The resource graph calls this at filter-install time with its intern
-// table's ID function.
-func (m *Multi) IndexTypes(idOf func(string) int32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.idOf = idOf
-	m.reindex()
-}
-
-// reindex rebuilds byID from byType; callers hold m.mu.
-func (m *Multi) reindex() {
-	if m.idOf == nil {
-		return
-	}
-	max := int32(-1)
-	ids := make([]int32, len(m.types))
-	for i, rt := range m.types {
-		ids[i] = m.idOf(rt)
-		if ids[i] > max {
-			max = ids[i]
-		}
-	}
-	m.byID = make([]*Planner, max+1)
-	for i, rt := range m.types {
-		m.byID[ids[i]] = m.byType[rt]
-	}
-}
-
-// PlannerByID returns the member planner for an interned type ID, or
-// nil when the type is untracked (or IndexTypes was never called).
+// PlannerByID returns the member planner for an interned type ID, or nil
+// when the type is untracked or m is nil.
 func (m *Multi) PlannerByID(id int32) *Planner {
+	if m == nil {
+		return nil
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if id < 0 || int(id) >= len(m.byID) {
@@ -121,268 +83,63 @@ func (m *Multi) PlannerByID(id int32) *Planner {
 	return m.byID[id]
 }
 
-// ShortfallByID returns the missing units for an interned type ID over
-// [start, start+duration) — max(0, request - avail). Untracked types
-// have no shortfall: this filter cannot be what rejected them.
-func (m *Multi) ShortfallByID(id int32, start, duration, request int64) int64 {
-	p := m.PlannerByID(id)
-	if p == nil {
-		return 0
+// AvailPointTimeAfter returns the earliest member change point strictly
+// after `after` at which units[i] of every member type ids[i] fit for
+// duration; every ids[i] must be a member. Repeated calls with the
+// previous result walk the union of the members' fitting change points
+// (paper §3.4, Figure 2), skipping those where some other member is short.
+//
+// It is paper Algorithm 1 generalised over members: the first candidate is
+// the earliest fitting change point of any member, then every member in
+// turn pushes the candidate to its own earliest fit at or after it until
+// no member moves it. A member's fit can only get worse as a window slides
+// between two of its change points, so the fixpoint is the first union
+// point where all members fit.
+func (m *Multi) AvailPointTimeAfter(after, duration int64, ids []int32, units []int64) (int64, error) {
+	if len(ids) == 0 || len(ids) != len(units) {
+		return -1, fmt.Errorf("%w: %d type IDs vs %d counts", ErrInvalid, len(ids), len(units))
 	}
-	return p.ShortfallDuring(start, duration, request)
-}
-
-// Total returns the pool size for rt (0 if absent).
-func (m *Multi) Total(rt string) int64 {
-	m.mu.RLock()
-	p := m.byType[rt]
-	m.mu.RUnlock()
-	if p != nil {
-		return p.Total()
-	}
-	return 0
-}
-
-// SpanCount returns the number of live multi-spans.
-func (m *Multi) SpanCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.spans)
-}
-
-// checkRequest validates a request map against member planners. Types
-// absent from the Multi are an error; zero counts are ignored.
-func (m *Multi) checkRequest(request map[string]int64) error {
-	for rt, c := range request {
-		if c < 0 {
-			return fmt.Errorf("%w: negative count for %q", ErrInvalid, rt)
+	t := int64(-1)
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(m.byID) || m.byID[id] == nil {
+			return -1, fmt.Errorf("%w: untracked type ID %d", ErrInvalid, id)
 		}
-		if c == 0 {
-			continue
-		}
-		if m.byType[rt] == nil {
-			return fmt.Errorf("%w: unknown resource type %q", ErrInvalid, rt)
+		if x, err := m.byID[id].AvailPointTimeAfter(after, duration, units[i]); err == nil && (t < 0 || x < t) {
+			t = x
 		}
 	}
-	return nil
-}
-
-// CanFit reports whether every requested amount fits throughout
-// [start, start+duration) in its member planner.
-func (m *Multi) CanFit(start, duration int64, request map[string]int64) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.canFit(start, duration, request)
-}
-
-// canFit is CanFit without locking; callers hold m.mu.
-func (m *Multi) canFit(start, duration int64, request map[string]int64) bool {
-	if m.checkRequest(request) != nil {
-		return false
+	if t < 0 {
+		return -1, ErrNoSpace
 	}
-	for rt, c := range request {
-		if c == 0 {
-			continue
-		}
-		if !m.byType[rt].CanFit(start, duration, c) {
-			return false
-		}
-	}
-	return true
-}
-
-// AvailTimeFirst returns the earliest time t >= at at which every requested
-// amount is available for duration (paper: PlannerMultiAvailTimeFirst).
-// Candidate times are at itself and the availability change points of every
-// requested type; each candidate is validated against all member planners.
-func (m *Multi) AvailTimeFirst(at, duration int64, request map[string]int64) (int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := m.checkRequest(request); err != nil {
-		return -1, err
-	}
-	if m.canFit(at, duration, request) {
-		return at, nil
-	}
-	empty := true
-	for _, c := range request {
-		if c > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return at, nil
-	}
-	return m.nextCandidate(at, duration, request)
-}
-
-// nextCandidate walks the merged availability change points of all
-// requested types, strictly after `after`, and returns the first one at
-// which every member fits.
-func (m *Multi) nextCandidate(after, duration int64, request map[string]int64) (int64, error) {
-	t := after
 	for {
-		// Earliest next point among requested types where that type
-		// itself fits for duration.
-		var cand int64 = -1
-		for _, rt := range m.types {
-			c := request[rt]
-			if c == 0 {
-				continue
-			}
-			x, err := m.byType[rt].AvailPointTimeAfter(t, duration, c)
+		next := t
+		for i, id := range ids {
+			x, err := m.byID[id].AvailTimeFirst(t, duration, units[i])
 			if err != nil {
-				continue // no more points for this type
+				return -1, ErrNoSpace
 			}
-			if cand < 0 || x < cand {
-				cand = x
-			}
+			next = max(next, x)
 		}
-		if cand < 0 {
-			return -1, ErrNoSpace
+		if next == t {
+			return t, nil
 		}
-		if m.canFit(cand, duration, request) {
-			return cand, nil
-		}
-		t = cand
+		t = next
 	}
 }
 
-// AvailPointTimeAfter returns the earliest availability change point
-// strictly after `after` at which every requested amount fits for
-// duration. It drives reservation candidate-time iteration: each call with
-// the previous result advances to the next distinct point.
-func (m *Multi) AvailPointTimeAfter(after, duration int64, request map[string]int64) (int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := m.checkRequest(request); err != nil {
-		return -1, err
-	}
-	empty := true
-	for _, c := range request {
-		if c > 0 {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return -1, fmt.Errorf("%w: empty request has no change points", ErrInvalid)
-	}
-	return m.nextCandidate(after, duration, request)
-}
-
-// AddSpan plans every requested amount during [start, start+duration) and
-// returns a multi-span ID. The operation is atomic: if any member fails,
-// already-added member spans are rolled back.
-func (m *Multi) AddSpan(start, duration int64, request map[string]int64) (int64, error) {
+// Update grows or shrinks the pool of type id by delta units across the
+// horizon, creating the member planner on first growth of an untracked
+// type.
+func (m *Multi) Update(id int32, delta int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkRequest(request); err != nil {
-		return -1, err
+	if id >= 0 && int(id) < len(m.byID) && m.byID[id] != nil {
+		return m.byID[id].Update(delta)
 	}
-	var members []memberSpan
-	for _, rt := range m.types {
-		c := request[rt]
-		if c == 0 {
-			continue
-		}
-		id, err := m.byType[rt].AddSpan(start, duration, c)
-		if err != nil {
-			m.rollbackMembers(members)
-			return -1, fmt.Errorf("type %q: %w", rt, err)
-		}
-		members = append(members, memberSpan{rt: rt, id: id})
+	if delta <= 0 {
+		return fmt.Errorf("%w: untracked type ID %d", ErrInvalid, id)
 	}
-	id := m.nextSpanID
-	m.nextSpanID++
-	m.spans[id] = members
-	return id, nil
-}
-
-// AddSpanList is AddSpan with the request given as parallel type/count
-// slices instead of a map, for callers (SDFU) that accumulate requests
-// in reusable scratch buffers. Zero counts are skipped; unknown types
-// and negative counts fail with nothing planned. The operation is
-// atomic like AddSpan.
-func (m *Multi) AddSpanList(start, duration int64, types []string, counts []int64) (int64, error) {
-	if len(types) != len(counts) {
-		return -1, fmt.Errorf("%w: %d types vs %d counts", ErrInvalid, len(types), len(counts))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, rt := range types {
-		if counts[i] < 0 {
-			return -1, fmt.Errorf("%w: negative count for %q", ErrInvalid, rt)
-		}
-		if counts[i] > 0 && m.byType[rt] == nil {
-			return -1, fmt.Errorf("%w: unknown resource type %q", ErrInvalid, rt)
-		}
-	}
-	var members []memberSpan
-	for i, rt := range types {
-		c := counts[i]
-		if c == 0 {
-			continue
-		}
-		id, err := m.byType[rt].AddSpan(start, duration, c)
-		if err != nil {
-			m.rollbackMembers(members)
-			return -1, fmt.Errorf("type %q: %w", rt, err)
-		}
-		members = append(members, memberSpan{rt: rt, id: id})
-	}
-	id := m.nextSpanID
-	m.nextSpanID++
-	m.spans[id] = members
-	return id, nil
-}
-
-// rollbackMembers removes already-added member spans after a partial
-// failure; callers hold m.mu.
-func (m *Multi) rollbackMembers(members []memberSpan) {
-	for _, ms := range members {
-		_ = m.byType[ms.rt].RemoveSpan(ms.id)
-	}
-}
-
-// RemoveSpan unplans a multi-span.
-func (m *Multi) RemoveSpan(id int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	members, ok := m.spans[id]
-	if !ok {
-		return fmt.Errorf("%w: multi-span %d", ErrNotFound, id)
-	}
-	delete(m.spans, id)
-	var firstErr error
-	for _, ms := range members {
-		if err := m.byType[ms.rt].RemoveSpan(ms.id); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("type %q: %w", ms.rt, err)
-		}
-	}
-	return firstErr
-}
-
-// Update grows or shrinks the pool of rt by delta units across the horizon,
-// creating the member planner on first growth of an unknown type.
-func (m *Multi) Update(rt string, delta int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.byType[rt]
-	if p == nil {
-		if delta <= 0 {
-			return fmt.Errorf("%w: unknown resource type %q", ErrInvalid, rt)
-		}
-		np, err := New(m.base, m.horizon, delta, rt)
-		if err != nil {
-			return err
-		}
-		m.byType[rt] = np
-		m.types = append(m.types, rt)
-		sort.Strings(m.types)
-		m.reindex()
-		return nil
-	}
-	return p.Update(delta)
+	return m.addMember(id, delta)
 }

@@ -611,49 +611,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-// TestAvailPointTimeAfterAgainstReference cross-checks the augmented
-// SP-tree candidate iterator against brute force.
-func TestAvailPointTimeAfterAgainstReference(t *testing.T) {
-	const horizon, total = 300, 12
-	rng := rand.New(rand.NewSource(17))
-	p := MustNew(0, horizon, total, "x")
-	ref := newRef(total, horizon)
-	for i := 0; i < 120; i++ {
-		start := int64(rng.Intn(horizon - 1))
-		dur := int64(rng.Intn(int(int64(horizon)-start))) + 1
-		req := int64(rng.Intn(total)) + 1
-		if ref.availDuring(start, dur) >= req {
-			mustAdd(t, p, start, dur, req)
-			ref.add(start, dur, req)
-		}
-	}
-	// Collect the true point times.
-	pointTimes := map[int64]bool{}
-	p.Points(func(at, _ int64) bool { pointTimes[at] = true; return true })
-
-	for q := 0; q < 500; q++ {
-		after := int64(rng.Intn(horizon)) - 5
-		dur := int64(rng.Intn(40)) + 1
-		req := int64(rng.Intn(total)) + 1
-		got, err := p.AvailPointTimeAfter(after, dur, req)
-		// Reference: earliest point time > after where the window fits.
-		want := int64(-1)
-		for t2 := after + 1; t2+dur <= horizon; t2++ {
-			if pointTimes[t2] && ref.availDuring(t2, dur) >= req {
-				want = t2
-				break
-			}
-		}
-		if want == -1 {
-			if err == nil {
-				t.Fatalf("q%d: after=%d dur=%d req=%d: got %d, want none", q, after, dur, req, got)
-			}
-		} else if err != nil || got != want {
-			t.Fatalf("q%d: after=%d dur=%d req=%d: got %d (%v), want %d", q, after, dur, req, got, err, want)
-		}
-	}
-}
-
 // TestSPAugmentationValid verifies the prefix-sum aggregates of every SP
 // subtree after random mutations, recomputing each from the subtree's
 // in-order deltas rather than from its children.

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fluxion/internal/rbtree"
@@ -141,27 +142,21 @@ func (s *Snapshot) ShortfallDuring(start, duration, request int64) int64 {
 }
 
 // MultiSnapshot is the immutable counterpart of Multi: per-resource-type
-// snapshots indexed by the same dense interned type IDs Multi.IndexTypes
-// assigned. It backs the epoch view of a vertex's ancestor filter.
+// snapshots indexed by the same dense interned type IDs as Multi's member
+// table. It backs the epoch view of a vertex's ancestor filter.
 type MultiSnapshot struct {
 	byID []*Snapshot
 }
 
-// SnapshotByID captures every member planner indexed by IndexTypes. The
-// result is keyed exactly like the live Multi's PlannerByID.
-func (m *Multi) SnapshotByID() *MultiSnapshot {
-	return m.SnapshotByIDWith((*Planner).Snapshot)
-}
-
-// SnapshotByIDWith is SnapshotByID with member capture delegated to snap,
-// letting the caller substitute a caching capture: the resource graph
-// dedups the snapshots of flat planners (no spans), which at rest is
-// almost all of them, so an epoch holds O(distinct pool sizes) snapshot
-// objects instead of one per vertex.
+// SnapshotByIDWith captures every member planner, keyed exactly like the
+// live Multi's PlannerByID, with member capture delegated to snap so the
+// caller can substitute a caching capture: the resource graph dedups the
+// snapshots of flat planners (no spans), which at rest is almost all of
+// them, so an epoch holds O(distinct pool sizes) snapshot objects instead
+// of one per vertex.
 func (m *Multi) SnapshotByIDWith(snap func(p *Planner) *Snapshot) *MultiSnapshot {
 	m.mu.RLock()
-	byID := make([]*Planner, len(m.byID))
-	copy(byID, m.byID)
+	byID := slices.Clone(m.byID)
 	m.mu.RUnlock()
 	ms := &MultiSnapshot{byID: make([]*Snapshot, len(byID))}
 	for i, p := range byID {

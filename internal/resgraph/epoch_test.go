@@ -406,9 +406,11 @@ func (tw *epochTwin) step(t *testing.T) string {
 			return
 		}
 		if f := v.Filter(); f != nil && rng.Intn(3) == 0 {
-			if id, err := f.AddSpan(start, dur, map[string]int64{"core": 1}); err == nil {
-				tw.spans = append(tw.spans, twinSpan{v, id, true})
-				g.MarkEpochDirty(v)
+			if p := filterMember(v, "core"); p != nil {
+				if id, err := p.AddSpan(start, dur, 1); err == nil {
+					tw.spans = append(tw.spans, twinSpan{v, id, true})
+					g.MarkEpochDirty(v)
+				}
 			}
 			return
 		}
@@ -426,7 +428,7 @@ func (tw *epochTwin) step(t *testing.T) string {
 		tw.spans = append(tw.spans[:i], tw.spans[i+1:]...)
 		var err error
 		if sp.filter {
-			err = sp.v.Filter().RemoveSpan(sp.id)
+			err = filterMember(sp.v, "core").RemoveSpan(sp.id)
 		} else {
 			err = sp.v.Planner().RemoveSpan(sp.id)
 		}

@@ -452,7 +452,7 @@ func (g *Graph) Finalize() error {
 	// aggregates, exactly as a live MarkDown would have done.
 	for _, v := range g.vertices {
 		if v.Status == StatusDown {
-			if err := g.propagateStatusDelta(v.Parent(), map[string]int64{v.Type: -v.Size}); err != nil {
+			if err := g.propagateStatusDelta(v.Parent(), v.TypeID, -v.Size); err != nil {
 				return err
 			}
 		}
@@ -593,29 +593,25 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	// a degraded system is reloaded.
 	g.MarkEpochDirty(flipped...)
 	for _, x := range flipped {
-		if err := g.propagateStatusDelta(x.Parent(), map[string]int64{x.Type: sign * x.Size}); err != nil {
+		if err := g.propagateStatusDelta(x.Parent(), x.TypeID, sign*x.Size); err != nil {
 			return nil, err
 		}
 	}
 	return delta, nil
 }
 
-// propagateStatusDelta applies a per-type capacity change to every filter on
-// the ancestor chain starting at a (inclusive). Types a filter does not
-// track are skipped.
-func (g *Graph) propagateStatusDelta(a *Vertex, delta map[string]int64) error {
+// propagateStatusDelta applies a capacity change of n units of type id to
+// every filter on the ancestor chain starting at a (inclusive). Filters
+// that do not track the type are skipped.
+func (g *Graph) propagateStatusDelta(a *Vertex, id int32, n int64) error {
 	for ; a != nil; a = a.Parent() {
-		if a.filter == nil {
+		if a.filter.PlannerByID(id) == nil {
 			continue
 		}
-		for _, rt := range a.filter.Types() {
-			if n := delta[rt]; n != 0 {
-				if err := a.filter.Update(rt, n); err != nil {
-					return fmt.Errorf("resgraph: status update at %s: %w", a.Name, err)
-				}
-				g.MarkEpochDirty(a)
-			}
+		if err := a.filter.Update(id, n); err != nil {
+			return fmt.Errorf("resgraph: status update at %s: %w", a.Name, err)
 		}
+		g.MarkEpochDirty(a)
 	}
 	return nil
 }
@@ -679,11 +675,11 @@ func (g *Graph) installFilter(v *Vertex) error {
 	if v.kidHead == nil {
 		return nil // leaves carry no filters
 	}
-	tracked := make(map[string]int64)
+	tracked := make(map[int32]int64)
 	for _, key := range []string{v.Type, ALL} {
 		for _, lo := range g.prune[key] {
 			if n := v.agg[lo]; n > 0 && lo != v.Type {
-				tracked[lo] = n
+				tracked[g.types.ID(lo)] = n
 			}
 		}
 	}
@@ -695,9 +691,6 @@ func (g *Graph) installFilter(v *Vertex) error {
 	if err != nil {
 		return fmt.Errorf("filter for %s: %w", v.Name, err)
 	}
-	// Index member planners by interned type ID so the match kernel can
-	// resolve them without string lookups.
-	m.IndexTypes(g.types.ID)
 	v.filter = m
 	return nil
 }
@@ -758,7 +751,7 @@ func (g *Graph) growFilter(a *Vertex, delta map[string]int64) error {
 	for _, key := range []string{a.Type, ALL} {
 		for _, lo := range g.prune[key] {
 			if n := delta[lo]; n > 0 && lo != a.Type {
-				if err := a.filter.Update(lo, n); err != nil {
+				if err := a.filter.Update(g.types.ID(lo), n); err != nil {
 					return err
 				}
 			}
@@ -781,7 +774,10 @@ func (g *Graph) Detach(v *Vertex) error {
 	if parent == nil {
 		return fmt.Errorf("%w: cannot detach the root", ErrInvalid)
 	}
+	// The subtree's in-service capacity per type is what ancestor filters
+	// hold for it; down vertices were already subtracted by MarkDown.
 	var busy error
+	up := make(map[int32]int64)
 	var check func(x *Vertex)
 	check = func(x *Vertex) {
 		if busy != nil {
@@ -791,11 +787,25 @@ func (g *Graph) Detach(v *Vertex) error {
 			busy = fmt.Errorf("%w: %s has %d live spans", ErrBusy, x.Name, x.plan.SpanCount())
 			return
 		}
+		if x.Status == StatusUp {
+			up[x.TypeID] += x.Size
+		}
 		for c := x.kidHead; c != nil; c = c.nextSib {
 			check(c)
 		}
 	}
 	check(v)
+	// Every ancestor filter must be able to give that capacity up before
+	// anything changes, so a refused detach leaves the graph as it was.
+	for a := parent; a != nil && busy == nil; a = a.Parent() {
+		for id, n := range up {
+			if p := a.filter.PlannerByID(id); p != nil {
+				if avail, err := p.AvailDuring(g.base, g.horizon); err != nil || avail < n {
+					busy = fmt.Errorf("%w: %s filter cannot release %d %s", ErrBusy, a.Name, n, g.types.Name(id))
+				}
+			}
+		}
+	}
 	if busy != nil {
 		return busy
 	}
@@ -805,12 +815,10 @@ func (g *Graph) Detach(v *Vertex) error {
 		for t, n := range vAgg {
 			a.agg[t] -= n
 		}
-		if a.filter != nil {
-			for _, rt := range a.filter.Types() {
-				if n := vAgg[rt]; n > 0 {
-					if err := a.filter.Update(rt, -n); err != nil {
-						return err
-					}
+		for id, n := range up {
+			if a.filter.PlannerByID(id) != nil {
+				if err := a.filter.Update(id, -n); err != nil {
+					return err
 				}
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"fluxion/internal/planner"
 )
 
 // buildTiny constructs cluster0 -> rack{0,1} -> node{0..3} -> 4 cores +
@@ -129,15 +131,15 @@ func TestFilterInstallation(t *testing.T) {
 	if root.Filter() == nil {
 		t.Fatal("root filter missing")
 	}
-	if root.Filter().Total("core") != 16 {
-		t.Fatalf("root core filter total = %d", root.Filter().Total("core"))
+	if filterTotal(root, "core") != 16 {
+		t.Fatalf("root core filter total = %d", filterTotal(root, "core"))
 	}
 	rack := g.ByPath("/cluster0/rack0")
-	if rack.Filter() == nil || rack.Filter().Total("core") != 8 || rack.Filter().Total("node") != 2 {
+	if rack.Filter() == nil || filterTotal(rack, "core") != 8 || filterTotal(rack, "node") != 2 {
 		t.Fatalf("rack filter = %v", rack.Filter())
 	}
 	node := g.ByPath("/cluster0/rack0/node0")
-	if node.Filter() == nil || node.Filter().Total("core") != 4 {
+	if node.Filter() == nil || filterTotal(node, "core") != 4 {
 		t.Fatal("node filter missing core tracking")
 	}
 	// Leaves never carry filters.
@@ -261,7 +263,7 @@ func TestMultiSubsystemOverlay(t *testing.T) {
 func TestAttachGrowsAggregatesAndFilters(t *testing.T) {
 	g := buildTiny(t, PruneSpec{ALL: {"core"}})
 	rack := g.ByPath("/cluster0/rack1")
-	before := rack.Filter().Total("core")
+	before := filterTotal(rack, "core")
 
 	// Build a new node subtree post-finalize and attach it.
 	node := g.MustAddVertex("node", -1, 1)
@@ -280,10 +282,10 @@ func TestAttachGrowsAggregatesAndFilters(t *testing.T) {
 	if g.ByPath(node.Path()) != node {
 		t.Fatal("path index not updated")
 	}
-	if got := rack.Filter().Total("core"); got != before+4 {
+	if got := filterTotal(rack, "core"); got != before+4 {
 		t.Fatalf("rack core filter = %d, want %d", got, before+4)
 	}
-	if got := g.Root(Containment).Filter().Total("core"); got != 20 {
+	if got := filterTotal(g.Root(Containment), "core"); got != 20 {
 		t.Fatalf("root core filter = %d, want 20", got)
 	}
 	if got := g.Root(Containment).Aggregates()["core"]; got != 20 {
@@ -322,7 +324,7 @@ func TestDetachShrinksAndRefusesBusy(t *testing.T) {
 		t.Fatal("path index retains detached vertex")
 	}
 	rack := g.ByPath("/cluster0/rack0")
-	if got := rack.Filter().Total("core"); got != 4 {
+	if got := filterTotal(rack, "core"); got != 4 {
 		t.Fatalf("rack core filter = %d, want 4", got)
 	}
 	if got := g.Root(Containment).Aggregates()["core"]; got != 12 {
@@ -404,15 +406,33 @@ func TestAttachErrors(t *testing.T) {
 	}
 }
 
+// filterMember returns the member planner of v's pruning filter for type
+// rt, or nil when v has no filter or the filter does not track rt.
+func filterMember(v *Vertex, rt string) *planner.Planner {
+	id, ok := v.graph.types.Lookup(rt)
+	if !ok || v.filter == nil {
+		return nil
+	}
+	return v.filter.PlannerByID(id)
+}
+
+// filterTotal returns the pool size of rt in v's filter, or 0 when the
+// filter does not track rt.
+func filterTotal(v *Vertex, rt string) int64 {
+	if p := filterMember(v, rt); p != nil {
+		return p.Total()
+	}
+	return 0
+}
+
 // filterAvail returns the amount of rt available in v's filter at t=0 for
 // one second, or -1 when the filter does not track rt.
 func filterAvail(t *testing.T, v *Vertex, rt string) int64 {
 	t.Helper()
-	f := v.Filter()
-	if f == nil {
+	if v.Filter() == nil {
 		t.Fatalf("%s has no filter", v.Name)
 	}
-	p := f.Planner(rt)
+	p := filterMember(v, rt)
 	if p == nil {
 		return -1
 	}

@@ -52,11 +52,10 @@ func (st *shardState) residues(now int64) map[string]int64 {
 	}
 	root := st.g.Root(resgraph.Containment)
 	if f := root.Filter(); f != nil {
-		for _, rt := range f.Types() {
-			if p := f.Planner(rt); p != nil {
-				if avail, err := p.AvailAt(now); err == nil {
-					st.residue[rt] = avail
-				}
+		tab := st.g.Types()
+		for _, id := range f.IDs() {
+			if avail, err := f.PlannerByID(id).AvailAt(now); err == nil {
+				st.residue[tab.Name(id)] = avail
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 			if err := f.CheckInvariants(); err != nil {
 				t.Errorf("%s filter: %v", v.Path(), err)
 			}
-			if n := f.SpanCount(); n != 0 {
+			if n := filterSpanCount(f); n != 0 {
 				t.Errorf("%s filter: %d leaked spans", v.Path(), n)
 			}
 		}
@@ -68,8 +68,8 @@ func TestConcurrentMatchStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if rf := tr.Graph().Root(resgraph.Containment).Filter(); rf != nil {
-					if _, err := rf.AvailTimeFirst(0, 60, map[string]int64{"core": 4}); err != nil {
+				if p := filterMember(g, g.Root(resgraph.Containment), "core"); p != nil {
+					if _, err := p.AvailTimeFirst(0, 60, 4); err != nil {
 						t.Error(err)
 						return
 					}

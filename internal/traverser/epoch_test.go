@@ -138,7 +138,7 @@ func TestUncommittedSpeculationLeavesNoTrace(t *testing.T) {
 		for _, v := range g.Vertices() {
 			out = append(out, v.Planner().SpanCount())
 			if f := v.Filter(); f != nil {
-				out = append(out, f.SpanCount())
+				out = append(out, filterSpanCount(f))
 			}
 		}
 		return out

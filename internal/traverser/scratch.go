@@ -233,13 +233,13 @@ func (c *candCache) advanceCursor(key candKey, cursor int32) {
 	}
 }
 
-// sdfuScratch accumulates the per-filter-owner type/count lists of the
+// sdfuScratch accumulates the per-filter-owner type-ID/count lists of the
 // scheduler-driven filter update (paper §3.4) in reusable buffers, in
-// place of the per-commit map-of-maps the interpreted path built.
+// place of a per-commit map of maps.
 type sdfuScratch struct {
 	owners []*resgraph.Vertex
 	idx    map[*resgraph.Vertex]int32
-	types  [][]string
+	ids    [][]int32
 	counts [][]int64
 }
 
@@ -253,26 +253,26 @@ func (s *sdfuScratch) begin() {
 	}
 }
 
-// add accumulates units of rt against owner's filter.
-func (s *sdfuScratch) add(owner *resgraph.Vertex, rt string, units int64) {
+// add accumulates units of type typeID against owner's filter.
+func (s *sdfuScratch) add(owner *resgraph.Vertex, typeID int32, units int64) {
 	i, ok := s.idx[owner]
 	if !ok {
 		i = int32(len(s.owners))
 		s.owners = append(s.owners, owner)
 		s.idx[owner] = i
-		for len(s.types) <= int(i) {
-			s.types = append(s.types, nil)
+		for len(s.ids) <= int(i) {
+			s.ids = append(s.ids, nil)
 			s.counts = append(s.counts, nil)
 		}
-		s.types[i] = s.types[i][:0]
+		s.ids[i] = s.ids[i][:0]
 		s.counts[i] = s.counts[i][:0]
 	}
-	for j, t := range s.types[i] {
-		if t == rt {
+	for j, id := range s.ids[i] {
+		if id == typeID {
 			s.counts[i][j] += units
 			return
 		}
 	}
-	s.types[i] = append(s.types[i], rt)
+	s.ids[i] = append(s.ids[i], typeID)
 	s.counts[i] = append(s.counts[i], units)
 }

@@ -23,7 +23,6 @@ import (
 
 	"fluxion/internal/jobspec"
 	"fluxion/internal/match"
-	"fluxion/internal/planner"
 	"fluxion/internal/resgraph"
 )
 
@@ -57,12 +56,6 @@ func WithSubsystem(name string) Option {
 	return func(t *Traverser) { t.subsystem = name }
 }
 
-// WithMaxReserveDepth bounds how many candidate times
-// MatchAllocateOrReserve probes before giving up (default 4096).
-func WithMaxReserveDepth(n int) Option {
-	return func(t *Traverser) { t.maxReserveDepth = n }
-}
-
 // EnableSteering turns on per-job first-fit steering: every match attempt
 // (speculative or sequential) rotates candidate lists by a jobID-derived
 // offset, so concurrent epoch speculators probe disjoint pools instead of
@@ -89,7 +82,7 @@ type Traverser struct {
 	g               *resgraph.Graph
 	policy          match.Policy
 	subsystem       string
-	maxReserveDepth int
+	maxReserveDepth int              // candidate times MatchAllocateOrReserve probes before giving up
 	root            *resgraph.Vertex // cached: Graph.Root self-locks
 	containment     bool             // subsystem is containment: subtree intervals are valid
 	staticOrder     bool             // policy keeps traversal order: first-fit cursors apply
@@ -98,6 +91,10 @@ type Traverser struct {
 	mu     sync.RWMutex
 	allocs map[int64]*Allocation
 	dirty  []*resgraph.Vertex // markDirty's scratch; guarded by mu (writer side)
+	// reserveProbe's request scratch: the root-tracked totals as type IDs
+	// and units; guarded by mu (writer side).
+	probeIDs   []int32
+	probeUnits []int64
 
 	// scratch is the match working memory for paths serialized under
 	// t.mu; scratchPool serves the lock-free path
@@ -170,9 +167,18 @@ type VertexAlloc struct {
 	span  int64 // planner span ID; 0 when Units == 0
 }
 
+// filterSpan records one member span SDFU planned in an ancestor's pruning
+// filter: the filter owner, the member's type ID and the member planner's
+// span ID.
 type filterSpan struct {
-	owner *resgraph.Vertex
-	id    int64 // Multi span ID
+	owner  *resgraph.Vertex
+	typeID int32
+	span   int64
+}
+
+// remove unplans the member span.
+func (fs filterSpan) remove() error {
+	return fs.owner.Filter().PlannerByID(fs.typeID).RemoveSpan(fs.span)
 }
 
 // Allocation is the selected resource set emitted for a matched job
@@ -345,14 +351,20 @@ func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) 
 	if rf == nil {
 		return nil, ErrNoFilter
 	}
-	counts := trackedCounts(cjs, rf)
-	if len(counts) == 0 {
+	ids, units := t.probeIDs[:0], t.probeUnits[:0]
+	for _, tc := range cjs.Totals() {
+		if tc.Units > 0 && rf.PlannerByID(tc.ID) != nil {
+			ids, units = append(ids, tc.ID), append(units, tc.Units)
+		}
+	}
+	t.probeIDs, t.probeUnits = ids, units
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("%w: root filter tracks none of the requested types", ErrNoFilter)
 	}
 	dur := t.effectiveDuration(cjs.Spec(), now)
 	after := now
 	for i := 0; i < t.maxReserveDepth; i++ {
-		cand, err := rf.AvailPointTimeAfter(after, dur, counts)
+		cand, err := rf.AvailPointTimeAfter(after, dur, ids, units)
 		if err != nil {
 			return nil, fmt.Errorf("%w: no candidate reservation time: %v", ErrNoMatch, err)
 		}
@@ -399,21 +411,6 @@ func (t *Traverser) MatchSatisfyCompiled(cjs *jobspec.Compiled) (bool, error) {
 	}
 }
 
-// trackedCounts restricts a compiled jobspec's total counts to the types
-// the root filter tracks, in the map form the reservation probe's
-// candidate-time queries take. Reservation probing is the cold path, so
-// member planners are resolved by name: it stays correct even for a
-// filter that never had its type IDs indexed.
-func trackedCounts(cjs *jobspec.Compiled, rf *planner.Multi) map[string]int64 {
-	out := make(map[string]int64)
-	for _, tc := range cjs.Totals() {
-		if tc.Units > 0 && rf.Planner(tc.Type) != nil {
-			out[tc.Type] = tc.Units
-		}
-	}
-	return out
-}
-
 // Cancel releases all resources held (or reserved) by jobID.
 func (t *Traverser) Cancel(jobID int64) error {
 	t.mu.Lock()
@@ -453,7 +450,7 @@ func (t *Traverser) remove(jobID int64) (*Allocation, error) {
 		}
 	}
 	for _, fs := range alloc.filterSpans {
-		if err := fs.owner.Filter().RemoveSpan(fs.id); err != nil && firstErr == nil {
+		if err := fs.remove(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -663,7 +660,7 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 	// reduced selection).
 	t.markDirty(nil, alloc.filterSpans)
 	for _, fs := range alloc.filterSpans {
-		if err := fs.owner.Filter().RemoveSpan(fs.id); err != nil {
+		if err := fs.remove(); err != nil {
 			return err
 		}
 	}
@@ -763,56 +760,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		s.begin(ep.UniqBound(), ep.StructVersion())
 	}
 
-	// Fast fail: the root filter's aggregates must fit first (paper
-	// §3.2: the traversal begins at the graph store root, where the
-	// aggregate counts of all requested resources are checked).
-	if mode != modeDry {
-		if ep != nil {
-			if rf := ep.Filter(root.UniqID); rf != nil {
-				tracked, fit := false, true
-				for _, tc := range cjs.Totals() {
-					if tc.Units <= 0 {
-						continue
-					}
-					sn := rf.ByID(tc.ID)
-					if sn == nil {
-						continue
-					}
-					tracked = true
-					if !sn.CanFit(at, dur, tc.Units) {
-						fit = false
-						break
-					}
-				}
-				if tracked && !fit {
-					return nil, fmt.Errorf("%w: root filter rejects at t=%d", ErrNoMatch, at)
-				}
-			}
-		} else if rf := root.Filter(); rf != nil {
-			tracked, fit := false, true
-			for _, tc := range cjs.Totals() {
-				if tc.Units <= 0 {
-					continue
-				}
-				p := rf.PlannerByID(tc.ID)
-				if p == nil {
-					continue
-				}
-				tracked = true
-				if !p.CanFit(at, dur, tc.Units) {
-					fit = false
-					if sig != nil {
-						sig.noteVertex(root, tc.ID, p.ShortfallDuring(at, dur, tc.Units))
-					}
-					break
-				}
-			}
-			if tracked && !fit {
-				return nil, fmt.Errorf("%w: root filter rejects at t=%d", ErrNoMatch, at)
-			}
-		}
-	}
-
 	m := matcher{
 		t:     t,
 		s:     s,
@@ -822,6 +769,12 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		dry:   mode == modeDry,
 		ep:    ep,
 		sig:   sig,
+	}
+	// Fast fail: the root filter's aggregates must fit first (paper
+	// §3.2: the traversal begins at the graph store root, where the
+	// aggregate counts of all requested resources are checked).
+	if mode != modeDry && !m.filterAdmits(root, cjs.Totals()) {
+		return nil, fmt.Errorf("%w: root filter rejects at t=%d", ErrNoMatch, at)
 	}
 	if t.steer && t.staticOrder {
 		// Divergence steering without shared state: each match attempt
@@ -990,11 +943,13 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 }
 
 // updateFilters is the Scheduler-Driven Filter Update (paper §3.4): for
-// every selected consuming vertex, walk its containment ancestors and add
-// one aggregate span per filter-carrying ancestor, covering exactly the
-// units selected beneath it. The per-owner requests accumulate in the
-// traverser's SDFU scratch (all callers hold t.mu) instead of a freshly
-// built map of maps. It is the last step of every span installation, so it
+// every selected consuming vertex, walk its containment ancestors and, at
+// each one whose filter tracks the vertex's type, add one span to that
+// member planner covering exactly the units of the type selected beneath
+// it. Each member span is recorded in alloc.filterSpans, which is what
+// remove, Release and the rollback below undo. The per-owner requests
+// accumulate in the traverser's SDFU scratch (all callers hold t.mu)
+// instead of a freshly built map of maps. It is the last step of every span installation, so it
 // also marks the whole allocation — vertices and filter owners — dirty for
 // the epoch layer; on failure it marks what it touched and the caller's
 // rollback marks the vertices.
@@ -1006,27 +961,34 @@ func (t *Traverser) updateFilters(alloc *Allocation) error {
 			continue
 		}
 		for a := va.V.Parent(); a != nil; a = a.Parent() {
-			f := a.Filter()
-			if f == nil || f.PlannerByID(va.V.TypeID) == nil {
+			if a.Filter().PlannerByID(va.V.TypeID) == nil {
 				continue
 			}
-			s.add(a, va.V.Type, va.Units)
+			s.add(a, va.V.TypeID, va.Units)
 		}
 	}
+	n := 0
+	for i := range s.owners {
+		n += len(s.ids[i])
+	}
+	alloc.filterSpans = make([]filterSpan, 0, n)
 	for i, owner := range s.owners {
-		id, err := owner.Filter().AddSpanList(alloc.At, alloc.Duration, s.types[i], s.counts[i])
-		if err != nil {
-			// Roll back filter spans added so far; vertex spans
-			// are rolled back by the caller.
-			for _, fs := range alloc.filterSpans {
-				_ = fs.owner.Filter().RemoveSpan(fs.id)
+		f := owner.Filter()
+		for j, typeID := range s.ids[i] {
+			span, err := f.PlannerByID(typeID).AddSpan(alloc.At, alloc.Duration, s.counts[i][j])
+			if err != nil {
+				// Roll back filter spans added so far; vertex spans
+				// are rolled back by the caller.
+				for _, fs := range alloc.filterSpans {
+					_ = fs.remove()
+				}
+				t.markDirty(nil, alloc.filterSpans)
+				t.g.MarkEpochDirty(owner)
+				alloc.filterSpans = nil
+				return fmt.Errorf("traverser: SDFU failed at %s: %w", owner.Path(), err)
 			}
-			t.markDirty(nil, alloc.filterSpans)
-			t.g.MarkEpochDirty(owner)
-			alloc.filterSpans = nil
-			return fmt.Errorf("traverser: SDFU failed at %s: %w", owner.Path(), err)
+			alloc.filterSpans = append(alloc.filterSpans, filterSpan{owner: owner, typeID: typeID, span: span})
 		}
-		alloc.filterSpans = append(alloc.filterSpans, filterSpan{owner: owner, id: id})
 	}
 	t.markDirty(alloc.Vertices, alloc.filterSpans)
 	return nil

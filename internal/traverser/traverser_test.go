@@ -8,6 +8,7 @@ import (
 	"fluxion/internal/grug"
 	"fluxion/internal/jobspec"
 	"fluxion/internal/match"
+	"fluxion/internal/planner"
 	"fluxion/internal/resgraph"
 )
 
@@ -20,6 +21,24 @@ func buildSmall(t *testing.T, racks, nodes, cores, memGB int64, spec resgraph.Pr
 		t.Fatal(err)
 	}
 	return g
+}
+
+// filterMember returns the member planner of v's pruning filter for type
+// rt, or nil when v has no filter or the filter does not track rt.
+func filterMember(g *resgraph.Graph, v *resgraph.Vertex, rt string) *planner.Planner {
+	id, ok := g.Types().Lookup(rt)
+	if f := v.Filter(); ok && f != nil {
+		return f.PlannerByID(id)
+	}
+	return nil
+}
+
+// filterSpanCount returns the live spans across every member of f.
+func filterSpanCount(f *planner.Multi) (n int) {
+	for _, id := range f.IDs() {
+		n += f.PlannerByID(id).SpanCount()
+	}
+	return n
 }
 
 func defaultSpec() resgraph.PruneSpec {
@@ -123,7 +142,7 @@ func TestSDFUFilterAccounting(t *testing.T) {
 	tr := newT(t, g, match.First{})
 	root := g.Root(resgraph.Containment)
 	coreAvail := func(v *resgraph.Vertex) int64 {
-		a, err := v.Filter().Planner("core").AvailDuring(0, 10)
+		a, err := filterMember(g, v, "core").AvailDuring(0, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,6 +180,65 @@ func TestSDFUFilterAccounting(t *testing.T) {
 		if coreAvail(r) != 8 {
 			t.Fatalf("rack not restored: %d", coreAvail(r))
 		}
+	}
+}
+
+// TestSDFUFilterSpansRollBack checks the allocation's record of filter
+// member spans: SDFU plans one span per filter member the job's units
+// reach, cancellation removes exactly those, and a filter update that
+// fails part-way removes every member span it had already planned.
+func TestSDFUFilterSpansRollBack(t *testing.T) {
+	g := buildSmall(t, 1, 2, 4, 16, defaultSpec())
+	tr := newT(t, g, match.First{})
+	root := g.Root(resgraph.Containment)
+	spans := func() (n int) {
+		for _, v := range g.Vertices() {
+			n += v.Planner().SpanCount()
+			if f := v.Filter(); f != nil {
+				n += filterSpanCount(f)
+			}
+		}
+		return n
+	}
+	// Two cores and memory on a shared node: the node's, the rack's and
+	// the cluster's filters each get a core span and a memory span.
+	alloc, err := tr.MatchAllocate(1, jobspec.NodeLocal(1, 1, 2, 4, 0, 100), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertexSpans := 0
+	for _, va := range alloc.Vertices {
+		if va.Units > 0 {
+			vertexSpans++
+		}
+	}
+	if len(alloc.filterSpans) != 3*2 || spans() != vertexSpans+3*2 {
+		t.Fatalf("filter spans = %d, live spans = %d; want 6 and %d", len(alloc.filterSpans), spans(), vertexSpans+3*2)
+	}
+	grants := alloc.Grants()
+	if err := tr.Cancel(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := spans(); n != 0 {
+		t.Fatalf("cancel left %d spans", n)
+	}
+	// Take the cluster's cores behind the traverser's back: SDFU reaches
+	// the root filter last and must undo the node and rack spans.
+	block, err := filterMember(g, root, "core").AddSpan(0, 100, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Reinstall(1, alloc.At, alloc.Duration, false, grants); err == nil {
+		t.Fatal("reinstall over a full root filter succeeded")
+	}
+	if n := spans(); n != 1 {
+		t.Fatalf("failed filter update left %d spans besides the blocker", n-1)
+	}
+	if err := filterMember(g, root, "core").RemoveSpan(block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Reinstall(1, alloc.At, alloc.Duration, false, grants); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -522,7 +600,7 @@ func TestReleaseShrinksAllocation(t *testing.T) {
 	}
 	root := g.Root(resgraph.Containment)
 	coreAvail := func() int64 {
-		a, err := root.Filter().Planner("core").AvailDuring(0, 10)
+		a, err := filterMember(g, root, "core").AvailDuring(0, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -772,7 +850,7 @@ func TestReinstall(t *testing.T) {
 	}
 	// Filters were updated: root sees 2 cores busy.
 	root := g.Root(resgraph.Containment)
-	avail, err := root.Filter().Planner("core").AvailDuring(0, 10)
+	avail, err := filterMember(g, root, "core").AvailDuring(0, 10)
 	if err != nil || avail != 6 {
 		t.Fatalf("root core avail = %d, %v", avail, err)
 	}
@@ -792,7 +870,7 @@ func TestReinstall(t *testing.T) {
 		t.Fatalf("conflict: %v", err)
 	}
 	// Atomic rollback on conflict: capacity unchanged.
-	avail2, _ := root.Filter().Planner("core").AvailDuring(0, 10)
+	avail2, _ := filterMember(g, root, "core").AvailDuring(0, 10)
 	if avail2 != 6 {
 		t.Fatalf("conflict leaked spans: avail = %d", avail2)
 	}
@@ -803,10 +881,11 @@ func TestMaxReserveDepth(t *testing.T) {
 	// the aggregate fits but no single node does: the reservation needs
 	// a second probe, which depth 1 forbids.
 	g := buildSmall(t, 1, 2, 2, 0, defaultSpec())
-	tr, err := New(g, match.First{}, WithMaxReserveDepth(1))
+	tr, err := New(g, match.First{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.maxReserveDepth = 1
 	if tr.Graph() != g || tr.Policy().Name() != "first" {
 		t.Fatal("accessors")
 	}
@@ -933,11 +1012,10 @@ func TestMarkDownEvictsAndExcludesCapacity(t *testing.T) {
 	// Regression: the root filter aggregates exclude the downed subtree,
 	// so a request needing all 4 nodes is rejected at the fast-fail
 	// check rather than after a deep traversal.
-	rf := root.Filter()
-	if avail, _ := rf.Planner("node").AvailDuring(0, 1); avail != 3 {
+	if avail, _ := filterMember(g, root, "node").AvailDuring(0, 1); avail != 3 {
 		t.Fatalf("root node aggregate = %d", avail)
 	}
-	if avail, _ := rf.Planner("core").AvailDuring(0, 1); avail != 12 {
+	if avail, _ := filterMember(g, root, "core").AvailDuring(0, 1); avail != 12 {
 		t.Fatalf("root core aggregate = %d", avail)
 	}
 	if _, err := tr.MatchAllocate(2, jobspec.NodeLocal(4, 1, 4, 0, 0, 10), 0); !errors.Is(err, ErrNoMatch) {
@@ -964,7 +1042,7 @@ func TestMarkDownEvictsAndExcludesCapacity(t *testing.T) {
 	if err := tr.MarkUp(victim); err != nil {
 		t.Fatal(err)
 	}
-	if avail, _ := rf.Planner("node").AvailDuring(0, 1); avail != 4 {
+	if avail, _ := filterMember(g, root, "node").AvailDuring(0, 1); avail != 4 {
 		t.Fatalf("restored node aggregate = %d", avail)
 	}
 	if ok, _ := tr.MatchSatisfy(jobspec.NodeLocal(4, 1, 4, 0, 0, 10)); !ok {
