@@ -448,7 +448,7 @@ func (f *Fluxion) Grow(parentPath string, sub *grug.Recipe) (*Vertex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.g.Attach(parent, root); err != nil {
+	if err := f.tr.Attach(parent, root); err != nil {
 		return nil, err
 	}
 	return root, nil
@@ -459,11 +459,7 @@ func (f *Fluxion) Grow(parentPath string, sub *grug.Recipe) (*Vertex, error) {
 func (f *Fluxion) Shrink(path string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	v := f.g.ByPath(path)
-	if v == nil {
-		return fmt.Errorf("fluxion: no vertex at %q", path)
-	}
-	return f.g.Detach(v)
+	return f.tr.Detach(path)
 }
 
 // MarkDown takes the containment subtree rooted at path out of service:

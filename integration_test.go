@@ -8,6 +8,8 @@ package fluxion
 import (
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fluxion/internal/grug"
@@ -302,6 +304,90 @@ func TestConcurrentFacadeAccess(t *testing.T) {
 	}
 	if len(f.Jobs()) != 0 {
 		t.Fatalf("jobs leaked: %v", f.Jobs())
+	}
+}
+
+// TestGrowShrinkConcurrentMatch grows and shrinks the system through the
+// facade while other goroutines allocate, reserve and cancel through
+// f.Traverser(). Elasticity edits the same pruning filters SDFU does, so
+// under the race detector it must serialize with them on the traverser.
+// Once everything is drained the filters must still be exact.
+func TestGrowShrinkConcurrentMatch(t *testing.T) {
+	f, err := New(
+		WithRecipe(grug.Small(1, 2, 4, 0, 0)),
+		WithPruneFilters("ALL:core,ALL:node"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := f.Traverser()
+	js := jobspec.New(100, jobspec.RX("node", 1, jobspec.R("core", 4)))
+	var ids atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				id := ids.Add(1)
+				var err error
+				if (i+w)%2 == 0 {
+					_, err = tr.MatchAllocate(id, js, 0)
+				} else {
+					_, err = tr.MatchAllocateOrReserve(id, js, 0)
+				}
+				if errors.Is(err, traverser.ErrNoMatch) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tr.Cancel(id); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	// Grown racks a matcher kept busy are shrunk after the drain.
+	var grown []string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sub := &grug.Recipe{Root: grug.N("rack", 1, grug.N("node", 2, grug.N("core", 4)))}
+		for i := 0; i < 20; i++ {
+			v, err := f.Grow("/cluster0", sub)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			grown = append(grown, v.Path())
+			kept := grown[:0]
+			for _, p := range grown {
+				if err := f.Shrink(p); errors.Is(err, resgraph.ErrBusy) {
+					kept = append(kept, p)
+				} else if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			grown = kept
+		}
+	}()
+	wg.Wait()
+	if n := len(f.Jobs()); n != 0 {
+		t.Fatalf("%d jobs leaked", n)
+	}
+	for _, p := range grown {
+		if err := f.Shrink(p); err != nil {
+			t.Fatalf("shrink %s after drain: %v", p, err)
+		}
+	}
+	checkFilterConsistency(t, f.Graph(), 0)
+	checkDrained(t, f.Graph())
+	if n := f.Graph().Root(resgraph.Containment).Aggregates()["node"]; n != 2 {
+		t.Fatalf("root node aggregate after shrinking every grown rack: %d", n)
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 // interleaving of AddSpan/RemoveSpan/Update and queries, a planner must
 // still satisfy all of these.
 func (p *Planner) CheckInvariants() error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-
 	if !p.active() {
 		// Flat planner: no slab calendar may exist while spans are live.
 		if len(p.spans) != 0 {
@@ -127,8 +124,6 @@ func (p *Planner) checkSPAug(n int32) (*schedPoint, error) {
 
 // CheckInvariants validates every member planner.
 func (m *Multi) CheckInvariants() error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	for _, id := range m.ids {
 		if err := m.byID[id].CheckInvariants(); err != nil {
 			return fmt.Errorf("multi member %d: %w", id, err)

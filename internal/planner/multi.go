@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Multi aggregates one Planner per resource type over a common time range.
@@ -17,10 +16,8 @@ import (
 // intern table) and held in a dense table indexed by that ID. A multi-span
 // is one span per requested member; its owner (the traverser's
 // allocation) records the member span IDs, so the Multi keeps no span
-// registry of its own. The lock guards the member table against Update
-// adding a member; member planners lock themselves.
+// registry of its own. Like Planner it holds no lock (see the package doc).
 type Multi struct {
-	mu      sync.RWMutex
 	base    int64
 	horizon int64
 	ids     []int32    // member type IDs, ascending
@@ -43,8 +40,7 @@ func NewMulti(base, horizon int64, totals map[int32]int64) (*Multi, error) {
 	return m, nil
 }
 
-// addMember installs a member planner of total units for type id; callers
-// hold m.mu or own m exclusively.
+// addMember installs a member planner of total units for type id.
 func (m *Multi) addMember(id int32, total int64) error {
 	if id < 0 {
 		return fmt.Errorf("%w: type ID %d", ErrInvalid, id)
@@ -62,12 +58,9 @@ func (m *Multi) addMember(id int32, total int64) error {
 	return nil
 }
 
-// IDs returns the member type IDs in ascending order.
-func (m *Multi) IDs() []int32 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return slices.Clone(m.ids)
-}
+// IDs returns the member type IDs in ascending order. The slice is m's
+// own: callers must not modify it, and it is valid until the next Update.
+func (m *Multi) IDs() []int32 { return m.ids }
 
 // PlannerByID returns the member planner for an interned type ID, or nil
 // when the type is untracked or m is nil.
@@ -75,8 +68,6 @@ func (m *Multi) PlannerByID(id int32) *Planner {
 	if m == nil {
 		return nil
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if id < 0 || int(id) >= len(m.byID) {
 		return nil
 	}
@@ -99,8 +90,6 @@ func (m *Multi) AvailPointTimeAfter(after, duration int64, ids []int32, units []
 	if len(ids) == 0 || len(ids) != len(units) {
 		return -1, fmt.Errorf("%w: %d type IDs vs %d counts", ErrInvalid, len(ids), len(units))
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	t := int64(-1)
 	for i, id := range ids {
 		if id < 0 || int(id) >= len(m.byID) || m.byID[id] == nil {
@@ -133,8 +122,6 @@ func (m *Multi) AvailPointTimeAfter(after, duration int64, ids []int32, units []
 // horizon, creating the member planner on first growth of an untracked
 // type.
 func (m *Multi) Update(id int32, delta int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if id >= 0 && int(id) < len(m.byID) && m.byID[id] != nil {
 		return m.byID[id].Update(delta)
 	}

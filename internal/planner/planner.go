@@ -41,13 +41,27 @@
 // everywhere — which makes the resting per-vertex calendar a few plain
 // fields. The slab and tree materialize on the first AddSpan and are reset
 // (capacity retained) when the last span is removed.
+//
+// # Single writer
+//
+// Planner and Multi hold no locks. A live one belongs to the traverser
+// whose graph holds it, and is read or written only under that
+// traverser's lock: edits (span installation and removal, status and
+// elasticity updates) under the writer side, reads under at least the
+// reader side. Epoch builds run under the reader side too, so they see
+// the planners between two edits, never in the middle of one. The shard
+// router reads a shard's root filter only after the lockstep barrier,
+// when no cycle runs on that shard. Everything else that reads without
+// the lock — speculative matches, tests probing a running system — reads
+// the immutable Snapshots of a pinned epoch instead. A planner nobody
+// else can reach (a fresh New, a benchmark's own calendar) needs no
+// coordination at all.
 package planner
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fluxion/internal/rbtree"
 )
@@ -101,16 +115,9 @@ type Span struct {
 	Planned int64
 }
 
-// Planner tracks one resource pool's availability over time.
-//
-// A Planner is safe for concurrent use: availability queries (AvailAt,
-// AvailDuring, CanFit, AvailTimeFirst, AvailPointTimeAfter, Points, Spans,
-// Utilization) run concurrently under a reader lock, while mutations
-// (AddSpan, RemoveSpan, Update) serialize under the writer lock. This is
-// the per-vertex lock of the parallel match pipeline: many traverser
-// workers may probe one pool's calendar while at most one commits to it.
+// Planner tracks one resource pool's availability over time. It is not
+// safe for concurrent use; see the package doc for who may touch it.
 type Planner struct {
-	mu      sync.RWMutex
 	base    int64
 	horizon int64
 	total   int64
@@ -173,7 +180,7 @@ func MustNew(base, horizon, total int64, resourceType string) *Planner {
 }
 
 // active reports whether the slab calendar is live (at least the base
-// point exists). Callers hold p.mu.
+// point exists).
 func (p *Planner) active() bool { return p.sp != nil && p.sp.Len() > 0 }
 
 // spLess orders SP-tree items (point indices) by time.
@@ -202,7 +209,7 @@ func (p *Planner) spUpdate(n int32) {
 }
 
 // materialize builds the slab calendar: tree plus the base point. Called
-// under the writer lock on the first AddSpan (and again after a demotion).
+// on the first AddSpan (and again after a demotion).
 func (p *Planner) materialize() {
 	if p.sp == nil {
 		p.sp = rbtree.NewArena(p.spLess)
@@ -247,8 +254,6 @@ func (p *Planner) Horizon() int64 { return p.horizon }
 
 // Total returns the pool size.
 func (p *Planner) Total() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.total
 }
 
@@ -256,23 +261,17 @@ func (p *Planner) Total() int64 {
 // spans: availability is Total over the whole horizon). Epoch snapshotting
 // uses it to share one Snapshot among all resting planners of equal size.
 func (p *Planner) FlatTotal() (int64, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.total, len(p.spans) == 0
 }
 
 // SpanCount returns the number of live spans.
 func (p *Planner) SpanCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return len(p.spans)
 }
 
 // PointCount returns the number of scheduled points (including the base
 // point; a flat planner reports 1 for its virtual base point).
 func (p *Planner) PointCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if !p.active() {
 		return 1
 	}
@@ -281,8 +280,6 @@ func (p *Planner) PointCount() int {
 
 // Span returns a copy of the span with the given ID.
 func (p *Planner) Span(id int64) (Span, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	i, ok := p.spanIndex(id)
 	if !ok {
 		return Span{}, fmt.Errorf("%w: %d", ErrNotFound, id)
@@ -290,7 +287,7 @@ func (p *Planner) Span(id int64) (Span, error) {
 	return p.spans[i], nil
 }
 
-// spanIndex returns the position of span id in p.spans; callers hold p.mu.
+// spanIndex returns the position of span id in p.spans.
 func (p *Planner) spanIndex(id int64) (int, bool) {
 	i := sort.Search(len(p.spans), func(i int) bool { return p.spans[i].ID >= id })
 	return i, i < len(p.spans) && p.spans[i].ID == id
@@ -350,8 +347,6 @@ func (p *Planner) edit(t, units int64, ref int32) {
 
 // AvailAt returns the units available at instant t.
 func (p *Planner) AvailAt(t int64) (int64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if t < p.base || t >= p.end() {
 		return 0, fmt.Errorf("%w: t=%d", ErrOutOfRange, t)
 	}
@@ -365,13 +360,6 @@ func (p *Planner) AvailAt(t int64) (int64, error) {
 // AvailDuring returns the minimum units available throughout
 // [start, start+duration).
 func (p *Planner) AvailDuring(start, duration int64) (int64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.availDuring(start, duration)
-}
-
-// availDuring is AvailDuring without locking; callers hold p.mu.
-func (p *Planner) availDuring(start, duration int64) (int64, error) {
 	if duration <= 0 {
 		return 0, fmt.Errorf("%w: duration=%d", ErrInvalid, duration)
 	}
@@ -447,33 +435,8 @@ func (p *Planner) peak(start, end int64) int64 {
 
 // CanFit reports whether request units fit throughout [start, start+duration).
 func (p *Planner) CanFit(start, duration, request int64) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.canFit(start, duration, request)
-}
-
-// canFit is CanFit without locking; callers hold p.mu.
-func (p *Planner) canFit(start, duration, request int64) bool {
-	avail, err := p.availDuring(start, duration)
+	avail, err := p.AvailDuring(start, duration)
 	return err == nil && avail >= request
-}
-
-// ShortfallDuring returns how many of the requested units are missing
-// throughout [start, start+duration): max(0, request - AvailDuring). A
-// window that falls outside the planner's range is fully short. Blocking
-// signatures record this so a wakeup index can tell whether enough
-// capacity was freed to make a re-match worthwhile.
-func (p *Planner) ShortfallDuring(start, duration, request int64) int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	avail, err := p.availDuring(start, duration)
-	if err != nil || avail < 0 {
-		return request
-	}
-	if avail >= request {
-		return 0
-	}
-	return request - avail
 }
 
 // nextPointGE returns the earliest point of n's subtree strictly after
@@ -567,8 +530,6 @@ func (p *Planner) fitAfter(after, duration, request int64) (int64, error) {
 // remaining capacity (paper Algorithm 1), in time order, skipping every
 // candidate whose window contains a known short point.
 func (p *Planner) AvailTimeFirst(at, duration, request int64) (int64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if duration <= 0 || request < 0 {
 		return -1, fmt.Errorf("%w: duration=%d request=%d", ErrInvalid, duration, request)
 	}
@@ -581,7 +542,7 @@ func (p *Planner) AvailTimeFirst(at, duration, request int64) (int64, error) {
 	if at+duration > p.end() {
 		return -1, fmt.Errorf("%w: window start %d", ErrOutOfRange, at)
 	}
-	if p.canFit(at, duration, request) {
+	if p.CanFit(at, duration, request) {
 		return at, nil
 	}
 	return p.fitAfter(at, duration, request)
@@ -594,8 +555,6 @@ func (p *Planner) AvailTimeFirst(at, duration, request int64) (int64, error) {
 // repeated calls with the previous result walk distinct availability
 // change points (paper §3.4, Figure 2).
 func (p *Planner) AvailPointTimeAfter(after, duration, request int64) (int64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if duration <= 0 || request < 0 {
 		return -1, fmt.Errorf("%w: duration=%d request=%d", ErrInvalid, duration, request)
 	}
@@ -617,12 +576,10 @@ func (p *Planner) AvailPointTimeAfter(after, duration, request int64) (int64, er
 // the span ID. It fails with ErrNoSpace if the window cannot hold the
 // request.
 func (p *Planner) AddSpan(start, duration, request int64) (int64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if duration <= 0 || request <= 0 {
 		return -1, fmt.Errorf("%w: duration=%d request=%d", ErrInvalid, duration, request)
 	}
-	avail, err := p.availDuring(start, duration)
+	avail, err := p.AvailDuring(start, duration)
 	if err != nil {
 		return -1, err
 	}
@@ -642,8 +599,6 @@ func (p *Planner) AddSpan(start, duration, request int64) (int64, error) {
 // and garbage-collecting boundary points no span references anymore. When
 // the last span goes, the slab calendar is demoted back to flat.
 func (p *Planner) RemoveSpan(id int64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	at, ok := p.spanIndex(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotFound, id)
@@ -674,8 +629,6 @@ func (p *Planner) Update(delta int64) error {
 	if delta == 0 {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	total := p.total + delta
 	if !p.active() {
 		if total < 0 {
@@ -698,8 +651,6 @@ func (p *Planner) Update(delta int64) error {
 // Points invokes fn for every scheduled point in time order with that
 // point's time and available amount, stopping early if fn returns false.
 func (p *Planner) Points(fn func(at, avail int64) bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if !p.active() {
 		fn(p.base, p.total)
 		return
@@ -717,8 +668,6 @@ func (p *Planner) Points(fn func(at, avail int64) bool) {
 // Spans invokes fn for every live span in ascending ID order, stopping
 // early if fn returns false.
 func (p *Planner) Spans(fn func(s Span) bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, s := range p.spans {
 		if !fn(s) {
 			return
@@ -729,8 +678,6 @@ func (p *Planner) Spans(fn func(s Span) bool) {
 // Utilization returns the fraction of unit-seconds in use over [from, to):
 // the integral of scheduled capacity divided by total * (to - from).
 func (p *Planner) Utilization(from, to int64) (float64, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if to <= from {
 		return 0, fmt.Errorf("%w: window [%d,%d)", ErrInvalid, from, to)
 	}

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"fluxion/internal/rbtree"
@@ -10,9 +9,9 @@ import (
 
 // Snapshot is an immutable, point-in-time copy of a Planner's availability
 // step function. It answers the read-side queries the match kernel needs
-// (AvailDuring, CanFit, ShortfallDuring, AvailAt) with zero locking and
-// zero allocation: the step function is two parallel sorted arrays, and a
-// query is a binary-search floor plus a linear scan of the window.
+// (AvailDuring, CanFit, AvailAt) with zero locking and zero allocation:
+// the step function is two parallel sorted arrays, and a query is a
+// binary-search floor plus a linear scan of the window.
 //
 // Snapshots are the leaves of the resource graph's MVCC epochs: an epoch
 // holds one Snapshot per vertex planner (and per filter member), match
@@ -31,12 +30,10 @@ type Snapshot struct {
 	avail []int64
 }
 
-// Snapshot captures the planner's current step function. The copy is
-// taken under the reader lock; the result shares nothing with the live
-// planner. A flat planner snapshots to the single virtual base point.
+// Snapshot captures the planner's current step function; the result
+// shares nothing with the live planner. A flat planner snapshots to the
+// single virtual base point.
 func (p *Planner) Snapshot() *Snapshot {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if !p.active() {
 		s := p.newSnapshot(1)
 		s.times[0], s.avail[0] = p.base, p.total
@@ -72,14 +69,6 @@ func (s *Snapshot) Total() int64 { return s.total }
 
 // PointCount returns the number of captured scheduled points.
 func (s *Snapshot) PointCount() int { return len(s.times) }
-
-// IsFlat reports whether the snapshot is the single full-availability base
-// point a span-free planner captures. Flat snapshots of equal pool size
-// are interchangeable, which is what lets the resource graph share one per
-// distinct pool size across a whole epoch.
-func (s *Snapshot) IsFlat() bool {
-	return len(s.times) == 1 && s.avail[0] == s.total
-}
 
 // end returns the exclusive end of the schedulable range.
 func (s *Snapshot) end() int64 { return s.base + s.horizon }
@@ -127,20 +116,6 @@ func (s *Snapshot) CanFit(start, duration, request int64) bool {
 	return err == nil && avail >= request
 }
 
-// ShortfallDuring returns how many of the requested units are missing
-// throughout [start, start+duration); a window outside the snapshot's
-// range is fully short.
-func (s *Snapshot) ShortfallDuring(start, duration, request int64) int64 {
-	avail, err := s.AvailDuring(start, duration)
-	if err != nil || avail < 0 {
-		return request
-	}
-	if avail >= request {
-		return 0
-	}
-	return request - avail
-}
-
 // MultiSnapshot is the immutable counterpart of Multi: per-resource-type
 // snapshots indexed by the same dense interned type IDs as Multi's member
 // table. It backs the epoch view of a vertex's ancestor filter.
@@ -155,11 +130,8 @@ type MultiSnapshot struct {
 // them, so an epoch holds O(distinct pool sizes) snapshot objects instead
 // of one per vertex.
 func (m *Multi) SnapshotByIDWith(snap func(p *Planner) *Snapshot) *MultiSnapshot {
-	m.mu.RLock()
-	byID := slices.Clone(m.byID)
-	m.mu.RUnlock()
-	ms := &MultiSnapshot{byID: make([]*Snapshot, len(byID))}
-	for i, p := range byID {
+	ms := &MultiSnapshot{byID: make([]*Snapshot, len(m.byID))}
+	for i, p := range m.byID {
 		if p != nil {
 			ms.byID[i] = snap(p)
 		}

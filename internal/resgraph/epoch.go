@@ -149,13 +149,12 @@ func (e *Epoch) InSubtree(rootUID, uid int64) bool {
 // intervening publications carried forward: a graph nobody pins never
 // builds. The result is immutable and may be read indefinitely.
 //
-// A build reads live planners, so it must not overlap a mutating
-// operation: graph mutators are fenced by g.mu, callers driving planners
-// directly (the traverser) exclude their own writers — see
-// Traverser.PinEpoch. For the same reason a build made while marks are
-// pending but unpublished (inside a batch) may already reflect them; such
-// an epoch is not EpochStable until superseded. Must not be called with
-// the graph lock held.
+// A build reads live planners, which hold no locks, so it must not
+// overlap a mutating operation: callers hold the owning traverser's lock
+// (see package planner and Traverser.PinEpoch). For the same reason a
+// build made while marks are pending but unpublished (inside a batch) may
+// already reflect them; such an epoch is not EpochStable until
+// superseded. Must not be called with the graph lock held.
 func (g *Graph) Epoch() *Epoch {
 	e := g.epoch.Load()
 	if e == nil || e.version == g.epochVersion.Load() {
@@ -356,8 +355,8 @@ func (g *Graph) buildEpochLocked(prev *Epoch) *Epoch {
 }
 
 // fillSnap captures v's current match-relevant state into s. Callers
-// hold g.mu, which freezes status and the pre-order labels; the planner
-// snapshots take their own reader locks.
+// hold g.mu, which freezes status and the pre-order labels, and the owning
+// traverser's lock, which keeps planner edits out (see package planner).
 func fillSnap(s *vertexSnap, g *Graph, v *Vertex) {
 	live := v.graph == g && v.plan != nil && v.path != ""
 	s.live = live
@@ -390,13 +389,9 @@ func (g *Graph) snapPlanner(p *planner.Planner) *planner.Snapshot {
 		return s
 	}
 	s := p.Snapshot()
-	// Re-check on the captured result: a span may have landed between
-	// FlatTotal and Snapshot, and only a truly flat capture may be shared.
-	if s.IsFlat() && s.Total() == total {
-		if g.flatSnaps == nil {
-			g.flatSnaps = make(map[int64]*planner.Snapshot)
-		}
-		g.flatSnaps[total] = s
+	if g.flatSnaps == nil {
+		g.flatSnaps = make(map[int64]*planner.Snapshot)
 	}
+	g.flatSnaps[total] = s
 	return s
 }

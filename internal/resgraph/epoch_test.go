@@ -258,7 +258,10 @@ func TestEpochBatchAndDeltaFlush(t *testing.T) {
 // TestEpochPinnedImmutableUnderConcurrency hammers a pinned epoch with
 // concurrent mutators and verifies the pinned snapshot never changes: a
 // reader hashing the same availability questions must see identical
-// answers before, during, and after 1k concurrent transitions.
+// answers before, during, and after 1k concurrent transitions. The
+// mutators' planner edits take one mutex, standing in for the owning
+// traverser's lock (planners are single-writer); dirty marks,
+// publications and the readers stay concurrent.
 func TestEpochPinnedImmutableUnderConcurrency(t *testing.T) {
 	g := buildWide(t)
 	ep := g.Epoch()
@@ -285,16 +288,17 @@ func TestEpochPinnedImmutableUnderConcurrency(t *testing.T) {
 	before := hash(ep)
 
 	var wg sync.WaitGroup
+	var edit sync.Mutex
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
 				c := cores[(w*251+i*7)%len(cores)]
-				if id, err := c.Planner().AddSpan(0, 50, 1); err == nil {
+				if id, err := lockedAdd(&edit, c, 50); err == nil {
 					g.MarkEpochDirty(c)
 					g.PublishEpoch()
-					c.Planner().RemoveSpan(id)
+					lockedRemove(&edit, c, id)
 					g.MarkEpochDirty(c)
 				}
 				g.PublishEpoch()
@@ -329,10 +333,26 @@ func TestEpochPinnedImmutableUnderConcurrency(t *testing.T) {
 	}
 }
 
+// lockedAdd plans one unit on v for [0, dur) under edit, the stand-in for
+// the owning traverser's writer lock.
+func lockedAdd(edit *sync.Mutex, v *Vertex, dur int64) (int64, error) {
+	edit.Lock()
+	defer edit.Unlock()
+	return v.Planner().AddSpan(0, dur, 1)
+}
+
+// lockedRemove removes span id from v's planner under edit.
+func lockedRemove(edit *sync.Mutex, v *Vertex, id int64) {
+	edit.Lock()
+	defer edit.Unlock()
+	v.Planner().RemoveSpan(id)
+}
+
 // TestEpochVersionMonotoneUnderConcurrency asserts transitions are totally
 // ordered: an observer polling the published epoch never sees the version
 // go backwards, and concurrent publishers never produce duplicate
-// versions for distinct epochs.
+// versions for distinct epochs. Planner edits are serialized as in
+// TestEpochPinnedImmutableUnderConcurrency; publications are not.
 func TestEpochVersionMonotoneUnderConcurrency(t *testing.T) {
 	g := buildWide(t)
 	cores := g.ByType("core")
@@ -357,16 +377,17 @@ func TestEpochVersionMonotoneUnderConcurrency(t *testing.T) {
 		}
 	}()
 	var writers sync.WaitGroup
+	var edit sync.Mutex
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
 				c := cores[(w*97+i)%len(cores)]
-				if id, err := c.Planner().AddSpan(0, 10, 1); err == nil {
+				if id, err := lockedAdd(&edit, c, 10); err == nil {
 					g.MarkEpochDirty(c)
 					g.PublishEpoch()
-					c.Planner().RemoveSpan(id)
+					lockedRemove(&edit, c, id)
 					g.MarkEpochDirty(c)
 					g.PublishEpoch()
 				}

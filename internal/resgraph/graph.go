@@ -84,8 +84,10 @@ type topoSlab struct {
 // lookups and traversals take the reader side, while structural mutations
 // (Attach, Detach, MarkDown, MarkUp) take the writer side and end by
 // republishing the immutable topo slab. Allocation state lives in the
-// per-vertex planners, which carry their own locks, so concurrent matches
-// only serialize where they touch the same pool.
+// per-vertex planners and filters, which hold no locks: the traverser that
+// owns the graph is their single writer (see package planner), so
+// Attach, Detach, MarkDown and MarkUp on a graph with a traverser go
+// through that traverser.
 type Graph struct {
 	mu      sync.RWMutex
 	base    int64

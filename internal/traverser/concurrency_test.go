@@ -38,11 +38,15 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 // committed allocate/cancel churn, speculate/commit-or-drop churn, and
 // availability queries — under the race detector, then asserts every
 // planner invariant (no double-booked units, exact SP-tree aggregates, exact
-// span accounting) holds and nothing leaked.
+// span accounting) holds and nothing leaked. Live planners belong to the
+// traverser, so every query made from outside it reads a pinned epoch.
 func TestConcurrentMatchStress(t *testing.T) {
 	g := buildSmall(t, 2, 8, 8, 0, resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
 	tr := newT(t, g, match.First{})
 	js := jobspec.New(3600, jobspec.RX("node", 1, jobspec.R("core", 4)))
+	root := g.Root(resgraph.Containment)
+	coreID, _ := g.Types().Lookup("core")
+	totalCores := int64(len(g.ByType("core")))
 
 	const (
 		allocators  = 4
@@ -54,7 +58,7 @@ func TestConcurrentMatchStress(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Committed path: MatchAllocate + AvailTimeFirst + Cancel.
+	// Committed path: MatchAllocate + a root-filter probe + Cancel.
 	for w := 0; w < allocators; w++ {
 		wg.Add(1)
 		go func() {
@@ -68,9 +72,9 @@ func TestConcurrentMatchStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if p := filterMember(g, g.Root(resgraph.Containment), "core"); p != nil {
-					if _, err := p.AvailTimeFirst(0, 60, 4); err != nil {
-						t.Error(err)
+				if sn := tr.PinEpoch().Filter(root.UniqID).ByID(coreID); sn != nil {
+					if avail, err := sn.AvailDuring(0, 60); err != nil || avail < 0 || avail > totalCores {
+						t.Errorf("root core filter: avail %d, err %v", avail, err)
 						return
 					}
 				}
@@ -120,9 +124,9 @@ func TestConcurrentMatchStress(t *testing.T) {
 		}(w)
 	}
 
-	// Read-only load: per-vertex planner queries and job listings. The
-	// readers run until the mutating goroutines drain, on their own
-	// WaitGroup.
+	// Read-only load: per-vertex planner queries through epoch pins and
+	// job listings. The readers run until the mutating goroutines drain,
+	// on their own WaitGroup.
 	var rwg sync.WaitGroup
 	for w := 0; w < readers; w++ {
 		rwg.Add(1)
@@ -131,11 +135,12 @@ func TestConcurrentMatchStress(t *testing.T) {
 			cores := g.ByType("core")
 			for i := 0; !stop.Load(); i++ {
 				v := cores[i%len(cores)]
-				if _, err := v.Planner().AvailDuring(0, 3600); err != nil {
+				sn := tr.PinEpoch().Plan(v.UniqID)
+				if _, err := sn.AvailDuring(0, 3600); err != nil {
 					t.Error(err)
 					return
 				}
-				v.Planner().AvailAt(int64(i % 1000))
+				sn.AvailAt(int64(i % 1000))
 				tr.JobCount()
 			}
 		}()

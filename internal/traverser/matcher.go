@@ -386,14 +386,21 @@ func (m *matcher) filterAdmits(c *resgraph.Vertex, needs []jobspec.TypeCount) bo
 		if p == nil {
 			continue // filter does not track this type
 		}
-		if !p.CanFit(m.at, m.dur, needs[i].Units) {
-			// Only pay for the shortfall query when a signature is
-			// actually being captured: this is the pruning hot path.
-			if m.sig != nil {
-				m.sig.noteVertex(c, needs[i].ID, p.ShortfallDuring(m.at, m.dur, needs[i].Units))
-			}
-			return false
+		// One descent answers both the fit and, on a miss, the shortfall
+		// a blocking signature records; a window outside the planner's
+		// range (or a negative remainder) is short by the whole request.
+		avail, err := p.AvailDuring(m.at, m.dur)
+		if err == nil && avail >= needs[i].Units {
+			continue
 		}
+		if m.sig != nil {
+			short := needs[i].Units
+			if err == nil && avail >= 0 {
+				short -= avail
+			}
+			m.sig.noteVertex(c, needs[i].ID, short)
+		}
+		return false
 	}
 	return true
 }

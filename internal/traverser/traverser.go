@@ -70,14 +70,15 @@ func (t *Traverser) EnableSteering() { t.steer = true }
 
 // Traverser matches jobspecs against a finalized resource graph.
 //
-// A Traverser is safe for concurrent use. Committing operations
-// (MatchAllocate, Commit, Cancel, ...) serialize under a writer lock, while
-// the read-only queries run concurrently under a reader lock.
+// A Traverser is safe for concurrent use. It is the single writer of its
+// graph's planners and pruning filters (see package planner): every
+// operation that edits them (MatchAllocate, Commit, Cancel, MarkDown,
+// Attach, ...) serializes under the writer side of t.mu, and the
+// read-only queries and epoch pins run under the reader side.
 // MatchSpeculateCompiledEpoch takes no lock at all: it matches against an
 // immutable pinned epoch, keeps its tentative claims in private scratch,
 // and is validated against committed planner state at Commit time.
-// Lock ordering is t.mu, then the graph's lock, then per-vertex planner
-// locks.
+// Lock ordering is t.mu, then the graph's lock.
 type Traverser struct {
 	g               *resgraph.Graph
 	policy          match.Policy
@@ -533,12 +534,35 @@ func (t *Traverser) MarkDown(path string) ([]*Allocation, error) {
 // MarkUp returns the containment subtree at path to service, restoring the
 // transitioned capacity to every ancestor pruning filter.
 func (t *Traverser) MarkUp(path string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	v := t.g.ByPath(path)
 	if v == nil {
 		return fmt.Errorf("traverser: no vertex at %q", path)
 	}
 	_, err := t.g.MarkUp(v)
 	return err
+}
+
+// Attach grafts sub, a subtree built into this traverser's graph after
+// Finalize, beneath parent (elasticity, paper §5.5). Growing the ancestor
+// filters is a planner edit like any other, so it runs under t.mu.
+func (t *Traverser) Attach(parent, sub *resgraph.Vertex) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.g.Attach(parent, sub)
+}
+
+// Detach prunes the containment subtree at path from the graph; it fails
+// with resgraph.ErrBusy while any planner in the subtree holds spans.
+func (t *Traverser) Detach(path string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.g.ByPath(path)
+	if v == nil {
+		return fmt.Errorf("traverser: no vertex at %q", path)
+	}
+	return t.g.Detach(v)
 }
 
 // Grant names one vertex grant for Reinstall: the vertex's containment
