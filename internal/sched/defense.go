@@ -38,11 +38,11 @@ package sched
 // recover, no time.Now, no closure — so the zero-allocation benchmarks
 // (BenchmarkSchedCycle, BenchmarkLODMatch) are unaffected.
 //
-// Known limitation, by design: the fence makes *injected* and
-// entry-point panics safe (the traverser unlocks via defers and its
-// match scratch resets per attempt). A panic thrown from deep inside a
-// commit-mode walk after planner spans were written would leave partial
-// claims; the fence still contains it to one job, but such a job should
+// A panic inside a match walk leaves no state behind: the traverser
+// unlocks via defers, and the kernel writes no planner (its claims live
+// in scratch, dropped by a defer). Known limitation, by design: a panic
+// inside the install that follows a successful walk would leave partial
+// spans; the fence still contains it to one job, but such a job should
 // not be released from quarantine.
 
 import (

@@ -192,6 +192,36 @@ func TestUncommittedSpeculationLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestFailedMatchWritesNothing checks that the match kernel only reads: a
+// commit-mode attempt that claims cores on a node and then falls short on
+// memory (untracked by the filters, so the prune cannot catch it) must not
+// touch a planner, and a failed allocate-or-reserve likewise. The pinned
+// epoch stays stable and a publish has nothing to publish.
+func TestFailedMatchWritesNothing(t *testing.T) {
+	g := buildSmall(t, 1, 2, 4, 16, resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
+	tr := newT(t, g, match.First{})
+	// 12 of 16 GB on both nodes, until the horizon.
+	if _, err := tr.MatchAllocate(1, jobspec.NodeLocal(2, 1, 0, 12, 0, 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	pin := tr.PinEpoch()
+	js := jobspec.NodeLocal(1, 1, 4, 8, 0, 100)
+	if _, err := tr.MatchAllocate(2, js, 0); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("allocate: %v, want ErrNoMatch", err)
+	}
+	if _, err := tr.MatchAllocateOrReserve(3, js, 0); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("allocate-or-reserve: %v, want ErrNoMatch", err)
+	}
+	if !g.EpochStable(pin) {
+		t.Error("failed attempts left the pinned epoch unstable")
+	}
+	version := g.EpochVersion()
+	g.PublishEpoch()
+	if v := g.EpochVersion(); v != version {
+		t.Errorf("publish after failed attempts moved the epoch version %d -> %d", version, v)
+	}
+}
+
 // TestEpochChurnRace is the -race epoch-churn stress: one writer thrashes
 // node status (down/up) and topology (grow/shrink) while 8 workers
 // speculate against pinned snapshots and commit. Asserts no torn reads

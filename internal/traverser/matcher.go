@@ -5,27 +5,30 @@ import (
 	"fluxion/internal/resgraph"
 )
 
-// This file is the allocation-free match kernel. One match attempt walks
-// the graph with a matcher backed by a reusable matchScratch:
+// This file is the allocation-free match kernel. It only reads: one match
+// attempt walks the graph with a matcher backed by a reusable
+// matchScratch, and every claim it makes is a scratch-local tentative
+// count. Planners and filters are written only once a selection is
+// accepted, by the traverser's install (vertex spans, then SDFU).
 //
 //   - requests come precompiled (jobspec.Compiled): interned type IDs,
 //     flattened nodes, and per-node aggregate needs, so no maps are
 //     built while matching;
-//   - per-vertex window availability (AvailDuring) is memoized for the
-//     attempt in dense generation-stamped arrays, so the Order predicate
-//     and tryCandidate never repeat a planner query;
+//   - per-vertex window availability is memoized for the attempt in dense
+//     generation-stamped arrays, so each vertex's AvailDuring runs at most
+//     once per attempt;
 //   - collect results are cached per (vertex, request node) for the
 //     attempt, so a count-N slot walks the subtree once instead of N
 //     times; under the first-fit policy a cursor additionally resumes
 //     each scan past candidates proven exhausted;
-//   - selections accumulate in a scratch log and are copied into the
-//     returned Allocation only on success.
+//   - selections accumulate in a scratch log, copied into the returned
+//     Allocation on success.
 //
 // Cache correctness: within one attempt the graph topology and status
 // bits are frozen (the traverser holds the graph's reader lock, or reads
-// an immutable pinned epoch) and
-// pruning filters only change after the walk (SDFU runs at commit), so
-// a cached candidate list can only be invalidated by a claim — or a
+// an immutable pinned epoch), and nothing writes a planner or filter, so
+// the memoized raw availability stays exact for the whole attempt. A
+// cached candidate list can only be invalidated by a claim — or a
 // rollback of a claim — of units on a vertex the collection descended
 // through: a vertex with children that is not of the list's target type
 // (collect never descends through target-type vertices). Such
@@ -34,19 +37,18 @@ import (
 // rollback, since restored capacity can revive a skipped candidate.
 
 // matcher holds the state of one match attempt at a fixed (at, duration)
-// window. Spans are committed eagerly and rolled back on failure, so
-// partially matched slots never leak.
+// window. Claims are tentative counts in the scratch, undone on
+// backtracking, so partially matched slots never leak.
 type matcher struct {
 	t     *Traverser
 	s     *matchScratch
 	nodes []jobspec.CNode // compiled request vertices
 	at    int64
 	dur   int64
-	dry   bool // capacity-only satisfiability check: no spans
+	dry   bool // capacity-only satisfiability check: sizes, not planners
 	// ep, when non-nil, is the pinned MVCC epoch of a speculation: status,
 	// subtree labels, planners, and filters are read from its immutable
-	// snapshots with zero synchronization, and tentative claims stay in
-	// the attempt's private scratch instead of becoming spans.
+	// snapshots with zero synchronization.
 	ep *resgraph.Epoch
 	// rot rotates first-fit candidate lists by a jobID-derived offset
 	// (see EnableSteering), so concurrent speculators probe disjoint pools
@@ -76,62 +78,47 @@ func (m *matcher) up(v *resgraph.Vertex) bool {
 	return v.Status == resgraph.StatusUp
 }
 
-// availUnits returns the units of v available throughout the window,
-// memoized per vertex for the attempt (claims and rollbacks invalidate
-// the vertex's entry).
+// availUnits returns the units of v available throughout the window to
+// this attempt: the raw source — v.Size when dry, the pinned snapshot when
+// speculating, the live planner otherwise — memoized per vertex, minus the
+// attempt's own tentative claims. A span over exactly the attempt's window
+// would lower AvailDuring by exactly its units, so this equals what the
+// planner would answer had the claims been written.
 func (m *matcher) availUnits(v *resgraph.Vertex) int64 {
 	s := m.s
 	uid := v.UniqID
-	if s.availGen[uid] == s.gen {
-		return s.avail[uid]
-	}
-	var a int64
-	switch {
-	case m.dry:
-		a = v.Size - s.tentative[uid]
-	case m.ep != nil:
-		// Epoch mode: window availability from the immutable snapshot,
-		// minus this attempt's own scratch-local tentative claims. No
-		// shared state is read or written.
-		if sn := m.ep.Plan(uid); sn != nil {
-			if avail, err := sn.AvailDuring(m.at, m.dur); err == nil {
+	if s.availGen[uid] != s.gen {
+		var a int64
+		switch {
+		case m.dry:
+			a = v.Size
+		case m.ep != nil:
+			if sn := m.ep.Plan(uid); sn != nil {
+				if avail, err := sn.AvailDuring(m.at, m.dur); err == nil {
+					a = avail
+				}
+			}
+		default:
+			if avail, err := v.Planner().AvailDuring(m.at, m.dur); err == nil {
 				a = avail
 			}
 		}
-		a -= s.tentative[uid]
-	default:
-		avail, err := v.Planner().AvailDuring(m.at, m.dur)
-		if err == nil {
-			a = avail
-		}
+		s.avail[uid] = a
+		s.availGen[uid] = s.gen
 	}
-	s.avail[uid] = a
-	s.availGen[uid] = s.gen
-	return a
+	return s.avail[uid] - s.tentative[uid]
 }
 
-// claim plans units on v for the window and records the selection in the
+// claim records units on v as a tentative claim and the selection in the
 // scratch log.
-func (m *matcher) claim(v *resgraph.Vertex, units int64) bool {
-	va := VertexAlloc{V: v, Units: units}
+func (m *matcher) claim(v *resgraph.Vertex, units int64) {
+	m.s.verts = append(m.s.verts, VertexAlloc{V: v, Units: units})
 	if units > 0 {
-		switch {
-		case m.dry, m.ep != nil:
-			m.s.tentative[v.UniqID] += units
-		default:
-			id, err := v.Planner().AddSpan(m.at, m.dur, units)
-			if err != nil {
-				return false
-			}
-			va.span = id // marked dirty when the attempt ends
-		}
-		m.s.availGen[v.UniqID] = 0 // drop the memoized availability
+		m.s.tentative[v.UniqID] += units
 		if v.HasChildren(m.t.subsystem) {
 			m.s.cands.structuralChange(v, m.t.containment, m.ep)
 		}
 	}
-	m.s.verts = append(m.s.verts, va)
-	return true
 }
 
 // rollbackTo undoes every claim past mark (an index into the scratch
@@ -142,20 +129,11 @@ func (m *matcher) rollbackTo(mark int) {
 	if len(undo) == 0 {
 		return
 	}
-	if !m.dry && m.ep == nil {
-		m.t.markDirty(undo, nil) // commit mode: the spans below were live
-	}
 	for _, va := range undo {
 		if va.Units == 0 {
 			continue
 		}
-		switch {
-		case m.dry, m.ep != nil:
-			m.s.tentative[va.V.UniqID] -= va.Units
-		default:
-			_ = va.V.Planner().RemoveSpan(va.span)
-		}
-		m.s.availGen[va.V.UniqID] = 0
+		m.s.tentative[va.V.UniqID] -= va.Units
 		if va.V.HasChildren(m.t.subsystem) {
 			m.s.cands.structuralChange(va.V, m.t.containment, m.ep)
 		}
@@ -315,10 +293,7 @@ func (m *matcher) tryCandidate(c *resgraph.Vertex, cn *jobspec.CNode, excl bool,
 		m.rollbackTo(mark)
 		return 0
 	}
-	if !m.claim(c, units) {
-		m.rollbackTo(mark)
-		return 0
-	}
+	m.claim(c, units)
 	return contribution
 }
 

@@ -289,7 +289,6 @@ func (t *Traverser) MatchAllocateCompiledSig(jobID int64, cjs *jobspec.Compiled,
 		}
 		return nil, err
 	}
-	t.allocs[jobID] = alloc
 	t.g.PublishEpoch()
 	return alloc, nil
 }
@@ -325,7 +324,6 @@ func (t *Traverser) MatchAllocateOrReserveCompiledSig(jobID int64, cjs *jobspec.
 		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
 	}
 	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, sig, nil); err == nil {
-		t.allocs[jobID] = alloc
 		t.g.PublishEpoch()
 		return alloc, nil
 	}
@@ -371,7 +369,6 @@ func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) 
 		}
 		if alloc, err := t.tryMatch(jobID, cjs, cand, modeCommit, nil, nil); err == nil {
 			alloc.Reserved = true
-			t.allocs[jobID] = alloc
 			t.publishClaims(alloc)
 			t.g.PublishEpoch()
 			return alloc, nil
@@ -470,16 +467,18 @@ func (t *Traverser) AffectedJobs(root *resgraph.Vertex) []int64 {
 	return t.affectedJobs(root)
 }
 
-// affectedJobs is AffectedJobs without locking; callers hold t.mu.
+// affectedJobs is AffectedJobs without locking; callers hold t.mu. The
+// subtree test is the O(1) pre-order interval check; a vertex with no
+// containment path (detached, or outside the containment tree) never
+// counts, and neither does anything beneath such a root.
 func (t *Traverser) affectedJobs(root *resgraph.Vertex) []int64 {
-	if root == nil {
+	if root == nil || root.Path() == "" {
 		return nil
 	}
-	prefix := root.Path()
 	var out []int64
 	for id, alloc := range t.allocs {
 		for _, va := range alloc.Vertices {
-			if pathWithin(va.V.Path(), prefix) {
+			if va.V.Path() != "" && va.V.InSubtreeOf(root) {
 				out = append(out, id)
 				break
 			}
@@ -487,18 +486,6 @@ func (t *Traverser) affectedJobs(root *resgraph.Vertex) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// pathWithin reports whether path lies at or beneath root in the
-// containment hierarchy ("/a/b" is within "/a" but "/ab" is not).
-func pathWithin(path, root string) bool {
-	if root == "" || path == "" {
-		return false
-	}
-	if path == root {
-		return true
-	}
-	return strings.HasPrefix(path, root) && len(path) > len(root) && path[len(root)] == '/'
 }
 
 // MarkDown takes the containment subtree at path out of service: every job
@@ -597,40 +584,20 @@ func (t *Traverser) Reinstall(jobID int64, at, duration int64, reserved bool, gr
 		return nil, fmt.Errorf("%w: duration %d", ErrNoMatch, duration)
 	}
 	alloc := &Allocation{JobID: jobID, At: at, Duration: duration, Reserved: reserved}
-	rollback := func() {
-		for _, va := range alloc.Vertices {
-			if va.Units > 0 {
-				_ = va.V.Planner().RemoveSpan(va.span)
-			}
-		}
-		t.markDirty(alloc.Vertices, nil)
-	}
+	alloc.Vertices = make([]VertexAlloc, 0, len(grants))
 	for _, gr := range grants {
 		v := t.g.ByPath(gr.Path)
 		if v == nil {
-			rollback()
 			return nil, fmt.Errorf("%w: no vertex at %q", ErrNoMatch, gr.Path)
 		}
 		if gr.Units < 0 {
-			rollback()
 			return nil, fmt.Errorf("%w: negative units %d at %q", ErrNoMatch, gr.Units, gr.Path)
 		}
-		va := VertexAlloc{V: v, Units: gr.Units}
-		if gr.Units > 0 {
-			id, err := v.Planner().AddSpan(at, duration, gr.Units)
-			if err != nil {
-				rollback()
-				return nil, fmt.Errorf("%w: %q: %v", ErrNoMatch, gr.Path, err)
-			}
-			va.span = id
-		}
-		alloc.Vertices = append(alloc.Vertices, va)
+		alloc.Vertices = append(alloc.Vertices, VertexAlloc{V: v, Units: gr.Units})
 	}
-	if err := t.updateFilters(alloc); err != nil {
-		rollback()
-		return nil, err
+	if err := t.install(alloc); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoMatch, err)
 	}
-	t.allocs[jobID] = alloc
 	t.g.PublishEpoch()
 	return alloc, nil
 }
@@ -730,20 +697,23 @@ func (t *Traverser) Jobs() []int64 {
 // matchMode selects what a match attempt does with its selections.
 type matchMode int
 
+// Every mode runs the same read-only walk with claims held in scratch; the
+// modes differ only in where availability is read and in what happens to a
+// successful selection.
 const (
-	// modeCommit plans spans eagerly and installs filter spans (SDFU).
+	// modeCommit reads the live planners and installs the selection.
 	modeCommit matchMode = iota
-	// modeDry checks capacity only: no spans, no claims.
+	// modeDry reads vertex sizes only (capacity check) and discards it.
 	modeDry
-	// modeSnap speculates against the pinned epoch ep: tentative claims
-	// stay in the attempt's private scratch, and the selection is
-	// validated and installed later by Commit (or simply dropped).
+	// modeSnap reads the pinned epoch ep and returns the selection
+	// uninstalled, for Commit to validate and install (or to be dropped).
 	modeSnap
 )
 
-// tryMatch runs one full match attempt at time `at`. In commit mode the
-// vertex spans are committed and ancestor filters updated (SDFU) on
-// success; on failure everything is rolled back and ErrNoMatch returned.
+// tryMatch runs one full match attempt at time `at`. The walk writes
+// nothing shared; in commit mode a successful selection is then installed
+// (vertex spans, SDFU, allocation table). A failed attempt returns
+// ErrNoMatch and leaves no trace.
 //
 // Commit and dry attempts pass ep == nil and hold the graph's reader lock
 // for the whole traversal, so topology mutations (attach/detach, status
@@ -783,6 +753,9 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	} else {
 		s.begin(ep.UniqBound(), ep.StructVersion())
 	}
+	// However the attempt ends — selected, failed, or a panic inside the
+	// walk — its claims are dropped on the way out.
+	defer s.dropClaims()
 
 	m := matcher{
 		t:     t,
@@ -812,7 +785,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		m.rot = splitmix64(uint64(jobID))
 	}
 	if !m.matchForest(root, cjs.Roots(), false) {
-		m.rollbackTo(0)
 		if sig != nil && len(sig.Reasons) == 0 && !sig.Overflow {
 			// Backstop: a failure the walk did not localize (e.g. every
 			// candidate was status-down). Wake on any free in the system.
@@ -820,26 +792,15 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		}
 		return nil, fmt.Errorf("%w: at t=%d", ErrNoMatch, at)
 	}
-	alloc := &Allocation{JobID: jobID, At: at, Duration: dur}
-	switch mode {
-	case modeCommit:
-		alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
-		if err := t.updateFilters(alloc); err != nil {
-			m.rollbackTo(0)
+	alloc := &Allocation{JobID: jobID, At: at, Duration: dur, pin: ep}
+	if mode == modeDry {
+		return alloc, nil // a capacity check keeps no selection
+	}
+	// The selection must outlive this attempt's scratch.
+	alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
+	if mode == modeCommit {
+		if err := t.install(alloc); err != nil {
 			return nil, err
-		}
-	case modeDry:
-		m.rollbackTo(0)
-	case modeSnap:
-		// The selection must outlive this attempt's scratch. Tentative
-		// claims are scratch-local; zero them so the pooled scratch comes
-		// back clean.
-		alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
-		alloc.pin = ep
-		for _, va := range s.verts {
-			if va.Units > 0 {
-				s.tentative[va.V.UniqID] -= va.Units
-			}
 		}
 	}
 	return alloc, nil
@@ -893,12 +854,12 @@ func (t *Traverser) MatchSpeculateCompiledEpoch(jobID int64, cjs *jobspec.Compil
 // still stable — nothing committed, released, or flipped since the pin —
 // re-validation is one version comparison and the per-vertex conflict
 // re-walk (status, exclusive-takeover probes) is skipped entirely; spans
-// are still installed, which is the commit itself. Otherwise conflict
-// detection is inherent: each selection is re-planned with AddSpan, which
-// fails if a concurrent commit took the capacity first; shared structural
-// vertices are re-checked for exclusive takeover and detached or downed
-// vertices rejected. On any conflict every span added so far is rolled
-// back and ErrConflict returned — the job must be re-matched.
+// are still installed, which is the commit itself. Otherwise detached or
+// downed vertices are rejected and shared structural vertices re-checked
+// for exclusive takeover, and the install itself detects lost capacity:
+// AddSpan fails if a concurrent commit took it first. On any conflict
+// nothing is left installed and ErrConflict is returned — the job must be
+// re-matched.
 func (t *Traverser) Commit(alloc *Allocation) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -922,48 +883,61 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 	// t.mu (committers serialized): if the pinned epoch is still current
 	// with nothing pending, the state the speculation matched against is
 	// the state being committed into.
-	fast := alloc.pin != nil && t.g.EpochStable(alloc.pin)
-	rollback := func(n int) {
-		for _, va := range alloc.Vertices[:n] {
-			if va.Units > 0 {
-				_ = va.V.Planner().RemoveSpan(va.span)
-			}
-		}
-		t.markDirty(alloc.Vertices[:n], nil)
-	}
-	for i := range alloc.Vertices {
-		va := &alloc.Vertices[i]
-		if !fast {
+	if alloc.pin == nil || !t.g.EpochStable(alloc.pin) {
+		for _, va := range alloc.Vertices {
 			if !va.V.Attached() || va.V.Status != resgraph.StatusUp {
-				rollback(i)
 				return fmt.Errorf("%w: %s went down", ErrConflict, va.V.Path())
 			}
-		}
-		if va.Units == 0 {
-			if fast {
+			if va.Units > 0 {
 				continue
 			}
 			// Shared structural grant: the vertex must not have been
 			// exclusively taken since speculation.
 			if avail, err := va.V.Planner().AvailDuring(alloc.At, alloc.Duration); err != nil || avail <= 0 {
-				rollback(i)
 				return fmt.Errorf("%w: %s exclusively taken", ErrConflict, va.V.Path())
 			}
+		}
+	}
+	if err := t.install(alloc); err != nil {
+		return fmt.Errorf("%w: %v", ErrConflict, err)
+	}
+	return nil
+}
+
+// install writes a selection into the live planners — one span per
+// consuming vertex over the allocation's window, then SDFU — and records
+// the allocation. It is the one place a match, Commit or Reinstall plans
+// vertex spans. On error it removes exactly the vertex spans it added
+// (updateFilters undoes its own) and records nothing. Callers hold t.mu.
+func (t *Traverser) install(alloc *Allocation) error {
+	for i := range alloc.Vertices {
+		va := &alloc.Vertices[i]
+		if va.Units == 0 {
 			continue
 		}
 		id, err := va.V.Planner().AddSpan(alloc.At, alloc.Duration, va.Units)
 		if err != nil {
-			rollback(i)
-			return fmt.Errorf("%w: %s: %v", ErrConflict, va.V.Path(), err)
+			t.unplan(alloc.Vertices[:i])
+			return fmt.Errorf("%s: %w", va.V.Path(), err)
 		}
 		va.span = id
 	}
 	if err := t.updateFilters(alloc); err != nil {
-		rollback(len(alloc.Vertices))
-		return fmt.Errorf("%w: %v", ErrConflict, err)
+		t.unplan(alloc.Vertices)
+		return err
 	}
 	t.allocs[alloc.JobID] = alloc
 	return nil
+}
+
+// unplan removes the vertex spans install added for vas.
+func (t *Traverser) unplan(vas []VertexAlloc) {
+	for _, va := range vas {
+		if va.Units > 0 {
+			_ = va.V.Planner().RemoveSpan(va.span)
+		}
+	}
+	t.markDirty(vas, nil)
 }
 
 // updateFilters is the Scheduler-Driven Filter Update (paper §3.4): for
@@ -973,10 +947,10 @@ func (t *Traverser) commitSpans(alloc *Allocation) error {
 // it. Each member span is recorded in alloc.filterSpans, which is what
 // remove, Release and the rollback below undo. The per-owner requests
 // accumulate in the traverser's SDFU scratch (all callers hold t.mu)
-// instead of a freshly built map of maps. It is the last step of every span installation, so it
-// also marks the whole allocation — vertices and filter owners — dirty for
-// the epoch layer; on failure it marks what it touched and the caller's
-// rollback marks the vertices.
+// instead of a freshly built map of maps. It is the last step of every
+// install, so it also marks the whole allocation — vertices and filter
+// owners — dirty for the epoch layer; on failure it marks what it touched
+// and install marks the vertices it unplans.
 func (t *Traverser) updateFilters(alloc *Allocation) error {
 	s := &t.scratch.sdfu
 	s.begin()

@@ -957,9 +957,26 @@ func TestAffectedJobsAndEvict(t *testing.T) {
 	if got := tr.AffectedJobs(g.Root(resgraph.Containment)); len(got) != 2 {
 		t.Fatalf("affected(root) = %v", got)
 	}
-	// "/...node0" must not swallow a hypothetical sibling prefix.
-	if !pathWithin("/a/node1/core0", "/a/node1") || pathWithin("/a/node10", "/a/node1") {
-		t.Fatal("pathWithin prefix semantics")
+	// node1's subtree must not swallow node10, whose path has node1's as a
+	// string prefix: 10 nodes go to job 10, the 11th (node10) to job 11.
+	g11 := buildSmall(t, 1, 11, 1, 0, defaultSpec())
+	tr11 := newT(t, g11, match.First{})
+	if _, err := tr11.MatchAllocate(10, jobspec.NodeLocal(10, 1, 1, 0, 0, 100), 0); err != nil {
+		t.Fatal(err)
+	}
+	a11, err := tr11.MatchAllocate(11, jobspec.NodeLocal(1, 1, 1, 0, 0, 100), 0)
+	if err != nil || a11.Nodes()[0].Path() != "/cluster0/rack0/node10" {
+		t.Fatalf("job 11: %v", err)
+	}
+	if err := tr11.Cancel(10); err != nil {
+		t.Fatal(err)
+	}
+	node1 := g11.ByPath("/cluster0/rack0/node1")
+	if got := tr11.AffectedJobs(node1); len(got) != 0 {
+		t.Fatalf("affected(node1) = %v, want none (job 11 is on node10)", got)
+	}
+	if got := tr11.AffectedJobs(a11.Nodes()[0]); len(got) != 1 || got[0] != 11 {
+		t.Fatalf("affected(node10) = %v", got)
 	}
 
 	if tr.JobCount() != 2 {
