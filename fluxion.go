@@ -25,12 +25,13 @@
 //	...
 //	err = f.Cancel(1)
 //
-// The subpackages are importable directly for finer control:
-// internal/planner (resource-over-time calendars), internal/resgraph (the
-// store), internal/traverser (matching), internal/sched (queuing and
-// backfilling), internal/grug (graph generation recipes), internal/jgf
-// (serialization), and internal/workload (the paper's evaluation
-// workloads).
+// The implementation lives in internal/ subpackages, which Go lets only
+// code inside this module import: internal/planner (resource-over-time
+// calendars), internal/resgraph (the store), internal/traverser
+// (matching), internal/sched (queuing and backfilling), internal/grug
+// (graph generation recipes), internal/jgf (serialization), and
+// internal/workload (the paper's evaluation workloads). Callers outside
+// the module use this package, which re-exports what they need.
 package fluxion
 
 import (
@@ -231,36 +232,46 @@ func New(opts ...Option) (*Fluxion, error) {
 // and prune filters are applied before finalization.
 func storeFromOptions(opts ...Option) (*config, *resgraph.Graph, error) {
 	c := &config{horizon: DefaultHorizon}
-	for _, o := range opts {
-		if err := o(c); err != nil {
-			return nil, nil, err
-		}
+	spec, err := c.apply(opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	sources := 0
-	for _, set := range []bool{c.recipe != nil, c.recipeYAML != nil, c.jgfData != nil, c.graphmlData != nil, c.graph != nil} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
+	if c.sources() != 1 {
 		return nil, nil, errors.New("fluxion: exactly one of WithRecipe/WithRecipeYAML/WithJGF/WithGraphML/WithGraph is required")
-	}
-	spec := c.pruneSpec
-	if c.prune != "" {
-		if spec != nil {
-			return nil, nil, errors.New("fluxion: WithPruneFilters and WithPruneSpec are mutually exclusive")
-		}
-		parsed, err := resgraph.ParsePruneSpec(c.prune)
-		if err != nil {
-			return nil, nil, err
-		}
-		spec = parsed
 	}
 	g, err := buildStore(c, spec)
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, g, nil
+}
+
+// apply runs opts over c and resolves the prune filters, given either as
+// WithPruneFilters text or as a WithPruneSpec map (not both).
+func (c *config) apply(opts []Option) (resgraph.PruneSpec, error) {
+	for _, o := range opts {
+		if err := o(c); err != nil {
+			return nil, err
+		}
+	}
+	if c.prune == "" {
+		return c.pruneSpec, nil
+	}
+	if c.pruneSpec != nil {
+		return nil, errors.New("fluxion: WithPruneFilters and WithPruneSpec are mutually exclusive")
+	}
+	return resgraph.ParsePruneSpec(c.prune)
+}
+
+// sources counts the store source options set.
+func (c *config) sources() int {
+	n := 0
+	for _, set := range []bool{c.recipe != nil, c.recipeYAML != nil, c.jgfData != nil, c.graphmlData != nil, c.graph != nil} {
+		if set {
+			n++
+		}
+	}
+	return n
 }
 
 // buildStore materializes the configured store source into a finalized

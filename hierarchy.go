@@ -18,25 +18,14 @@ import (
 // parent's planner base and horizon.
 func (f *Fluxion) SpawnInstance(jobID int64, opts ...Option) (*Fluxion, error) {
 	c := &config{base: f.g.Base(), horizon: f.g.Horizon()}
-	for _, o := range opts {
-		if err := o(c); err != nil {
-			return nil, err
-		}
-	}
-	if c.recipe != nil || c.recipeYAML != nil || c.jgfData != nil || c.graph != nil {
-		return nil, fmt.Errorf("fluxion: SpawnInstance does not accept a store source option")
-	}
-	spec, err := resgraph.ParsePruneSpec(c.prune)
+	spec, err := c.apply(opts)
 	if err != nil {
 		return nil, err
 	}
-
-	g := resgraph.NewGraph(c.base, c.horizon)
-	if len(spec) > 0 {
-		if err := g.SetPruneSpec(spec); err != nil {
-			return nil, err
-		}
+	if c.sources() != 0 {
+		return nil, fmt.Errorf("fluxion: SpawnInstance does not accept a store source option")
 	}
+	g := resgraph.NewGraph(c.base, c.horizon)
 
 	// The grant lookup and the clone of its subtree happen under one
 	// critical section: looking the allocation up, dropping the lock, and
@@ -107,20 +96,5 @@ func (f *Fluxion) SpawnInstance(jobID int64, opts ...Option) (*Fluxion, error) {
 	}(); err != nil {
 		return nil, err
 	}
-	if err := g.Finalize(); err != nil {
-		return nil, err
-	}
-	child, err := New(WithGraph(g), WithPolicy(c.policy), withFinalizedSubsystem(c.subsystem))
-	if err != nil {
-		return nil, err
-	}
-	return child, nil
-}
-
-// withFinalizedSubsystem forwards a subsystem choice, tolerating "".
-func withFinalizedSubsystem(name string) Option {
-	return func(c *config) error {
-		c.subsystem = name
-		return nil
-	}
+	return New(WithGraph(g), WithPruneSpec(spec), WithPolicy(c.policy), WithSubsystem(c.subsystem))
 }

@@ -91,6 +91,31 @@ func TestSpawnInstanceErrors(t *testing.T) {
 	}
 }
 
+// TestSpawnInstanceOptionsLikeNew: the child resolves prune filters and
+// store sources the way New does — a WithPruneSpec filter reaches the
+// child, WithGraphML is refused like every other source, and the two
+// prune options stay mutually exclusive.
+func TestSpawnInstanceOptionsLikeNew(t *testing.T) {
+	parent := newFluxion(t)
+	if _, err := parent.MatchAllocate(1, jobspec.NodeLocal(1, 1, 2, 0, 0, 100), 0); err != nil {
+		t.Fatal(err)
+	}
+	coreFilter := PruneSpec{resgraph.ALL: {"core"}}
+	child, err := parent.SpawnInstance(1, WithPruneSpec(coreFilter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.Graph().Root(resgraph.Containment).Filter() == nil {
+		t.Fatal("child dropped the WithPruneSpec filter")
+	}
+	if _, err := parent.SpawnInstance(1, WithGraphML([]byte("<graphml/>"))); err == nil {
+		t.Fatal("WithGraphML source accepted")
+	}
+	if _, err := parent.SpawnInstance(1, WithPruneFilters("ALL:core"), WithPruneSpec(coreFilter)); err == nil {
+		t.Fatal("WithPruneFilters and WithPruneSpec accepted together")
+	}
+}
+
 func TestSpawnInstancePropertiesCarry(t *testing.T) {
 	parent := newFluxion(t)
 	for _, n := range parent.Graph().ByType("node") {

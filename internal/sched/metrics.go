@@ -73,31 +73,45 @@ func (m Metrics) String() string {
 // Metrics computes run statistics from the scheduler's current state.
 // Call it after Run (or after draining manually).
 func (s *Scheduler) Metrics() Metrics {
-	var m Metrics
-	var firstSubmit, lastEnd int64 = 1 << 62, 0
-	var waits int64
 	nodeCapacity := int64(0)
 	if root := s.tr.Graph().Root("containment"); root != nil {
 		nodeCapacity = root.Aggregates()["node"]
 	}
+	m := FoldMetrics(func(fn func(*Job)) {
+		for _, j := range s.jobs {
+			fn(j)
+		}
+	}, nodeCapacity)
 	m.Requeues = s.requeues
 	m.LostCoreSeconds = s.lostCoreSec
-	for _, j := range s.jobs {
+	return m
+}
+
+// FoldMetrics computes the job-derived run statistics over the jobs each
+// visits, on a system of nodeCapacity nodes: makespan runs from the
+// earliest submit to the last completion among completed jobs. Requeues
+// and LostCoreSeconds are not job state; the caller fills them in. The
+// sharded router folds its merged job table through the same function.
+func FoldMetrics(each func(func(*Job)), nodeCapacity int64) Metrics {
+	var m Metrics
+	var firstSubmit, lastEnd int64 = 1 << 62, 0
+	var waits int64
+	each(func(j *Job) {
 		m.TotalMatch += j.MatchDuration
 		switch j.State {
 		case StateFailed:
 			m.Failed++
-			continue
+			return
 		case StateQuarantined:
 			m.Quarantined++
-			continue
+			return
 		case StateUnsatisfiable:
 			m.Unsatisfiable++
-			continue
+			return
 		case StateCompleted:
 			m.Completed++
 		default:
-			continue
+			return
 		}
 		if j.Submit < firstSubmit {
 			firstSubmit = j.Submit
@@ -113,7 +127,7 @@ func (s *Scheduler) Metrics() Metrics {
 		if j.Alloc != nil {
 			m.NodeSecondsUsed += int64(len(j.Alloc.Nodes())) * (j.EndAt - j.StartAt)
 		}
-	}
+	})
 	if m.Completed > 0 {
 		m.Makespan = lastEnd - firstSubmit
 		m.MeanWait = float64(waits) / float64(m.Completed)

@@ -325,6 +325,19 @@ type Stats struct {
 // Stats returns the scheduler's cumulative work counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
+// Add accumulates o into st field by field (the sharded router sums its
+// shard schedulers' counters).
+func (st *Stats) Add(o Stats) {
+	st.Cycles += o.Cycles
+	st.MatchAttempts += o.MatchAttempts
+	st.WokenJobs += o.WokenJobs
+	st.SkippedJobs += o.SkippedJobs
+	st.Quarantined += o.Quarantined
+	st.DegradedCycles += o.DegradedCycles
+	st.OverloadRejects += o.OverloadRejects
+	st.InvalidSpecRejects += o.InvalidSpecRejects
+}
+
 // MatchWorkers returns the configured match worker count (minimum 1).
 func (s *Scheduler) MatchWorkers() int {
 	if s.matchWorkers < 1 {

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"fluxion/internal/grug"
 	"fluxion/internal/sched"
 	"fluxion/internal/traverser"
 )
@@ -96,7 +98,7 @@ func TestMaxStealsPerJobCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit(3, 2, 50) // blocked everywhere; ties to shard 0's queue
-	sh.steals[3] = sh.maxStealsPerJob
+	sh.routes[3].steals = DefaultMaxStealsPerJob
 	origin := sh.byJob[3]
 	sh.Run(0)
 	if got := sh.RouterStats().Steals; got != 0 {
@@ -111,6 +113,70 @@ func TestMaxStealsPerJobCap(t *testing.T) {
 	}
 	if j.StartAt != 100 {
 		t.Errorf("job 3 started at %d, want 100 (waits out its origin shard)", j.StartAt)
+	}
+}
+
+// TestRefusedStealKeepsJob: headroom compares per-type totals only, so
+// a receiver whose nodes have another shape can pass it and still find
+// the job unsatisfiable. A refused steal must leave the job on its donor
+// in its queue position, and must not lose it while the donor's
+// admission latch is shut.
+func TestRefusedStealKeepsJob(t *testing.T) {
+	for _, latch := range []bool{false, true} {
+		// Shard 0 has 2 nodes × 8 cores. Shard 1 has 4 nodes × 2 cores:
+		// enough nodes and cores in total for a 1-node × 4-core job, but
+		// no node that holds it.
+		recipe := &grug.Recipe{Name: "mixed", Root: grug.N("cluster", 1,
+			grug.N("rack", 1, grug.N("node", 2, grug.N("core", 8))),
+			grug.N("rack", 1, grug.N("node", 4, grug.N("core", 2))))}
+		g, err := grug.BuildGraph(recipe, 0, 1<<40, testPrune)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Graph: g, Shards: 2, Queue: sched.FCFS}
+		if latch {
+			cfg.SchedOpts = []sched.SchedOption{sched.WithDefense(sched.DefenseConfig{AdmitHigh: 3, AdmitLow: 1})}
+		}
+		sh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Job 1 fills shard 0, the only shard it fits. Job 2 fits only
+		// shard 0's node shape, jobs 3 and 4 need both its nodes: all
+		// three queue there behind job 1.
+		for _, j := range []struct{ id, nodes, cores, dur int64 }{
+			{1, 2, 8, 100}, {2, 1, 4, 10}, {3, 2, 8, 10}, {4, 2, 8, 10},
+		} {
+			if _, err := sh.Submit(j.id, nodeJob(j.nodes, j.cores, j.dur)); err != nil {
+				t.Fatal(err)
+			}
+			if j.id == 1 {
+				sh.Schedule()
+			}
+		}
+		if latch {
+			// A fourth queued job meets the high watermark and shuts the
+			// latch; it stays shut until shard 0's queue drains to 1.
+			if _, err := sh.Submit(5, nodeJob(2, 8, 10)); !errors.Is(err, sched.ErrOverload) {
+				t.Fatalf("latch: submit past AdmitHigh: %v, want ErrOverload", err)
+			}
+		}
+		sh.Schedule() // the rebalance round offers job 2 to shard 1
+		var queue []int64
+		for _, j := range sh.ShardScheduler(0).PendingJobs() {
+			queue = append(queue, j.ID)
+		}
+		if !slices.Equal(queue, []int64{2, 3, 4}) {
+			t.Fatalf("latch=%v: shard 0 queue %v after a refused steal, want [2 3 4]", latch, queue)
+		}
+		if got := sh.RouterStats().Steals; got != 0 {
+			t.Fatalf("latch=%v: %d steals counted for a refused move", latch, got)
+		}
+		sh.Run(0)
+		j, ok := sh.Job(2)
+		if !ok || j.State != sched.StateCompleted || j.StartAt != 100 {
+			t.Fatalf("latch=%v: job 2 = %+v, want completed, started at 100", latch, j)
+		}
 	}
 }
 

@@ -30,7 +30,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"fluxion/internal/match"
@@ -64,25 +63,15 @@ type Config struct {
 	MatchPolicy string
 	// Queue is the per-shard queue policy (default Conservative).
 	Queue sched.QueuePolicy
-	// SchedOpts apply to every shard scheduler (queue depth, retries…).
-	// Sharded runs are WAL-free; do not attach journals to the shards.
+	// SchedOpts apply to every shard scheduler (queue depth, retries,
+	// sched.WithDefense…). Sharded runs are WAL-free; do not attach
+	// journals to the shards.
 	SchedOpts []sched.SchedOption
-	// Defense applies the sched self-defense layer (panic fences around
-	// match attempts, poison-job quarantine, cycle watchdog, admission
-	// backpressure) to every shard scheduler. Nil leaves the raw match
-	// path. Equivalent to appending sched.WithDefense to SchedOpts; kept
-	// as a first-class field so fluxion.NewSharded can plumb it through.
-	Defense *sched.DefenseConfig
 	// Supervisor enables the shard supervision layer: per-shard cycle
 	// fences and deadlines, the health state machine, failover drains,
 	// and reabsorption (see supervisor.go). Nil disables supervision and
 	// cycles dispatch straight to the shard schedulers.
 	Supervisor *SupervisorConfig
-	// StealsPerRound bounds rebalance work per round (0 = default,
-	// negative = stealing disabled).
-	StealsPerRound int
-	// MaxStealsPerJob bounds how often one job may move (0 = default).
-	MaxStealsPerJob int
 }
 
 // RouterStats counts the router's placement work.
@@ -176,9 +165,14 @@ type Sharded struct {
 	mu sync.Mutex
 
 	shards []*shardState
-	byJob  map[int64]int // job ID -> owning shard (retiredShard = retired)
-	steals map[int64]int // job ID -> times stolen
+	byJob  map[int64]int    // job ID -> owning shard (retiredShard = retired)
+	routes map[int64]*route // job ID -> route record, same keys as byJob
 	stats  RouterStats
+
+	// cands is place's ranking scratch; moved marks the shards place
+	// moved jobs to since the last catchUp.
+	cands []cand
+	moved []bool
 
 	// Partition inputs, kept so reabsorption can rebuild a failed
 	// shard's slab graph and scheduler from scratch.
@@ -187,15 +181,10 @@ type Sharded struct {
 	matchPolicy string
 	schedOpts   []sched.SchedOption
 
-	policy          sched.QueuePolicy
-	stealsPerRound  int
-	maxStealsPerJob int
+	policy sched.QueuePolicy
 
 	// sup is the supervision layer (nil = unsupervised cycles).
 	sup *supervisor
-
-	// needScratch is reused per routing decision.
-	needScratch map[string]int64
 }
 
 // New partitions cfg.Graph and builds one incremental scheduler loop
@@ -220,30 +209,16 @@ func New(cfg Config) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	sopts := cfg.SchedOpts
-	if cfg.Defense != nil {
-		// Clamp capacity so the append cannot scribble on the caller's
-		// backing array.
-		sopts = append(sopts[:len(sopts):len(sopts)], sched.WithDefense(*cfg.Defense))
-	}
 	sh := &Sharded{
-		shards:          make([]*shardState, n),
-		byJob:           make(map[int64]int),
-		steals:          make(map[int64]int),
-		srcGraph:        cfg.Graph,
-		cutType:         cut,
-		matchPolicy:     cfg.MatchPolicy,
-		schedOpts:       sopts,
-		policy:          qp,
-		stealsPerRound:  cfg.StealsPerRound,
-		maxStealsPerJob: cfg.MaxStealsPerJob,
-		needScratch:     make(map[string]int64),
-	}
-	if sh.stealsPerRound == 0 {
-		sh.stealsPerRound = DefaultStealsPerRound
-	}
-	if sh.maxStealsPerJob == 0 {
-		sh.maxStealsPerJob = DefaultMaxStealsPerJob
+		shards:      make([]*shardState, n),
+		byJob:       make(map[int64]int),
+		routes:      make(map[int64]*route),
+		moved:       make([]bool, n),
+		srcGraph:    cfg.Graph,
+		cutType:     cut,
+		matchPolicy: cfg.MatchPolicy,
+		schedOpts:   cfg.SchedOpts,
+		policy:      qp,
 	}
 	if cfg.Supervisor != nil {
 		sh.sup = newSupervisor(*cfg.Supervisor)
@@ -305,12 +280,8 @@ func (st *shardState) attach(g *resgraph.Graph, tr *traverser.Traverser, s *sche
 			st.dirty = true
 		})
 	}
-	for t := range st.residue {
-		delete(st.residue, t)
-	}
-	for t := range st.queued {
-		delete(st.queued, t)
-	}
+	clear(st.residue)
+	clear(st.queued)
 	st.residueAt = 0
 	st.dirty = true
 }
@@ -422,15 +393,7 @@ func (sh *Sharded) Stats() sched.Stats {
 		out = sh.sup.retiredStats
 	}
 	for _, st := range sh.shards {
-		s := st.s.Stats()
-		out.Cycles += s.Cycles
-		out.MatchAttempts += s.MatchAttempts
-		out.WokenJobs += s.WokenJobs
-		out.SkippedJobs += s.SkippedJobs
-		out.Quarantined += s.Quarantined
-		out.DegradedCycles += s.DegradedCycles
-		out.OverloadRejects += s.OverloadRejects
-		out.InvalidSpecRejects += s.InvalidSpecRejects
+		out.Add(st.s.Stats())
 	}
 	return out
 }
@@ -449,67 +412,30 @@ func (sh *Sharded) Cycles() int {
 	return n
 }
 
-// Metrics computes run statistics over the merged job table, mirroring
-// sched.Metrics: utilization and makespan span the whole system (node
-// capacity summed across shard roots, makespan from the global earliest
-// submit to the global last completion). Requeue and lost-core counters
-// fold in both live shards and schedulers discarded at reabsorb time.
+// Metrics computes run statistics over the merged job table with
+// sched.FoldMetrics: utilization and makespan span the whole system
+// (node capacity summed across shard roots, makespan from the global
+// earliest submit to the global last completion). Requeue and lost-core
+// counters fold in both live shards and schedulers discarded at reabsorb
+// time.
 func (sh *Sharded) Metrics() sched.Metrics {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var m sched.Metrics
-	var firstSubmit, lastEnd int64 = 1 << 62, 0
-	var waits int64
-	nodeCapacity := int64(0)
+	var requeued sched.Metrics
 	if sh.sup != nil {
-		m.Requeues = sh.sup.retiredMetrics.Requeues
-		m.LostCoreSeconds = sh.sup.retiredMetrics.LostCoreSeconds
+		requeued = sh.sup.retiredMetrics
 	}
+	nodeCapacity := int64(0)
 	for _, st := range sh.shards {
 		if root := st.g.Root(resgraph.Containment); root != nil {
 			nodeCapacity += root.Aggregates()["node"]
 		}
 		sm := st.s.Metrics()
-		m.Requeues += sm.Requeues
-		m.LostCoreSeconds += sm.LostCoreSeconds
+		requeued.Requeues += sm.Requeues
+		requeued.LostCoreSeconds += sm.LostCoreSeconds
 	}
-	sh.eachJob(func(j *sched.Job) {
-		m.TotalMatch += j.MatchDuration
-		switch j.State {
-		case sched.StateFailed:
-			m.Failed++
-			return
-		case sched.StateQuarantined:
-			m.Quarantined++
-			return
-		case sched.StateUnsatisfiable:
-			m.Unsatisfiable++
-			return
-		case sched.StateCompleted:
-			m.Completed++
-		default:
-			return
-		}
-		if j.Submit < firstSubmit {
-			firstSubmit = j.Submit
-		}
-		if j.EndAt > lastEnd {
-			lastEnd = j.EndAt
-		}
-		wait := j.StartAt - j.Submit
-		waits += wait
-		if wait > m.MaxWait {
-			m.MaxWait = wait
-		}
-		if j.Alloc != nil {
-			m.NodeSecondsUsed += int64(len(j.Alloc.Nodes())) * (j.EndAt - j.StartAt)
-		}
-	})
-	if m.Completed > 0 {
-		m.Makespan = lastEnd - firstSubmit
-		m.MeanWait = float64(waits) / float64(m.Completed)
-		m.NodeSecondsTotal = nodeCapacity * m.Makespan
-	}
+	m := sched.FoldMetrics(sh.eachJob, nodeCapacity)
+	m.Requeues, m.LostCoreSeconds = requeued.Requeues, requeued.LostCoreSeconds
 	return m
 }
 
@@ -522,20 +448,19 @@ func (sh *Sharded) Withdraw(id int64) (*sched.Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", traverser.ErrUnknownJob, id)
 	}
+	var job *sched.Job
 	if k == retiredShard {
-		job := sh.sup.retired[id]
+		job = sh.sup.retired[id]
 		delete(sh.sup.retired, id)
-		delete(sh.byJob, id)
-		delete(sh.steals, id)
-		return job, nil
-	}
-	job, err := sh.shards[k].s.Withdraw(id)
-	if err != nil {
-		return nil, err
+	} else {
+		var err error
+		if job, err = sh.shards[k].s.Withdraw(id); err != nil {
+			return nil, err
+		}
+		sh.refreshDemand(sh.shards[k])
 	}
 	delete(sh.byJob, id)
-	delete(sh.steals, id)
-	sh.shards[k].refreshDemand()
+	delete(sh.routes, id)
 	return job, nil
 }
 
@@ -735,15 +660,4 @@ func runParallel(shards []*shardState, fn func(*shardState)) {
 		}(st)
 	}
 	wg.Wait()
-}
-
-// sortCands orders routing candidates by descending headroom, ties by
-// shard index (deterministic for a given graph + queue state).
-func sortCands(cands []cand) {
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].score != cands[b].score {
-			return cands[a].score > cands[b].score
-		}
-		return cands[a].idx < cands[b].idx
-	})
 }

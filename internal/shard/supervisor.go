@@ -24,12 +24,13 @@ package shard
 //
 // Failing a shard quarantines it: the router stops placing to it and
 // drops its subtrees from residue scoring (placeable()), its pending and
-// reserved jobs drain to surviving shards through the work-stealing
-// submit path, and its running jobs are awaited under a simulated-time
-// grace window — completions still dispatch through fenced cycles — or
-// evicted through the sched.NodeDown requeue path when the grace expires
-// or a fault trips during the wait. A drained shard goes dark: excluded
-// from the lockstep clock entirely, frozen until reabsorption.
+// reserved jobs drain to surviving shards through the router's one
+// placement path, and its running jobs are awaited under a
+// simulated-time grace window — completions still dispatch through
+// fenced cycles — or evicted through the sched.NodeDown requeue path
+// when the grace expires or a fault trips during the wait. A drained
+// shard goes dark: excluded from the lockstep clock entirely, frozen
+// until reabsorption.
 //
 // Reabsorption rebuilds the shard from scratch: partitioning is
 // deterministic, so re-partitioning the source graph reproduces the
@@ -493,90 +494,39 @@ func (sh *Sharded) failShard(st *shardState, now int64, reason string) {
 }
 
 // drainShard moves every pending and reserved job off a failed shard
-// onto the surviving shards through the work-stealing submit path:
-// candidates ranked by residue headroom (negative headroom still
-// qualifies — the job fits later; only static-capacity misfits are
-// excluded), submit preserving original Submit/Retries so wait metrics
-// stay honest, overflow re-routing on an unsatisfiable verdict. A job no
-// survivor's capacity can ever hold is recorded lost (StateFailed) — a
-// real cost of losing the shard, counted, not hidden. Receivers run one
-// fenced catch-up cycle so drained jobs get a decision this round.
+// onto the surviving shards through place, the path submits and steals
+// take: ranked by residue headroom (negative headroom still qualifies —
+// the job fits later; only static-capacity misfits are excluded), with
+// original Submit/Retries preserved and overflow re-routing on an
+// unsatisfiable verdict. A job no survivor accepts is recorded lost
+// (StateFailed) — a real cost of losing the shard, counted, not hidden.
+// Receivers run one fenced catch-up cycle so drained jobs get a decision
+// this round.
 func (sh *Sharded) drainShard(st *shardState) {
 	sup := sh.sup
-	ids := make([]int64, 0, 8)
-	for _, j := range st.s.PendingJobs() {
-		ids = append(ids, j.ID)
-	}
-	var reserved []int64
-	for id, j := range st.s.Jobs() {
+	jobs := st.s.PendingJobs()
+	var reserved []*sched.Job
+	for _, j := range st.s.Jobs() {
 		if j.State == sched.StateReserved {
-			reserved = append(reserved, id)
+			reserved = append(reserved, j)
 		}
 	}
-	sort.Slice(reserved, func(a, b int) bool { return reserved[a] < reserved[b] })
-	ids = append(ids, reserved...)
-	if len(ids) == 0 {
-		return
-	}
-	now := sh.now()
-	need := make(map[string]int64, 4)
-	receivers := make(map[int]*shardState)
-	for _, id := range ids {
-		job, err := st.s.Withdraw(id)
-		if err != nil {
-			continue
-		}
-		sup.touched[id] = struct{}{}
-		totalsInto(job.Spec, need)
-		var cands []cand
-		for i, tst := range sh.shards {
-			if tst == st || !tst.placeable() {
-				continue
-			}
-			if score, ok := tst.headroom(need, now); ok {
-				cands = append(cands, cand{idx: i, score: score})
-			}
-		}
-		sortCands(cands)
-		placed := false
-		for ci, c := range cands {
-			tst := sh.shards[c.idx]
-			nj, err := tst.s.SubmitPriority(job.ID, job.Spec, job.Priority)
-			if err != nil {
-				continue
-			}
-			if nj.State == sched.StateUnsatisfiable && ci+1 < len(cands) {
-				if _, werr := tst.s.Withdraw(job.ID); werr == nil {
-					continue
-				}
-			}
-			nj.Submit = job.Submit
-			nj.Retries = job.Retries
-			sh.byJob[id] = c.idx
-			if nj.State != sched.StateUnsatisfiable {
-				addDemand(tst.queued, need)
-				sup.stats.Drained++
-				receivers[c.idx] = tst
-			}
-			placed = true
-			break
-		}
-		if !placed {
+	sort.Slice(reserved, func(a, b int) bool { return reserved[a].ID < reserved[b].ID })
+	for _, job := range append(jobs, reserved...) {
+		sup.touched[job.ID] = struct{}{}
+		nj, _, _ := sh.place(job, draining)
+		switch {
+		case nj == nil:
+			_, _ = st.s.Withdraw(job.ID)
 			job.State = sched.StateFailed
-			sup.retired[id] = job
-			sh.byJob[id] = retiredShard
+			sup.retired[job.ID] = job
+			sh.byJob[job.ID] = retiredShard
 			sup.stats.Lost++
+		case nj.State != sched.StateUnsatisfiable:
+			sup.stats.Drained++
 		}
 	}
-	if len(receivers) == 0 {
-		return
-	}
-	list := make([]*shardState, 0, len(receivers))
-	for _, tst := range receivers {
-		list = append(list, tst)
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].idx < list[b].idx })
-	sh.runCycles(list, false)
+	sh.catchUp()
 }
 
 // evictShard forces a failed shard's running jobs through the requeue
@@ -680,14 +630,6 @@ func (sh *Sharded) retire(st *shardState) {
 	m := st.s.Metrics()
 	sup.retiredMetrics.Requeues += m.Requeues
 	sup.retiredMetrics.LostCoreSeconds += m.LostCoreSeconds
-	stats := st.s.Stats()
-	sup.retiredStats.Cycles += stats.Cycles
-	sup.retiredStats.MatchAttempts += stats.MatchAttempts
-	sup.retiredStats.WokenJobs += stats.WokenJobs
-	sup.retiredStats.SkippedJobs += stats.SkippedJobs
-	sup.retiredStats.Quarantined += stats.Quarantined
-	sup.retiredStats.DegradedCycles += stats.DegradedCycles
-	sup.retiredStats.OverloadRejects += stats.OverloadRejects
-	sup.retiredStats.InvalidSpecRejects += stats.InvalidSpecRejects
+	sup.retiredStats.Add(st.s.Stats())
 	sup.retiredCycles += st.s.Cycles
 }

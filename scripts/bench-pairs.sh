@@ -15,8 +15,11 @@
 #   BENCH_SECONDS  --seconds per run (default 10; SECONDS is bash's own)
 #
 # Every run's final JSON line is appended to bench-pairs.jsonl at the repo
-# root, tagged with side, workload, seed and pair; the summary reads only
-# the lines this invocation appended.
+# root, tagged with side, workload, seed, pair and the digest from the
+# run's aggregate decision_digest line; the summary reads only the lines
+# this invocation appended. Per workload and seed it also prints both
+# sides' digests and whether they match: a change that must not alter
+# decisions shows "match" everywhere.
 #
 # Each bench is built once: BASE from a `git archive` export in a
 # temporary directory, the working tree in place. Within a pair the side
@@ -47,12 +50,19 @@ echo "building bench at $BASE and from the working tree" >&2
 
 # run SIDE WORKLOAD SEED PAIR appends one tagged JSON line to out. Each
 # side runs from its own bench/ directory, as `go run -C bench` would.
+# bench prints the aggregate decision_digest line (the one that counts
+# repetitions) on stdout before its final JSON line.
 run() {
-	local side=$1 w=$2 seed=$3 pair=$4 dir line
+	local side=$1 w=$2 seed=$3 pair=$4 dir stdout line digest
 	dir=$root/bench
 	[ "$side" = base ] && dir=$tmp/base/bench
-	line=$(cd "$dir" && "$tmp/bench-$side" --workload "$w" --seed "$seed" --seconds "$BENCH_SECONDS" --trace 0 | tail -n 1)
-	printf '{"side":"%s","workload":"%s","seed":%s,"pair":%d,"run":%s}\n' "$side" "$w" "$seed" "$pair" "$line" >>"$out"
+	stdout=$(cd "$dir" && "$tmp/bench-$side" --workload "$w" --seed "$seed" --seconds "$BENCH_SECONDS" --trace 0)
+	line=$(tail -n 1 <<<"$stdout")
+	digest=$(awk '/repetitions,.*decision_digest/ {
+		for (i = 1; i < NF; i++) if ($i == "decision_digest") { d = $(i + 1); sub(/,$/, "", d); print d }
+	}' <<<"$stdout")
+	printf '{"side":"%s","workload":"%s","seed":%s,"pair":%d,"digest":"%s","run":%s}\n' \
+		"$side" "$w" "$seed" "$pair" "$digest" "$line" >>"$out"
 }
 
 touch "$out"
@@ -108,6 +118,9 @@ BEGIN {
 	if (!(key in seen)) { seen[key] = 1; order[++nk] = key }
 	if (p > maxp[key]) maxp[key] = p
 	failed[key, side] += field($0, "failed")
+	d = field($0, "digest")
+	if (index(" " digests[key, side] " ", " " d " ") == 0)
+		digests[key, side] = digests[key, side] (digests[key, side] == "" ? "" : " ") d
 	for (i = 1; i <= nb; i++) {
 		m = metric[i]
 		if (match($0, "\"" m "\":\\{\"value\":[-0-9.eE+]*")) {
@@ -140,5 +153,7 @@ END {
 			printf "%-20s %-9s %-17s %12.6g %12.6g %+7.1f%% %11.4g %3d/%-2d\n", parts[1], parts[2], m, bm, hm, bm ? 100 * (hm - bm) / bm : 0, iqr, won, pairs
 		}
 		printf "%-20s %-9s failed: base %d, head %d\n", parts[1], parts[2], failed[key, "base"], failed[key, "head"]
+		printf "%-20s %-9s decision_digest: base %s, head %s: %s\n", parts[1], parts[2], digests[key, "base"],
+			digests[key, "head"], digests[key, "base"] == digests[key, "head"] ? "match" : "DIFFER"
 	}
 }'

@@ -103,6 +103,9 @@ func NewSharded(shards int, queue sched.QueuePolicy, opts ...Option) (*Sharded, 
 	if c.matchWorkers > 1 {
 		sopts = append(sopts, sched.WithMatchWorkers(c.matchWorkers))
 	}
+	if c.defense != nil {
+		sopts = append(sopts, sched.WithDefense(*c.defense))
+	}
 	return shard.New(shard.Config{
 		Graph:       g,
 		Shards:      shards,
@@ -110,7 +113,6 @@ func NewSharded(shards int, queue sched.QueuePolicy, opts ...Option) (*Sharded, 
 		MatchPolicy: c.policy,
 		Queue:       queue,
 		SchedOpts:   sopts,
-		Defense:     c.defense,
 		Supervisor:  c.shardSup,
 	})
 }
