@@ -13,7 +13,9 @@ import (
 // code on that path reads an epoch, so the graph must end with the one
 // build Finalize did — while publications kept advancing the version and
 // the delta sink saw exactly the stream the eager epoch layer delivered
-// (digests recorded at commit 342ff54, before the publish/build split).
+// (counts recorded at commit 342ff54, before the publish/build split;
+// digests re-recorded when first-fit steering was removed, which moved
+// placements but not the counts).
 // Versions count publications that had something to publish; a cycle
 // whose only work was failed match attempts has nothing, since the match
 // kernel writes no planner.
@@ -23,9 +25,9 @@ func TestOneWorkerReplayBuildsNoEpochs(t *testing.T) {
 		digest  uint64
 		version uint64
 	}{
-		FCFS:         {2803, 0xd8d0dc8c44363dc9, 602},
-		EASY:         {3221, 0x56cc98804bc77f64, 605},
-		Conservative: {3235, 0x24c215464509dc72, 604},
+		FCFS:         {2803, 0xe757586a00ef22c7, 602},
+		EASY:         {3221, 0x30b40f63b58c4452, 605},
+		Conservative: {3235, 0xec72b96083923a28, 604},
 	}
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
 		s := newSchedOpts(t, policy, 2, 8, 4)

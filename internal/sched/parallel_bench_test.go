@@ -33,7 +33,6 @@ func BenchmarkParallelMatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tr.EnableSteering()
 			cjs, err := tr.Compile(nodeJob(2, 8, 100))
 			if err != nil {
 				b.Fatal(err)

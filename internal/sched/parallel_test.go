@@ -80,7 +80,9 @@ func TestParallelMatchesSequentialDecisions(t *testing.T) {
 // TestParallelVsSequentialBothPaths holds the parallel pipeline to both
 // of its references on the fixed mixed workload: at several worker
 // counts it must reproduce the engine's own sequential decision timeline
-// and the reference qmanager loop's.
+// and the reference qmanager loop's. On the 2×16×4 wide system the
+// sequential engine and the pipeline at 2 workers replay wideWorkload in
+// lockstep with the reference.
 func TestParallelVsSequentialBothPaths(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
 		seq := newSchedOpts(t, policy, 1, 4, 4, WithMatchWorkers(1))
@@ -92,6 +94,12 @@ func TestParallelVsSequentialBothPaths(t *testing.T) {
 			runWorkload(t, par)
 			sameDecisions(t, fmt.Sprintf("%s/w%d vs w1", policy, workers), seq, par)
 			sameDecisions(t, fmt.Sprintf("%s/w%d vs reference", policy, workers), ref, par)
+		}
+		for _, seed := range steeredSeeds {
+			drive(t, fmt.Sprintf("%s/wide/seed%d", policy, seed), wideWorkload(seed, 60),
+				newReference(t, policy, 2, 16, 4, 0, DefaultMaxRetries),
+				newSchedOpts(t, policy, 2, 16, 4, WithMatchWorkers(1)),
+				newSchedOpts(t, policy, 2, 16, 4, WithMatchWorkers(2)))
 		}
 	}
 }

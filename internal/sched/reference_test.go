@@ -29,8 +29,7 @@ import (
 // keeps its own queue, event heap and counters and touches the traverser
 // through its exported API only; it calls no Scheduler method and no
 // package helper, so agreeing with it means agreeing with the loop, not
-// with shared code. Steering is enabled, as the engine does, so
-// placements are the same pure function of (job, graph state).
+// with shared code.
 type reference struct {
 	tr         *traverser.Traverser
 	policy     QueuePolicy
@@ -62,7 +61,6 @@ func newReference(t testing.TB, policy QueuePolicy, racks, nodes, cores int64, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.EnableSteering()
 	return &reference{
 		tr: tr, policy: policy, depth: depth, maxRetries: maxRetries,
 		now: g.Base(), jobs: map[int64]*Job{}, ticket: map[int64]int64{},

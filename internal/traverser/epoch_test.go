@@ -122,7 +122,6 @@ func TestEpochSpeculationSeesPinnedState(t *testing.T) {
 func TestUncommittedSpeculationLeavesNoTrace(t *testing.T) {
 	g := buildSmall(t, 2, 2, 4, 0, defaultSpec())
 	tr := newT(t, g, match.First{})
-	tr.EnableSteering()
 	cjs, err := tr.Compile(jobspec.NodeLocal(1, 1, 2, 0, 0, 100))
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,6 @@ func TestFailedMatchWritesNothing(t *testing.T) {
 func TestEpochChurnRace(t *testing.T) {
 	g := buildSmall(t, 2, 4, 4, 0, defaultSpec())
 	tr := newT(t, g, match.First{})
-	tr.EnableSteering()
 	js := jobspec.NodeLocal(1, 1, 2, 0, 0, 50)
 	cjs, err := tr.Compile(js)
 	if err != nil {
@@ -430,7 +428,6 @@ func TestEpochDeepImmutability(t *testing.T) {
 func TestEpochPinNeverTearsAnAllocation(t *testing.T) {
 	g := buildSmall(t, 2, 4, 4, 0, defaultSpec())
 	tr := newT(t, g, match.First{})
-	tr.EnableSteering()
 	cjs, err := tr.Compile(jobspec.NodeLocal(1, 1, 4, 0, 0, 100))
 	if err != nil {
 		t.Fatal(err)

@@ -50,10 +50,6 @@ type matcher struct {
 	// subtree labels, planners, and filters are read from its immutable
 	// snapshots with zero synchronization.
 	ep *resgraph.Epoch
-	// rot rotates first-fit candidate lists by a jobID-derived offset
-	// (see EnableSteering), so concurrent speculators probe disjoint pools
-	// without any shared state.
-	rot uint64
 	// sig, when non-nil, accumulates blocking reasons as the walk prunes
 	// or rejects candidates (see signature.go). Reasons survive
 	// rollbacks on purpose: a rolled-back claim was still a real
@@ -183,13 +179,6 @@ func (m *matcher) matchRequest(v *resgraph.Vertex, ni int32, excl bool) bool {
 	if e == nil {
 		buf := m.s.cands.getBuf()
 		buf = m.collect(buf[:0], v, cn)
-		if m.rot != 0 && len(buf) > 1 {
-			// Divergence steering: rotate the traversal-order
-			// list by a jobID-derived offset so concurrent first-fit
-			// speculators start their scans at different pools. Done
-			// once at collect time so cursors stay consistent.
-			rotateVerts(buf, int(m.rot%uint64(len(buf))))
-		}
 		e = m.s.cands.put(key, v, cn.TypeID, buf)
 	}
 
@@ -378,18 +367,4 @@ func (m *matcher) filterAdmits(c *resgraph.Vertex, needs []jobspec.TypeCount) bo
 		return false
 	}
 	return true
-}
-
-// rotateVerts rotates s left by k (0 <= k < len(s)) in place via the
-// triple-reversal trick, allocation-free.
-func rotateVerts(s []*resgraph.Vertex, k int) {
-	reverseVerts(s[:k])
-	reverseVerts(s[k:])
-	reverseVerts(s)
-}
-
-func reverseVerts(s []*resgraph.Vertex) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -56,18 +56,6 @@ func WithSubsystem(name string) Option {
 	return func(t *Traverser) { t.subsystem = name }
 }
 
-// EnableSteering turns on per-job first-fit steering: every match attempt
-// (speculative or sequential) rotates candidate lists by a jobID-derived
-// offset, so concurrent epoch speculators probe disjoint pools instead of
-// all claiming the head of the same list and conflicting at commit.
-// Placement stays deterministic — a pure function of (jobID, graph state),
-// identical on every match path — but differs from the natural first-fit
-// order, so direct API users keep it off by default; the scheduler enables
-// it when it owns all matching on the traverser. Call before any
-// concurrent use; the flag is read without synchronization. No effect on
-// ranking policies (they re-sort candidates).
-func (t *Traverser) EnableSteering() { t.steer = true }
-
 // Traverser matches jobspecs against a finalized resource graph.
 //
 // A Traverser is safe for concurrent use. It is the single writer of its
@@ -87,7 +75,6 @@ type Traverser struct {
 	root            *resgraph.Vertex // cached: Graph.Root self-locks
 	containment     bool             // subsystem is containment: subtree intervals are valid
 	staticOrder     bool             // policy keeps traversal order: first-fit cursors apply
-	steer           bool             // rotate first-fit order per job (see EnableSteering)
 
 	mu     sync.RWMutex
 	allocs map[int64]*Allocation
@@ -773,17 +760,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	if mode != modeDry && !m.filterAdmits(root, cjs.Totals()) {
 		return nil, fmt.Errorf("%w: root filter rejects at t=%d", ErrNoMatch, at)
 	}
-	if t.steer && t.staticOrder {
-		// Divergence steering without shared state: each match attempt
-		// rotates first-fit candidate lists by a jobID-derived offset, so
-		// concurrent speculators probe disjoint pools instead of all
-		// racing for the head of the same list. The rotation applies on
-		// every path (speculative and sequential alike), making a job's
-		// placement a pure function of (jobID, graph state) — speculation
-		// and its sequential fallback agree, which keeps sequential and
-		// parallel runs decision-identical.
-		m.rot = splitmix64(uint64(jobID))
-	}
 	if !m.matchForest(root, cjs.Roots(), false) {
 		if sig != nil && len(sig.Reasons) == 0 && !sig.Overflow {
 			// Backstop: a failure the walk did not localize (e.g. every
@@ -804,15 +780,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		}
 	}
 	return alloc, nil
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed hash
-// of a job ID into a rotation offset.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // PinEpoch returns the graph's current MVCC epoch for a batch of epoch
