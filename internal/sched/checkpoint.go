@@ -124,7 +124,7 @@ func Resume(tr *traverser.Traverser, data []byte, specs map[int64]*jobspec.Jobsp
 	// with the process: force the first post-resume cycle to re-plan
 	// everything, which is always decision-safe.
 	s.wakeup.forceFullWake()
-	s.now = cp.Now
+	s.setNow(cp.Now)
 	s.Cycles = cp.Cycles
 	s.requeues = cp.Requeues
 	s.lostCoreSec = cp.LostCore

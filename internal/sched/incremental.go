@@ -22,9 +22,10 @@ import (
 //     in a way signatures cannot track (structural events, demotions);
 //   - standing EASY/conservative reservations are carried across cycles
 //     instead of being cancelled and re-planned; a reservation is
-//     dropped only when a delta touches its claim window, its queue
-//     position's policy branch changes, or any demotion happened ahead
-//     of it in the cycle;
+//     dropped only when a delta touches its claim window (a completion
+//     on schedule never does: its frees end at the clock), the wakeup
+//     index overflowed, its queue position's policy branch changes, or
+//     any demotion happened ahead of it in the cycle;
 //   - a reservation whose start time matures (Alloc.At == now) converts
 //     to running in place, with no match at all.
 //
@@ -182,15 +183,15 @@ func (s *Scheduler) scheduleIncremental() {
 			branchOK := s.policy == Conservative || (s.policy == EASY && blockedSt == bNo)
 			switch {
 			case branchOK && !wakeAll && job.Alloc != nil && job.Alloc.At == now &&
-				!s.plan.changed(job, now):
+				!s.plan.invalidates(job, now):
 				// Matured: the reference's re-match at this position
 				// succeeds at `now` on the same resources (an unchanged
 				// environment picks the same first fit), so start it
 				// without matching. A changed one — a status change, a
-				// free into its window, a demotion ahead — may pick other
-				// resources: re-match it below. Frees the plan did not
-				// keep (overflow) are taken as on-schedule completions,
-				// which cannot move a first fit.
+				// free into its window, frees the plan could not keep, a
+				// demotion ahead — may pick other resources: re-match it
+				// below. On-schedule completions are no change: their
+				// frees end at `now` and never reach the plan.
 				dirs = append(dirs, directive{job: job, kind: dirConvert, specIdx: -1})
 				continue
 			case branchOK && !wakeAll && !job.invalidated && job.Alloc != nil && job.Alloc.At > now:

@@ -248,7 +248,7 @@ func (s *Scheduler) Apply(r *Rec) error {
 		if r.At < s.now {
 			return fmt.Errorf("%w: clock moving backwards (%d -> %d)", ErrReplay, s.now, r.At)
 		}
-		s.now = r.At
+		s.setNow(r.At)
 	case RecStart:
 		job, err := s.replayJob(r)
 		if err != nil {

@@ -18,8 +18,15 @@ import (
 //
 //   - structural deltas (topology or status changes) void every standing
 //     signature and reservation: everything wakes;
-//   - the free list is bounded; on overflow the cycle degrades to a full
-//     wake rather than dropping deltas;
+//   - a free whose window has already ended at the scheduler's clock
+//     (To <= now) is dropped on arrival: an on-schedule completion frees
+//     exactly such a window, and capacity gone again by `now` can relieve
+//     no attempt and move no reservation (drain applies the same rule to
+//     frees that expired while buffered);
+//   - the list of frees that are kept is bounded; on overflow the cycle
+//     degrades to a full wake rather than dropping deltas. Only frees
+//     reaching past `now` count, so an overflow needs a burst of
+//     evictions or cancels, never a big job ending on time;
 //   - claim deltas are ignored: new claims can never unblock a job, and
 //     the cycle that created them already accounted for them in queue
 //     order.
@@ -34,10 +41,18 @@ const maxFreeDeltas = 512
 // must not call back into the store.
 type wakeupIndex struct {
 	mu         sync.Mutex
+	now        int64 // the scheduler's clock (setNow); it never moves back
 	muted      bool
 	structural bool
 	overflow   bool // frees were dropped: wake as if structural
 	frees      []resgraph.Delta
+}
+
+// setNow moves the index's clock with the scheduler's.
+func (w *wakeupIndex) setNow(now int64) {
+	w.mu.Lock()
+	w.now = now
+	w.mu.Unlock()
 }
 
 // publish is the resgraph.SetDeltaSink target.
@@ -55,8 +70,8 @@ func (w *wakeupIndex) publish(d resgraph.Delta) {
 		w.structural = true
 		w.frees = w.frees[:0]
 	case resgraph.DeltaFree:
-		if w.structural || w.overflow {
-			return // already waking everything
+		if w.structural || w.overflow || d.To <= w.now {
+			return // already waking everything, or already past
 		}
 		if len(w.frees) >= maxFreeDeltas {
 			w.overflow = true
@@ -90,15 +105,18 @@ func (w *wakeupIndex) mute(on bool) {
 // entirely in the past (To <= now) are dropped: capacity that is already
 // gone again by `now` — or that was an on-schedule completion, whose
 // time-based effect the signature's HintAt covers — cannot relieve an
-// immediate attempt at `now`.
-func (w *wakeupIndex) drain(now int64, plan *cyclePlan) {
+// immediate attempt at `now`. publish already dropped the frees that were
+// past when they arrived; this catches those that expired since, when the
+// clock moved between publish and the cycle (AdvanceTo, or a Step whose
+// cycle follows frees published at an earlier instant).
+func (w *wakeupIndex) drain(plan *cyclePlan) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	plan.structural = w.structural
 	plan.overflow = w.overflow
 	plan.frees = plan.frees[:0]
 	for _, f := range w.frees {
-		if f.To > now {
+		if f.To > w.now {
 			plan.frees = append(plan.frees, f)
 		}
 	}
@@ -107,9 +125,9 @@ func (w *wakeupIndex) drain(now int64, plan *cyclePlan) {
 	w.frees = w.frees[:0]
 }
 
-// cyclePlan is one cycle's drained delta view. overflow means frees were
-// published but not kept, so every signature and reservation is treated
-// as hit.
+// cyclePlan is one cycle's drained delta view. overflow means more than
+// maxFreeDeltas frees reaching past the clock were published and none was
+// kept, so every signature and reservation is treated as hit.
 type cyclePlan struct {
 	structural bool
 	overflow   bool
@@ -171,20 +189,14 @@ func (p *cyclePlan) wakes(sig *traverser.BlockSig, now int64) bool {
 }
 
 // invalidates decides whether a standing reservation must be dropped and
-// re-planned: any structural change, any free overlapping the
-// reservation's window — earlier-starting capacity may now admit the job
-// sooner — or frees the plan did not keep. Conservatively re-planning is
-// always sound.
+// re-planned: any structural change, a start that slipped into the past,
+// a kept free overlapping the reservation's window — earlier-starting
+// capacity may now admit the job sooner — or frees the plan did not keep.
+// Frees are not type-filtered: shared structural grants (racks, switches)
+// consumed by the reservation are not in the jobspec's totals.
+// Conservatively re-planning is always sound.
 func (p *cyclePlan) invalidates(job *Job, now int64) bool {
-	return p.overflow || p.changed(job, now)
-}
-
-// changed is invalidates on the deltas the plan kept: a structural change
-// or a kept free overlapping the reservation's window. Frees are not
-// type-filtered: shared structural grants (racks, switches) consumed by
-// the reservation are not in the jobspec's totals.
-func (p *cyclePlan) changed(job *Job, now int64) bool {
-	if p.structural || job.Alloc == nil {
+	if p.structural || p.overflow || job.Alloc == nil {
 		return true
 	}
 	if job.Alloc.At < now {
