@@ -1,18 +1,14 @@
 package planner
 
-import (
-	"fmt"
-
-	"fluxion/internal/rbtree"
-)
+import "fmt"
 
 // CheckInvariants validates the planner's internal consistency: every
 // scheduled point's amount (the prefix sum of the deltas) is exactly what
-// the live spans imply and never exceeds the pool, and the SP-tree
-// aggregates (sum, left-subtree sum, min/max prefix, latest time) are
-// correct. It is the oracle behind the concurrency stress tests — after any
-// interleaving of AddSpan/RemoveSpan/Update and queries, a planner must
-// still satisfy all of these.
+// the live spans imply and never exceeds the pool, the SP tree is a valid
+// red-black tree over the slab, and its aggregates (sum, min/max prefix)
+// are correct. It is the oracle behind the concurrency stress tests —
+// after any interleaving of AddSpan/RemoveSpan/Update and queries, a
+// planner must still satisfy all of these.
 func (p *Planner) CheckInvariants() error {
 	if !p.active() {
 		// Flat planner: no slab calendar may exist while spans are live.
@@ -24,14 +20,17 @@ func (p *Planner) CheckInvariants() error {
 		}
 		return nil
 	}
+	if err := p.checkTree(); err != nil {
+		return err
+	}
 
 	// Walk the SP tree in time order, recomputing the expected profile
 	// from the span set.
 	prev := int64(-1 << 62)
 	sawBase := false
 	var sched int64
-	for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
-		pt := &p.pts[p.sp.Item(n)]
+	for i := p.first(); i != noPoint; i = p.next(i) {
+		pt := &p.pts[i]
 		if pt.at <= prev {
 			return fmt.Errorf("planner: SP points out of order (%d after %d)", pt.at, prev)
 		}
@@ -81,45 +80,80 @@ func (p *Planner) CheckInvariants() error {
 			return fmt.Errorf("planner: span %d end %d has no scheduled point", id, s.Last)
 		}
 	}
-
-	_, err := p.checkSPAug(p.sp.Root())
-	return err
+	return nil
 }
 
-// checkSPAug verifies the aggregates of n's subtree against a recomputation
-// from its children and returns the subtree's point (nil for rbtree.None).
-func (p *Planner) checkSPAug(n int32) (*schedPoint, error) {
-	if n == rbtree.None {
-		return nil, nil
+// checkTree validates the SP tree's shape over the slab: the sentinel is
+// clear, the root is black, parent links agree with child links, no red
+// point has a red child, every root-to-leaf path has the same black
+// height, the aggregates match their children, n counts the tree's points
+// and every other slot but the sentinel is on the freelist.
+func (p *Planner) checkTree() error {
+	if s := p.pts[noPoint]; s != (schedPoint{}) {
+		return fmt.Errorf("planner: sentinel not clear: %+v", s)
 	}
-	l, err := p.checkSPAug(p.sp.Left(n))
+	if p.pts[p.root].red || p.pts[p.root].parent != noPoint {
+		return fmt.Errorf("planner: root %d is red or has a parent", p.root)
+	}
+	count := 0
+	if _, err := p.checkSubtree(p.root, &count); err != nil {
+		return err
+	}
+	if count != int(p.n) {
+		return fmt.Errorf("planner: %d points in the tree, n = %d", count, p.n)
+	}
+	free := 0
+	for f := p.free; f != noPoint; f = p.pts[f].left {
+		if free++; free > len(p.pts) {
+			return fmt.Errorf("planner: freelist cycles")
+		}
+	}
+	if free+count+1 != len(p.pts) {
+		return fmt.Errorf("planner: %d free + %d live + sentinel != %d slots", free, count, len(p.pts))
+	}
+	return nil
+}
+
+// checkSubtree validates the subtree rooted at i (see checkTree), counts its
+// points into *count and returns its black height.
+func (p *Planner) checkSubtree(i int32, count *int) (int, error) {
+	if i == noPoint {
+		return 1, nil
+	}
+	if *count++; *count > len(p.pts) {
+		return 0, fmt.Errorf("planner: SP tree cycles")
+	}
+	pt := &p.pts[i]
+	for _, c := range [2]int32{pt.left, pt.right} {
+		if c == noPoint {
+			continue
+		}
+		if p.pts[c].parent != i {
+			return 0, fmt.Errorf("planner: point %d: child %d has parent %d", pt.at, p.pts[c].at, p.pts[c].parent)
+		}
+		if pt.red && p.pts[c].red {
+			return 0, fmt.Errorf("planner: red point %d has red child %d", pt.at, p.pts[c].at)
+		}
+	}
+	lh, err := p.checkSubtree(pt.left, count)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	r, err := p.checkSPAug(p.sp.Right(n))
+	rh, err := p.checkSubtree(pt.right, count)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	pt := &p.pts[p.sp.Item(n)]
-	var leftSum int64
-	maxPre, minPre := pt.delta, pt.delta
-	if l != nil {
-		leftSum = l.sum
-		maxPre = max(l.maxPre, leftSum+pt.delta)
-		minPre = min(l.minPre, leftSum+pt.delta)
+	if lh != rh {
+		return 0, fmt.Errorf("planner: point %d: black heights %d left, %d right", pt.at, lh, rh)
 	}
-	sum, maxAt := leftSum+pt.delta, pt.at
-	if r != nil {
-		maxPre = max(maxPre, sum+r.maxPre)
-		minPre = min(minPre, sum+r.minPre)
-		sum += r.sum
-		maxAt = r.maxAt
+	if sum, maxPre, minPre := p.aggregates(i); pt.sum != sum || pt.maxPre != maxPre || pt.minPre != minPre {
+		return 0, fmt.Errorf("planner: SP point %d: aug (sum %d, pre [%d,%d]), want (%d, [%d,%d])",
+			pt.at, pt.sum, pt.minPre, pt.maxPre, sum, minPre, maxPre)
 	}
-	if pt.sum != sum || pt.leftSum != leftSum || pt.maxPre != maxPre || pt.minPre != minPre || pt.maxAt != maxAt {
-		return nil, fmt.Errorf("planner: SP point %d: aug (sum %d, left %d, pre [%d,%d], at %d), want (%d, %d, [%d,%d], %d)",
-			pt.at, pt.sum, pt.leftSum, pt.minPre, pt.maxPre, pt.maxAt, sum, leftSum, minPre, maxPre, maxAt)
+	if !pt.red {
+		lh++
 	}
-	return pt, nil
+	return lh, nil
 }
 
 // CheckInvariants validates every member planner.

@@ -13,9 +13,9 @@
 // one. The amount in use at a point is therefore the prefix sum of the
 // deltas up to it, and a span changes exactly two deltas — at its start and
 // at its end — however many points it covers. Every node carries bottom-up
-// aggregates over its subtree's in-order deltas (sum, left-subtree sum,
-// maximum and minimum prefix, latest time), so each operation is one
-// descent or one root-ward refresh, O(log N):
+// aggregates over its subtree's in-order deltas (sum, maximum and minimum
+// prefix), so each operation is one descent or one root-ward refresh,
+// O(log N):
 //
 //   - AddSpan/RemoveSpan: find or create the two boundary points, edit
 //     their deltas, refresh their root paths;
@@ -34,13 +34,14 @@
 // departure from the paper's data structures.
 //
 // The representation is slab-based: scheduled points live in one flat
-// slice per planner and the SP tree is an index-linked arena
-// (rbtree.Arena), so an active calendar with N points costs two contiguous
-// allocations instead of ~2N heap objects. A planner with no spans is
-// *flat*: it holds no slab and no tree at all — availability is total
-// everywhere — which makes the resting per-vertex calendar a few plain
-// fields. The slab and tree materialize on the first AddSpan and are reset
-// (capacity retained) when the last span is removed.
+// slice per planner and each point is its own SP-tree node, linked by
+// slab index (tree.go), so an active calendar with N points is one
+// contiguous allocation instead of ~N heap objects. A planner with no
+// spans is *flat*: its tree is empty and availability is total
+// everywhere, which makes the resting per-vertex calendar a few plain
+// fields. The base point materializes on the first AddSpan; when the last
+// span is removed the tree is emptied and the slab and span slice keep
+// their capacity for the next one.
 //
 // # Single writer
 //
@@ -64,9 +65,8 @@ package planner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
-
-	"fluxion/internal/rbtree"
 )
 
 // Errors returned by Planner operations.
@@ -83,33 +83,6 @@ var (
 	ErrNotFound = errors.New("planner: span not found")
 )
 
-// noPoint is the null point-slab index.
-const noPoint int32 = -1
-
-// schedPoint is one scheduled time point: the boundary of at least one span
-// (or the planner's base point). Points live in the planner's slab and
-// reference their tree nodes by index.
-type schedPoint struct {
-	at int64
-	// delta is the units scheduled throughout [at, next point) minus
-	// those scheduled just before at: the scheduled amount here is the
-	// sum of the deltas of every point up to and including this one.
-	delta int64
-
-	// SP-tree aggregates over the in-order deltas of the subtree rooted
-	// at this point's node: their sum, the sum of the left child's
-	// subtree, the maximum and minimum non-empty prefix sums, and the
-	// latest time. All are recomputed bottom-up by spUpdate.
-	sum     int64
-	leftSum int64
-	maxPre  int64
-	minPre  int64
-	maxAt   int64
-
-	refCount int32 // spans starting or ending here; base point is pinned
-	spNode   int32 // this point's SP-arena node; freelist link while free
-}
-
 // Span is a planned activity: planned units reserved during [Start, Last).
 type Span struct {
 	ID      int64
@@ -125,18 +98,19 @@ type Planner struct {
 	horizon int64
 	total   int64
 
-	// Lazy calendar: nil/empty until the first AddSpan. While no spans
-	// exist the planner is flat — remaining == total over the whole
-	// horizon — and every query short-circuits on plain fields.
-	sp  *rbtree.Arena[int32]
-	pts []schedPoint
-	// freePt heads the slab freelist, linked through spNode.
-	freePt int32
+	// Lazy calendar: the point slab (slot 0 is the tree sentinel) and
+	// the SP tree's root, freelist head and point count, all empty until
+	// the first AddSpan. While no spans exist the planner is flat —
+	// remaining == total over the whole horizon — and every query
+	// short-circuits on plain fields.
+	pts  []schedPoint
+	root int32
+	free int32
+	n    int32
 
 	// spans holds live spans by value in ascending ID order: IDs are handed
-	// out monotonically, so AddSpan appends and lookups binary-search. The
-	// backing array is released on demotion, so a resting planner carries
-	// only the slice header.
+	// out monotonically, so AddSpan appends and lookups binary-search. Like
+	// the point slab, the backing array is kept when the last span goes.
 	spans      []Span
 	nextSpanID int64
 }
@@ -168,7 +142,6 @@ func Init(p *Planner, base, horizon, total int64, _ string) error {
 	p.base = base
 	p.horizon = horizon
 	p.total = total
-	p.freePt = noPoint
 	p.nextSpanID = 1
 	return nil
 }
@@ -184,69 +157,28 @@ func MustNew(base, horizon, total int64, resourceType string) *Planner {
 
 // active reports whether the slab calendar is live (at least the base
 // point exists).
-func (p *Planner) active() bool { return p.sp != nil && p.sp.Len() > 0 }
+func (p *Planner) active() bool { return p.root != noPoint }
 
-// spLess orders SP-tree items (point indices) by time.
-func (p *Planner) spLess(a, b int32) bool { return p.pts[a].at < p.pts[b].at }
-
-// spUpdate recomputes n's subtree aggregates from its point and children.
-func (p *Planner) spUpdate(n int32) {
-	pt := &p.pts[p.sp.Item(n)]
-	var leftSum int64
-	maxPre, minPre := pt.delta, pt.delta
-	if l := p.sp.Left(n); l != rbtree.None {
-		lp := &p.pts[p.sp.Item(l)]
-		leftSum = lp.sum
-		maxPre = max(lp.maxPre, leftSum+pt.delta)
-		minPre = min(lp.minPre, leftSum+pt.delta)
-	}
-	sum, maxAt := leftSum+pt.delta, pt.at
-	if r := p.sp.Right(n); r != rbtree.None {
-		rp := &p.pts[p.sp.Item(r)]
-		maxPre = max(maxPre, sum+rp.maxPre)
-		minPre = min(minPre, sum+rp.minPre)
-		sum += rp.sum
-		maxAt = rp.maxAt
-	}
-	pt.sum, pt.leftSum, pt.maxPre, pt.minPre, pt.maxAt = sum, leftSum, maxPre, minPre, maxAt
-}
-
-// materialize builds the slab calendar: tree plus the base point. Called
-// on the first AddSpan (and again after a demotion).
+// materialize builds the slab calendar's base point: on the first AddSpan
+// the slab is sized for the sentinel, the base point and one span's two
+// boundaries; after a demotion it reuses the slab it kept.
 func (p *Planner) materialize() {
-	if p.sp == nil {
-		p.sp = rbtree.NewArena(p.spLess)
-		p.sp.SetUpdate(p.spUpdate)
+	if p.active() {
+		return
 	}
-	if p.sp.Len() == 0 {
-		i := p.allocPoint(p.base)
-		p.pts[i].spNode = p.sp.Insert(i)
+	if p.pts == nil {
+		p.pts = make([]schedPoint, 1, 4)
 	}
+	p.root = p.allocPoint(p.base)
+	p.pts[p.root].red = false
+	p.n = 1
 }
 
 // demote drops the slab calendar once the last span is gone, keeping the
 // allocated capacity so a busy/idle/busy vertex does not churn the heap.
 func (p *Planner) demote() {
-	p.sp.Reset()
-	p.pts = p.pts[:0]
-	p.freePt = noPoint
-}
-
-// allocPoint takes a slot from the slab freelist or grows the slab.
-func (p *Planner) allocPoint(at int64) int32 {
-	if f := p.freePt; f != noPoint {
-		p.freePt = p.pts[f].spNode
-		p.pts[f] = schedPoint{at: at}
-		return f
-	}
-	p.pts = append(p.pts, schedPoint{at: at})
-	return int32(len(p.pts) - 1)
-}
-
-// freePoint recycles a slab slot onto the freelist.
-func (p *Planner) freePoint(i int32) {
-	p.pts[i] = schedPoint{spNode: p.freePt}
-	p.freePt = i
+	p.pts = p.pts[:1]
+	p.root, p.free, p.n = noPoint, noPoint, 0
 }
 
 // Base returns the first schedulable time.
@@ -278,7 +210,7 @@ func (p *Planner) PointCount() int {
 	if !p.active() {
 		return 1
 	}
-	return p.sp.Len()
+	return int(p.n)
 }
 
 // Span returns a copy of the span with the given ID.
@@ -304,48 +236,17 @@ func (p *Planner) end() int64 { return p.base + p.horizon }
 // checked p.active().
 func (p *Planner) floor(t int64) (int32, int64) {
 	best, sched := noPoint, int64(0)
-	for n := p.sp.Root(); n != rbtree.None; {
-		i := p.sp.Item(n)
+	for i := p.root; i != noPoint; {
 		pt := &p.pts[i]
 		if pt.at > t {
-			n = p.sp.Left(n)
+			i = pt.left
 			continue
 		}
-		sched += pt.leftSum + pt.delta
+		sched += p.pts[pt.left].sum + pt.delta
 		best = i
-		n = p.sp.Right(n)
+		i = pt.right
 	}
 	return best, sched
-}
-
-// getOrCreatePoint returns the point at exactly time t, creating it if
-// needed. A new point's delta is zero: it inherits its predecessor's
-// scheduled amount and leaves every later prefix sum unchanged.
-func (p *Planner) getOrCreatePoint(t int64) int32 {
-	if f, _ := p.floor(t); p.pts[f].at == t {
-		return f
-	}
-	i := p.allocPoint(t)
-	n := p.sp.Insert(i)
-	p.pts[i].spNode = n
-	return i
-}
-
-// edit adds units to the amount scheduled from time t onward and ref to the
-// boundary count of the point at t: one delta and one root-ward refresh,
-// however many points lie beyond t. A point no span bounds any more has
-// delta zero again and is dropped (the base point is pinned).
-func (p *Planner) edit(t, units int64, ref int32) {
-	i := p.getOrCreatePoint(t)
-	pt := &p.pts[i]
-	pt.delta += units
-	pt.refCount += ref
-	if pt.refCount == 0 && pt.at != p.base {
-		p.sp.Delete(pt.spNode)
-		p.freePoint(i)
-		return
-	}
-	p.sp.Refresh(pt.spNode)
 }
 
 // AvailAt returns the units available at instant t.
@@ -383,55 +284,56 @@ func (p *Planner) AvailDuring(start, duration int64) (int64, error) {
 // subtrees as one-sided paths, each covered by whole-subtree aggregates.
 func (p *Planner) peak(start, end int64) int64 {
 	var off int64 // sum of the deltas in-order before n's subtree
-	n := p.sp.Root()
-	for n != rbtree.None {
-		pt := &p.pts[p.sp.Item(n)]
+	n := p.root
+	for n != noPoint {
+		pt := &p.pts[n]
 		if pt.at <= start {
-			off += pt.leftSum + pt.delta
-			n = p.sp.Right(n)
+			off += p.pts[pt.left].sum + pt.delta
+			n = pt.right
 		} else if pt.at >= end {
-			n = p.sp.Left(n)
+			n = pt.left
 		} else {
 			break
 		}
 	}
 	atFloor := off
-	if n == rbtree.None {
+	if n == noPoint {
 		return atFloor
 	}
-	split := &p.pts[p.sp.Item(n)]
-	here := off + split.leftSum + split.delta
+	split := &p.pts[n]
+	here := off + p.pts[split.left].sum + split.delta
 	peak := here
 	// Left of the split: the floor of start, then points in (start, split).
-	for m, o := p.sp.Left(n), off; m != rbtree.None; {
-		pt := &p.pts[p.sp.Item(m)]
-		pre := o + pt.leftSum + pt.delta // scheduled at m
+	for m, o := split.left, off; m != noPoint; {
+		pt := &p.pts[m]
+		pre := o + p.pts[pt.left].sum + pt.delta // scheduled at m
 		if pt.at <= start {
 			o, atFloor = pre, pre
-			m = p.sp.Right(m)
+			m = pt.right
 			continue
 		}
 		// m and its whole right subtree lie inside the window.
 		peak = max(peak, pre)
-		if r := p.sp.Right(m); r != rbtree.None {
-			peak = max(peak, pre+p.pts[p.sp.Item(r)].maxPre)
+		if r := pt.right; r != noPoint {
+			peak = max(peak, pre+p.pts[r].maxPre)
 		}
-		m = p.sp.Left(m)
+		m = pt.left
 	}
 	// Right of the split: points in (split, end).
-	for m, o := p.sp.Right(n), here; m != rbtree.None; {
-		pt := &p.pts[p.sp.Item(m)]
+	for m, o := split.right, here; m != noPoint; {
+		pt := &p.pts[m]
 		if pt.at >= end {
-			m = p.sp.Left(m)
+			m = pt.left
 			continue
 		}
 		// m and its whole left subtree lie inside the window.
-		if l := p.sp.Left(m); l != rbtree.None {
-			peak = max(peak, o+p.pts[p.sp.Item(l)].maxPre)
+		l := &p.pts[pt.left]
+		if pt.left != noPoint {
+			peak = max(peak, o+l.maxPre)
 		}
-		o += pt.leftSum + pt.delta
+		o += l.sum + pt.delta
 		peak = max(peak, o)
-		m = p.sp.Right(m)
+		m = pt.right
 	}
 	return max(peak, atFloor)
 }
@@ -445,29 +347,28 @@ func (p *Planner) CanFit(start, duration, request int64) bool {
 // nextPointGE returns the earliest point of n's subtree strictly after
 // `after` that schedules at most limit units (leaves at least total-limit
 // remaining), or noPoint; off is the sum of the deltas in-order before the
-// subtree. It is paper Algorithm 1's FINDEARLIESTAT as a descent of the
-// time-keyed tree, pruning every subtree whose minimum prefix (least
-// scheduled) still exceeds limit or whose latest time is not after
-// `after`. O(log N).
-func (p *Planner) nextPointGE(n int32, off, after, limit int64) int32 {
-	if n == rbtree.None {
+// subtree, and every time in the subtree is below hi. It is paper
+// Algorithm 1's FINDEARLIESTAT as a descent of the time-keyed tree,
+// pruning every subtree whose minimum prefix (least scheduled) still
+// exceeds limit or whose times all lie at or before `after`. O(log N).
+func (p *Planner) nextPointGE(n int32, off, hi, after, limit int64) int32 {
+	if n == noPoint {
 		return noPoint
 	}
-	i := p.sp.Item(n)
-	pt := &p.pts[i]
-	if off+pt.minPre > limit || pt.maxAt <= after {
+	pt := &p.pts[n]
+	if off+pt.minPre > limit || hi-1 <= after {
 		return noPoint
 	}
-	here := off + pt.leftSum + pt.delta
+	here := off + p.pts[pt.left].sum + pt.delta
 	if pt.at > after {
-		if r := p.nextPointGE(p.sp.Left(n), off, after, limit); r != noPoint {
+		if r := p.nextPointGE(pt.left, off, pt.at, after, limit); r != noPoint {
 			return r
 		}
 		if here <= limit {
-			return i
+			return n
 		}
 	}
-	return p.nextPointGE(p.sp.Right(n), here, after, limit)
+	return p.nextPointGE(pt.right, here, hi, after, limit)
 }
 
 // lastOver returns the last point in (lo, hi) of n's subtree scheduling
@@ -475,26 +376,25 @@ func (p *Planner) nextPointGE(n int32, off, after, limit int64) int32 {
 // before the subtree. It is a max-prefix descent that tries later points
 // first and prunes every subtree whose maximum prefix stays within limit.
 func (p *Planner) lastOver(n int32, off, lo, hi, limit int64) int32 {
-	for n != rbtree.None {
-		i := p.sp.Item(n)
-		pt := &p.pts[i]
+	for n != noPoint {
+		pt := &p.pts[n]
 		if off+pt.maxPre <= limit {
 			return noPoint
 		}
-		here := off + pt.leftSum + pt.delta
+		here := off + p.pts[pt.left].sum + pt.delta
 		switch {
 		case pt.at >= hi:
-			n = p.sp.Left(n)
+			n = pt.left
 		case pt.at <= lo:
-			off, n = here, p.sp.Right(n)
+			off, n = here, pt.right
 		default:
-			if r := p.lastOver(p.sp.Right(n), here, lo, hi, limit); r != noPoint {
+			if r := p.lastOver(pt.right, here, lo, hi, limit); r != noPoint {
 				return r
 			}
 			if here > limit {
-				return i
+				return n
 			}
-			n = p.sp.Left(n)
+			n = pt.left
 		}
 	}
 	return noPoint
@@ -509,7 +409,7 @@ func (p *Planner) lastOver(n int32, off, lo, hi, limit int64) int32 {
 func (p *Planner) fitAfter(after, duration, request int64) (int64, error) {
 	limit := p.total - request
 	for {
-		i := p.nextPointGE(p.sp.Root(), 0, after, limit)
+		i := p.nextPointGE(p.root, 0, math.MaxInt64, after, limit)
 		if i == noPoint {
 			return -1, ErrNoSpace
 		}
@@ -519,7 +419,7 @@ func (p *Planner) fitAfter(after, duration, request int64) (int64, error) {
 			// ones overflow the horizon too.
 			return -1, ErrNoSpace
 		}
-		short := p.lastOver(p.sp.Root(), 0, t, t+duration, limit)
+		short := p.lastOver(p.root, 0, t, t+duration, limit)
 		if short == noPoint {
 			return t, nil
 		}
@@ -608,7 +508,7 @@ func (p *Planner) RemoveSpan(id int64) error {
 	}
 	s := p.spans[at]
 	if len(p.spans) == 1 {
-		p.spans = nil
+		p.spans = p.spans[:0]
 		p.demote()
 		return nil
 	}
@@ -637,11 +537,11 @@ func (p *Planner) Update(delta int64) error {
 		if total < 0 {
 			return fmt.Errorf("%w: shrink by %d leaves point %d negative", ErrNoSpace, -delta, p.base)
 		}
-	} else if total < p.pts[p.sp.Item(p.sp.Root())].maxPre {
+	} else if total < p.pts[p.root].maxPre {
 		// Name the first point the shrink would leave negative.
 		var sched int64
-		for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
-			pt := &p.pts[p.sp.Item(n)]
+		for i := p.first(); i != noPoint; i = p.next(i) {
+			pt := &p.pts[i]
 			if sched += pt.delta; sched > total {
 				return fmt.Errorf("%w: shrink by %d leaves point %d negative", ErrNoSpace, -delta, pt.at)
 			}
@@ -659,8 +559,8 @@ func (p *Planner) Points(fn func(at, avail int64) bool) {
 		return
 	}
 	var sched int64
-	for n := p.sp.Min(); n != rbtree.None; n = p.sp.Next(n) {
-		pt := &p.pts[p.sp.Item(n)]
+	for i := p.first(); i != noPoint; i = p.next(i) {
+		pt := &p.pts[i]
 		sched += pt.delta
 		if !fn(pt.at, p.total-sched) {
 			return
@@ -693,12 +593,12 @@ func (p *Planner) Utilization(from, to int64) (float64, error) {
 	var used int64
 	cur, sched := p.floor(from)
 	curAt := from
-	for n := p.sp.Next(p.pts[cur].spNode); ; n = p.sp.Next(n) {
-		if n == rbtree.None || p.pts[p.sp.Item(n)].at >= to {
+	for i := p.next(cur); ; i = p.next(i) {
+		if i == noPoint || p.pts[i].at >= to {
 			used += sched * (to - curAt)
 			break
 		}
-		pt := &p.pts[p.sp.Item(n)]
+		pt := &p.pts[i]
 		used += sched * (pt.at - curAt)
 		sched += pt.delta
 		curAt = pt.at

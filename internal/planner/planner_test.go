@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
-
-	"fluxion/internal/rbtree"
 )
 
 func mustAdd(t *testing.T, p *Planner, start, dur, req int64) int64 {
@@ -645,36 +643,32 @@ func validateSPAug(t *testing.T, p *Planner) {
 	if !p.active() {
 		return
 	}
-	var inorder func(n int32) []schedPoint
-	inorder = func(n int32) []schedPoint {
-		if n == rbtree.None {
+	var inorder func(i int32) []schedPoint
+	inorder = func(i int32) []schedPoint {
+		if i == noPoint {
 			return nil
 		}
-		out := append(inorder(p.sp.Left(n)), p.pts[p.sp.Item(n)])
-		return append(out, inorder(p.sp.Right(n))...)
+		out := append(inorder(p.pts[i].left), p.pts[i])
+		return append(out, inorder(p.pts[i].right)...)
 	}
-	var walk func(n int32)
-	walk = func(n int32) {
-		if n == rbtree.None {
+	var walk func(i int32)
+	walk = func(i int32) {
+		if i == noPoint {
 			return
 		}
-		sub := inorder(n)
-		var sum, leftSum int64
+		var sum int64
 		maxPre, minPre := int64(-1<<62), int64(1<<62)
-		for _, q := range sub {
+		for _, q := range inorder(i) {
 			sum += q.delta
 			maxPre, minPre = max(maxPre, sum), min(minPre, sum)
 		}
-		for _, q := range inorder(p.sp.Left(n)) {
-			leftSum += q.delta
+		pt := p.pts[i]
+		if pt.sum != sum || pt.maxPre != maxPre || pt.minPre != minPre {
+			t.Fatalf("aug stale at t=%d: (%d,%d,%d) want (%d,%d,%d)", pt.at,
+				pt.sum, pt.maxPre, pt.minPre, sum, maxPre, minPre)
 		}
-		pt := p.pts[p.sp.Item(n)]
-		if pt.sum != sum || pt.leftSum != leftSum || pt.maxPre != maxPre || pt.minPre != minPre || pt.maxAt != sub[len(sub)-1].at {
-			t.Fatalf("aug stale at t=%d: (%d,%d,%d,%d,%d) want (%d,%d,%d,%d,%d)", pt.at,
-				pt.sum, pt.leftSum, pt.maxPre, pt.minPre, pt.maxAt, sum, leftSum, maxPre, minPre, sub[len(sub)-1].at)
-		}
-		walk(p.sp.Left(n))
-		walk(p.sp.Right(n))
+		walk(pt.left)
+		walk(pt.right)
 	}
-	walk(p.sp.Root())
+	walk(p.root)
 }

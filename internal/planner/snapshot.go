@@ -3,8 +3,6 @@ package planner
 import (
 	"fmt"
 	"sort"
-
-	"fluxion/internal/rbtree"
 )
 
 // Snapshot is an immutable, point-in-time copy of a Planner's availability
@@ -39,14 +37,14 @@ func (p *Planner) Snapshot() *Snapshot {
 		s.times[0], s.avail[0] = p.base, p.total
 		return s
 	}
-	s := p.newSnapshot(p.sp.Len())
-	i := 0
+	s := p.newSnapshot(int(p.n))
+	k := 0
 	var sched int64
-	for node := p.sp.Min(); node != rbtree.None; node = p.sp.Next(node) {
-		pt := &p.pts[p.sp.Item(node)]
+	for i := p.first(); i != noPoint; i = p.next(i) {
+		pt := &p.pts[i]
 		sched += pt.delta
-		s.times[i], s.avail[i] = pt.at, p.total-sched
-		i++
+		s.times[k], s.avail[k] = pt.at, p.total-sched
+		k++
 	}
 	return s
 }

@@ -439,14 +439,15 @@ func (g *Graph) Finalize() error {
 	// One contiguous planner slab for the whole build; Attach-time grafts
 	// fall back to individual allocation.
 	g.pslab = make([]planner.Planner, len(g.vertices))
-	seen := make(map[int64]bool, len(g.vertices))
-	err := g.finalizeSubtree(root, "", seen)
+	g.byPath = make(map[string]*Vertex, len(g.vertices))
+	reached := 0
+	err := g.finalizeSubtree(root, "", make([]bool, g.nextUniq), &reached)
 	g.pslab = nil
 	if err != nil {
 		return err
 	}
-	if len(seen) != len(g.vertices) {
-		return fmt.Errorf("%w: %d vertices unreachable from containment root", ErrInvalid, len(g.vertices)-len(seen))
+	if reached != len(g.vertices) {
+		return fmt.Errorf("%w: %d vertices unreachable from containment root", ErrInvalid, len(g.vertices)-reached)
 	}
 	// Filters are installed with the subtree's structural capacity; any
 	// vertex loaded already down (e.g. from a JGF/GraphML dump of a
@@ -634,14 +635,16 @@ func (g *Graph) newPlanner(v *Vertex) (*planner.Planner, error) {
 }
 
 // finalizeSubtree computes the path, planner, aggregates, and filter for v
-// and its containment descendants. Leaves store no aggregate map — their
-// trivial singleton aggregate is synthesized on demand — so the per-vertex
-// resting cost of the (majority) leaf population stays flat.
-func (g *Graph) finalizeSubtree(v *Vertex, parentPath string, seen map[int64]bool) error {
+// and its containment descendants, marking each in seen (indexed by
+// UniqID) and counting it in *reached. Leaves store no aggregate map —
+// their trivial singleton aggregate is synthesized on demand — so the
+// per-vertex resting cost of the (majority) leaf population stays flat.
+func (g *Graph) finalizeSubtree(v *Vertex, parentPath string, seen []bool, reached *int) error {
 	if seen[v.UniqID] {
 		return fmt.Errorf("%w: containment cycle through %s", ErrInvalid, v.Name)
 	}
 	seen[v.UniqID] = true
+	*reached++
 	path := parentPath + "/" + v.Name
 	v.path = path
 	g.byPath[path] = v
@@ -657,7 +660,7 @@ func (g *Graph) finalizeSubtree(v *Vertex, parentPath string, seen map[int64]boo
 	}
 	v.agg = map[string]int64{v.Type: v.Size}
 	for c := v.kidHead; c != nil; c = c.nextSib {
-		if err := g.finalizeSubtree(c, path, seen); err != nil {
+		if err := g.finalizeSubtree(c, path, seen, reached); err != nil {
 			return err
 		}
 		if c.agg != nil {
@@ -718,8 +721,8 @@ func (g *Graph) Attach(parent, sub *Vertex) error {
 	if err := g.addContainment(parent, sub); err != nil {
 		return err
 	}
-	seen := make(map[int64]bool)
-	if err := g.finalizeSubtree(sub, parent.path, seen); err != nil {
+	var reached int
+	if err := g.finalizeSubtree(sub, parent.path, make([]bool, g.nextUniq), &reached); err != nil {
 		return err
 	}
 	// Propagate aggregate growth to ancestors and their filters. A parent

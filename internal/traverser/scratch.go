@@ -123,21 +123,22 @@ type candCache struct {
 }
 
 // reset clears the cache for a new attempt, recycling the candidate
-// buffers of surviving entries.
+// buffers of surviving entries. Every index key belongs to one entry, so
+// deleting the entries' keys empties the index in O(entries); clear would
+// cost the map's capacity, the largest attempt ever seen.
 func (c *candCache) reset() {
+	if c.index == nil {
+		c.index = make(map[candKey]int32)
+	}
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.valid && e.cands != nil {
 			c.free = append(c.free, e.cands)
 		}
 		e.cands = nil
+		delete(c.index, e.key)
 	}
 	c.entries = c.entries[:0]
-	if c.index == nil {
-		c.index = make(map[candKey]int32)
-	} else {
-		clear(c.index)
-	}
 }
 
 // dropFree releases the recycled candidate buffers to the garbage
