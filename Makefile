@@ -7,7 +7,7 @@ COVER_FLOOR ?= 78.0
 # The benchmark families gated against BENCH_BASELINE.json. -cpu is
 # pinned so sub-benchmark names (and the -N suffix) are identical across
 # machines; -count 5 lets benchdiff take the noise-resistant median.
-BENCH_GATE  ?= BenchmarkLODMatch|BenchmarkPlanner|BenchmarkSlotMatch|BenchmarkSchedCycle|BenchmarkWALAppend|BenchmarkParallelMatch|BenchmarkGraphMemory|BenchmarkSchedMemory|BenchmarkShardedThroughput
+BENCH_GATE  ?= BenchmarkLODMatch|BenchmarkPlanner|BenchmarkSlotMatch|BenchmarkSchedCycle|BenchmarkWALAppend|BenchmarkGraphMemory|BenchmarkSchedMemory|BenchmarkShardedThroughput
 BENCH_FLAGS  = -run NONE -bench '$(BENCH_GATE)' -benchtime 0.5s -count 5 -cpu 4
 # Packages holding gated benchmarks.
 BENCH_PKGS   = . ./internal/sched ./internal/wal ./internal/resgraph ./internal/shard

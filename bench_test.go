@@ -11,11 +11,8 @@ package fluxion_test
 // minutes; cmd/fluxion-bench reproduces the full paper-scale tables.
 
 import (
-	"errors"
 	"fluxion"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"fluxion/internal/experiments"
@@ -118,75 +115,6 @@ func BenchmarkSlotMatch(b *testing.B) {
 				if err := tr.Cancel(id); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelMatch measures aggregate match throughput of the
-// parallel match pipeline: W workers each drive speculate -> commit ->
-// cancel cycles against the half-loaded Fig. 6a High-Prune system. b.N is
-// the total number of cycles across all workers, so ns/op is directly
-// comparable between worker counts: on multi-core hardware higher W should
-// lower it (the ≥1.8x-at-4-workers target), while on a single core it
-// degenerates to the sequential cost plus coordination overhead.
-func BenchmarkParallelMatch(b *testing.B) {
-	recipes := grug.LODPresetsScaled(benchRacks)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			tr := lodTraverser(b, recipes[0], true)
-			js := experiments.LODJobspec()
-			var ids atomic.Int64
-			ids.Store(1_000_000)
-			var tickets atomic.Int64
-			var failed atomic.Value
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for tickets.Add(1) <= int64(b.N) {
-						id := ids.Add(1)
-						for {
-							// Compile per attempt, as the benchmark always
-							// has, so ns/op and allocs/op stay comparable
-							// with the committed baseline.
-							cjs, err := tr.Compile(js)
-							if err != nil {
-								failed.CompareAndSwap(nil, err)
-								return
-							}
-							alloc, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch())
-							if err != nil {
-								if errors.Is(err, traverser.ErrNoMatch) {
-									// Transient: the pin saw other workers'
-									// jobs before they cancelled.
-									continue
-								}
-								failed.CompareAndSwap(nil, err)
-								return
-							}
-							if err := tr.Commit(alloc); err != nil {
-								if errors.Is(err, traverser.ErrConflict) {
-									continue
-								}
-								failed.CompareAndSwap(nil, err)
-								return
-							}
-							break
-						}
-						if err := tr.Cancel(id); err != nil {
-							failed.CompareAndSwap(nil, err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if err, ok := failed.Load().(error); ok && err != nil {
-				b.Fatal(err)
 			}
 		})
 	}

@@ -5,8 +5,6 @@
 //	fluxion-bench -experiment planner   # Fig. 6b  (Planner scaling)
 //	fluxion-bench -experiment classes   # Fig. 7a  (performance classes)
 //	fluxion-bench -experiment varaware  # Fig. 7b, Table 1, Fig. 8
-//	fluxion-bench -experiment parmatch  # parallel match pipeline sweep
-//	fluxion-bench -experiment epochscale # lock-free epoch-snapshot match scaling
 //	fluxion-bench -experiment recovery  # WAL crash-recovery time vs log length
 //	fluxion-bench -experiment chaos     # self-defense survival vs fault intensity
 //	fluxion-bench -experiment memscale  # resting-graph memory vs system scale
@@ -39,25 +37,22 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "lod | planner | classes | varaware | parmatch | epochscale | recovery | chaos | memscale | shardscale | shardchaos | all")
+		experiment = flag.String("experiment", "all", "lod | planner | classes | varaware | recovery | chaos | memscale | shardscale | shardchaos | all")
 		racks      = flag.Int64("racks", 56, "LOD system scale in racks (56 = the paper's 1008 nodes)")
 		spans      = flag.String("spans", "1000,10000,100000,1000000", "planner pre-population sweep")
 		queries    = flag.Int("queries", 4096, "planner queries per measurement")
 		jobs       = flag.Int("jobs", 200, "trace length for the variation-aware study")
 		nodes      = flag.Int64("quartz-nodes", 2418, "variation-aware system size (racks of 62)")
 		seed       = flag.Int64("seed", 2023, "workload seed")
-		workers    = flag.String("workers", "1,2,4,8", "parallel-match worker sweep")
 		recJobs    = flag.Int("recovery-jobs", 512, "queue depth for the WAL recovery study")
 		recPoints  = flag.Int("recovery-points", 8, "log-length sample points for the WAL recovery study")
 		chaosJobs  = flag.Int("chaos-jobs", 200, "trace length for the chaos self-defense study")
-		parOps     = flag.Int("parmatch-ops", 2048, "speculate+commit+cancel cycles per worker count")
 		memRacks   = flag.String("memscale-racks", "7,70,703", "rack sweep for the resting-memory study (70 racks ~ 100k vertices)")
 		shardJobs  = flag.Int("shardscale-jobs", 600, "queue-snapshot depth for the sharded-scheduling study")
 		shardSweep = flag.String("shardscale-shards", "1,2,4,8", "shard-count sweep for the sharded-scheduling study")
 		killJobs   = flag.Int("shardchaos-jobs", 400, "queue-snapshot depth for the shard-failover study")
 		killSweep  = flag.String("shardchaos-kill", "0,0.125,0.25,0.375,0.5", "shard-kill intensity sweep (must start with the 0 control)")
 		killSeed   = flag.Int64("shardchaos-seed", 1, "shard-kill schedule seed")
-		epochOps   = flag.Int("epochscale-ops", 8192, "epoch speculations per worker count")
 		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments")
@@ -146,28 +141,6 @@ func main() {
 		writeCSV("varaware_perjob.csv", func(w *os.File) error { return experiments.WritePerJobCSV(w, runs) })
 		fmt.Printf("(varaware experiment wall time: %v)\n", time.Since(start).Round(time.Second))
 	}
-	if run("parmatch") {
-		ran = true
-		sweep, err := parseInts(*workers)
-		fail(err)
-		start := time.Now()
-		results, err := experiments.RunParMatch(*racks, sweep, *parOps)
-		fail(err)
-		experiments.PrintParMatch(os.Stdout, results, *racks)
-		writeCSV("parmatch.csv", func(w *os.File) error { return experiments.WriteParMatchCSV(w, results) })
-		fmt.Printf("(parmatch experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
-	}
-	if run("epochscale") {
-		ran = true
-		sweep, err := parseInts(*workers)
-		fail(err)
-		start := time.Now()
-		results, err := experiments.RunEpochScale(*racks, sweep, *epochOps)
-		fail(err)
-		experiments.PrintEpochScale(os.Stdout, results, *racks)
-		writeCSV("epochscale.csv", func(w *os.File) error { return experiments.WriteEpochScaleCSV(w, results) })
-		fmt.Printf("(epochscale experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
-	}
 	if run("recovery") {
 		ran = true
 		cfg := experiments.DefaultRecovery()
@@ -238,7 +211,7 @@ func main() {
 		fmt.Printf("(shardscale experiment wall time: %v)\n\n", time.Since(start).Round(time.Second))
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want lod, planner, classes, varaware, parmatch, epochscale, recovery, chaos, memscale, shardscale, shardchaos, or all)\n", *experiment)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want lod, planner, classes, varaware, recovery, chaos, memscale, shardscale, shardchaos, or all)\n", *experiment)
 		os.Exit(2)
 	}
 }

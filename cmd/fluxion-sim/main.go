@@ -37,7 +37,6 @@ func main() {
 		matchPol   = flag.String("match", "first", "match policy: first | high | low | locality | variation")
 		queuePol   = flag.String("queue", "conservative", "queue policy: fcfs | easy | conservative")
 		queueDepth = flag.Int("queue-depth", 0, "plan at most N pending jobs per cycle (0 = all)")
-		matchWork  = flag.Int("match-workers", 1, "parallel match workers per cycle (1 = sequential)")
 		prune      = flag.String("prune", "ALL:core,ALL:node", "pruning filter spec")
 		timeline   = flag.Bool("timeline", false, "print the per-job timeline")
 		mtbf       = flag.Int64("mtbf", 0, "mean seconds between node failures (0 = no fault injection)")
@@ -67,7 +66,6 @@ func main() {
 		defense         = flag.Bool("defense", true, "scheduler self-defense layer (panic fences, quarantine, watchdog, backpressure)")
 		matchDeadline   = flag.Duration("match-deadline", 0, "quarantine a job when a failed match attempt exceeds this (0 = off)")
 		cycleDeadline   = flag.Duration("cycle-deadline", 0, "cycle watchdog deadline driving the degradation ladder (0 = off)")
-		conflictLimit   = flag.Int("conflict-limit", 0, "quarantine a job after N consecutive commit conflicts (0 = off)")
 		admitHigh       = flag.Int("admit-high", 0, "refuse submits above this pending-queue depth (0 = off)")
 		admitLow        = flag.Int("admit-low", 0, "re-admit below this depth (0 = admit-high/2)")
 	)
@@ -154,27 +152,25 @@ func main() {
 	if *defense && !*chaosDry {
 		dcfg = &sched.DefenseConfig{
 			MatchDeadline: *matchDeadline,
-			ConflictLimit: *conflictLimit,
 			CycleDeadline: *cycleDeadline,
 			AdmitHigh:     *admitHigh,
 			AdmitLow:      *admitLow,
 		}
 	}
 	res, err := simcli.Run(simcli.Config{
-		Recipe:       recipe,
-		PruneSpec:    spec,
-		MatchPolicy:  *matchPol,
-		QueuePolicy:  sched.QueuePolicy(*queuePol),
-		QueueDepth:   *queueDepth,
-		MatchWorkers: *matchWork,
-		Timeline:     *timeline,
-		MTBF:         *mtbf,
-		MTTR:         *mttr,
-		FaultSeed:    *faultSeed,
-		MaxRetries:   *maxRetries,
-		Drill:        *drill,
-		Shards:       *shards,
-		ShardCut:     *shardCut,
+		Recipe:      recipe,
+		PruneSpec:   spec,
+		MatchPolicy: *matchPol,
+		QueuePolicy: sched.QueuePolicy(*queuePol),
+		QueueDepth:  *queueDepth,
+		Timeline:    *timeline,
+		MTBF:        *mtbf,
+		MTTR:        *mttr,
+		FaultSeed:   *faultSeed,
+		MaxRetries:  *maxRetries,
+		Drill:       *drill,
+		Shards:      *shards,
+		ShardCut:    *shardCut,
 
 		WALDir:          *walDir,
 		WALSyncInterval: *walSync,

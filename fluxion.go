@@ -89,16 +89,15 @@ const DefaultHorizon = int64(1) << 31
 
 // config collects construction options.
 type config struct {
-	base         int64
-	horizon      int64
-	policy       string
-	prune        string
-	pruneSpec    resgraph.PruneSpec
-	subsystem    string
-	matchWorkers int
-	shardCut     string
-	defense      *sched.DefenseConfig
-	shardSup     *shard.SupervisorConfig
+	base      int64
+	horizon   int64
+	policy    string
+	prune     string
+	pruneSpec resgraph.PruneSpec
+	subsystem string
+	shardCut  string
+	defense   *sched.DefenseConfig
+	shardSup  *shard.SupervisorConfig
 
 	recipe      *grug.Recipe
 	recipeYAML  []byte
@@ -176,21 +175,6 @@ func WithHorizon(h int64) Option {
 // containment).
 func WithSubsystem(name string) Option {
 	return func(c *config) error { c.subsystem = name; return nil }
-}
-
-// WithMatchWorkers sets the parallel match pipeline's worker count: how
-// many speculative match workers each shard's scheduler uses (see
-// internal/sched). n <= 1 (the default) selects the sequential match loop.
-// Only NewSharded consults it; a flat scheduler takes
-// sched.WithMatchWorkers directly.
-func WithMatchWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("fluxion: match workers must be >= 0")
-		}
-		c.matchWorkers = n
-		return nil
-	}
 }
 
 // Fluxion is the top-level scheduler-facing handle: a resource graph store

@@ -180,7 +180,7 @@ func TestSpawnInstanceConcurrentCancel(t *testing.T) {
 // TestSpawnInstanceChurn spawns children of a stable grant while other
 // goroutines churn the parent — allocating and cancelling grants whose
 // subtrees attach to and detach from the same racks, each cancel
-// publishing a fresh MVCC epoch over the shared slab graph. Run under
+// publishing over the shared slab graph. Run under
 // -race this is the regression test for the unlocked clone walk; the
 // invariant is that every child mirrors exactly the stable grant no
 // matter what the churn does around it.

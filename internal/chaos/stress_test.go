@@ -14,10 +14,10 @@ import (
 	"fluxion/internal/traverser"
 )
 
-// TestChaosStress fires a seeded chaos schedule at a parallel-matching
-// scheduler with every defense armed — run with -race. Injected panics
-// ride speculation workers, slow matches trip the cycle watchdog, and
-// malformed specs hammer the validator. Afterward: every job must be in
+// TestChaosStress fires a seeded chaos schedule at a scheduler with every
+// defense armed — run with -race. Injected panics hit match attempts,
+// slow matches trip the cycle watchdog, and malformed specs hammer the
+// validator. Afterward: every job must be in
 // a terminal state, every vertex planner and pruning filter must pass
 // CheckInvariants (a quarantined job that leaked partial claims would
 // fail here), and the degradation ladder must fully re-arm once the
@@ -33,10 +33,8 @@ func TestChaosStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := sched.New(tr, sched.Conservative,
-		sched.WithMatchWorkers(8),
 		sched.WithDefense(sched.DefenseConfig{
 			CycleDeadline: 100 * time.Microsecond,
-			ConflictLimit: 8,
 			AdmitHigh:     256,
 		}))
 	if err != nil {

@@ -94,15 +94,11 @@ func RunChaos(cfg ChaosConfig) ([]ChaosResult, error) {
 			SlowDelay:     cfg.SlowDelay,
 			MalformedFrac: intensity / 2,
 		}
-		// ConflictLimit stays off: with parallel speculation an honest
-		// job can lose commit races repeatedly, and quarantining it
-		// would (correctly) show up here as a survival failure.
 		scfg := simcli.Config{
-			Recipe:       grug.Small(cfg.Racks, cfg.NodesPerRack, cfg.Cores, 0, 0),
-			QueuePolicy:  sched.Conservative,
-			MatchWorkers: 4,
-			Chaos:        plan,
-			Defense:      &sched.DefenseConfig{CycleDeadline: cfg.CycleDeadline},
+			Recipe:      grug.Small(cfg.Racks, cfg.NodesPerRack, cfg.Cores, 0, 0),
+			QueuePolicy: sched.Conservative,
+			Chaos:       plan,
+			Defense:     &sched.DefenseConfig{CycleDeadline: cfg.CycleDeadline},
 		}
 		start := time.Now()
 		res, err := simcli.Run(scfg, jobs, io.Discard)

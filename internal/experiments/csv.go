@@ -35,53 +35,6 @@ func WriteLODCSV(w io.Writer, results []LODResult) error {
 	return cw.Error()
 }
 
-// WriteParMatchCSV renders the parallel-match worker sweep.
-func WriteParMatchCSV(w io.Writer, results []ParMatchResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workers", "ops", "conflicts", "total_ns", "per_match_ns", "match_per_sec", "speedup"}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		rec := []string{
-			strconv.Itoa(r.Workers),
-			strconv.Itoa(r.Ops),
-			strconv.Itoa(r.Conflicts),
-			strconv.FormatInt(r.Total.Nanoseconds(), 10),
-			strconv.FormatInt(r.PerMatch.Nanoseconds(), 10),
-			strconv.FormatFloat(r.Throughput, 'f', 1, 64),
-			strconv.FormatFloat(r.Speedup, 'f', 3, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteEpochScaleCSV renders the E10 epoch-snapshot scaling sweep.
-func WriteEpochScaleCSV(w io.Writer, results []EpochScaleResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workers", "matches", "total_ns", "per_match_ns", "match_per_sec", "speedup"}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		rec := []string{
-			strconv.Itoa(r.Workers),
-			strconv.Itoa(r.Matches),
-			strconv.FormatInt(r.Total.Nanoseconds(), 10),
-			strconv.FormatInt(r.PerMatch.Nanoseconds(), 10),
-			strconv.FormatFloat(r.Throughput, 'f', 1, 64),
-			strconv.FormatFloat(r.Speedup, 'f', 3, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteShardScaleCSV renders the E12 shard-count sweep: throughput plus
 // the decision-quality deltas against each policy's 1-shard baseline.
 func WriteShardScaleCSV(w io.Writer, results []ShardScaleResult) error {

@@ -312,39 +312,6 @@ func TestChaosSmallScale(t *testing.T) {
 	}
 }
 
-func TestEpochScaleSmallScale(t *testing.T) {
-	results, err := RunEpochScale(2, []int{1, 2}, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if r.Matches != 128 || r.Total <= 0 || r.Throughput <= 0 {
-			t.Errorf("w%d: bad row %+v", r.Workers, r)
-		}
-	}
-	if results[0].Speedup != 1 {
-		t.Errorf("first row speedup = %v", results[0].Speedup)
-	}
-	var buf bytes.Buffer
-	PrintEpochScale(&buf, results, 2)
-	if !strings.Contains(buf.String(), "pinned epoch") {
-		t.Fatalf("table: %s", buf.String())
-	}
-	buf.Reset()
-	if err := WriteEpochScaleCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "workers,matches,total_ns,per_match_ns,match_per_sec,speedup") {
-		t.Fatalf("epochscale header: %s", buf.String())
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 3 { // header + 2 rows
-		t.Fatalf("epochscale csv lines = %d", lines)
-	}
-}
-
 func TestMemScaleSmallScale(t *testing.T) {
 	results, err := RunMemScale([]int64{1, 2})
 	if err != nil {

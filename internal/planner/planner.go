@@ -51,15 +51,12 @@
 // reader side. The match kernel only reads; the writers are the
 // traverser's install (the one place vertex spans are added, after a
 // match, Commit or Reinstall succeeds), remove (cancel, evict), Release,
-// SDFU, and the graph's status and elasticity updates. Epoch builds run
-// under the reader side too, so they see the planners between two edits,
-// never in the middle of one. The shard
-// router reads a shard's root filter only after the lockstep barrier,
-// when no cycle runs on that shard. Everything else that reads without
-// the lock — speculative matches, tests probing a running system — reads
-// the immutable Snapshots of a pinned epoch instead. A planner nobody
-// else can reach (a fresh New, a benchmark's own calendar) needs no
-// coordination at all.
+// SDFU, and the graph's status and elasticity updates. The shard router
+// reads a shard's root filter only after the lockstep barrier, when no
+// cycle runs on that shard. Nothing reads a live planner without the lock;
+// a test probing a running system goes through the traverser's locked
+// queries (Info, Jobs). A planner nobody else can reach (a fresh New, a
+// benchmark's own calendar) needs no coordination at all.
 package planner
 
 import (
@@ -190,13 +187,6 @@ func (p *Planner) Horizon() int64 { return p.horizon }
 // Total returns the pool size.
 func (p *Planner) Total() int64 {
 	return p.total
-}
-
-// FlatTotal returns the pool size and true when the planner is flat (no
-// spans: availability is Total over the whole horizon). Epoch snapshotting
-// uses it to share one Snapshot among all resting planners of equal size.
-func (p *Planner) FlatTotal() (int64, bool) {
-	return p.total, len(p.spans) == 0
 }
 
 // SpanCount returns the number of live spans.

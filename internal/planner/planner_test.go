@@ -325,7 +325,7 @@ func refPoints(spans []refSpan) []int64 {
 }
 
 // checkAgainstRef compares every whole-calendar observable of p with the
-// reference: the point profile (Points), an epoch Snapshot, Utilization,
+// reference: the point profile (Points), Utilization,
 // the AvailPointTimeAfter iterator, and the internal invariants.
 func checkAgainstRef(t *testing.T, op int, rng *rand.Rand, p *Planner, ref *refModel, spans []refSpan) {
 	t.Helper()
@@ -349,9 +349,6 @@ func checkAgainstRef(t *testing.T, op int, rng *rand.Rand, p *Planner, ref *refM
 
 	at := int64(rng.Intn(int(horizon)))
 	dur := int64(rng.Intn(int(horizon-at))) + 1
-	if got, err := p.Snapshot().AvailDuring(at, dur); err != nil || got != ref.availDuring(at, dur) {
-		t.Fatalf("op %d: Snapshot.AvailDuring(%d,%d) = %d, %v; ref %d", op, at, dur, got, err, ref.availDuring(at, dur))
-	}
 	if ref.total > 0 {
 		want := float64(ref.used(at, at+dur)) / float64(ref.total*dur)
 		if got, err := p.Utilization(at, at+dur); err != nil || got != want {

@@ -85,17 +85,16 @@ func (g *Graph) DeltaSink() func(Delta) {
 // behind an atomic pointer so the common no-sink case costs one load on
 // hot paths (Cancel/Release publish one delta per allocated vertex).
 //
-// Once the graph publishes MVCC epochs (after Finalize), deltas are not
-// delivered immediately: they buffer until the next epoch transition and
-// flush with it, in order, so the sink observes exactly one consistent
-// boundary per transition — the wakeup index and the WAL never see a
-// capacity change that readers of the current epoch cannot.
+// After Finalize, deltas are not delivered immediately: they buffer until
+// the next publication (epoch.go) and flush with it, in order, so the sink
+// observes exactly one consistent boundary per transition — the wakeup
+// index and the WAL never see half of an operation.
 func (g *Graph) publishDelta(d Delta) {
 	sink := g.deltaSink.Load()
 	if sink == nil {
 		return
 	}
-	if g.epoch.Load() != nil {
+	if g.epochVersion.Load() != 0 {
 		g.epochMu.Lock()
 		g.pendingDeltas = append(g.pendingDeltas, d)
 		g.epochMu.Unlock()

@@ -121,27 +121,15 @@ type Graph struct {
 	// single load, and registration never contends with topology reads.
 	deltaSink atomic.Pointer[func(Delta)]
 
-	// MVCC epoch state (see epoch.go). epochVersion counts publications;
-	// epoch is the newest materialised snapshot and may lag it. epochMu
-	// guards the bookkeeping below. Lock order: g.mu (either side) before
-	// epochMu, never the reverse.
-	epoch         atomic.Pointer[Epoch]
+	// Publish boundary state (see epoch.go). epochVersion counts
+	// publications; epochMu guards the bookkeeping below. Lock order: g.mu
+	// (either side) before epochMu, never the reverse.
 	epochVersion  atomic.Uint64
 	structVersion atomic.Uint64
-	epochBuilds   atomic.Uint64
 	epochMu       sync.Mutex
-	epochDirty    []uint64 // bitmap by UniqID: vertices changed since the last build
-	epochAll      bool     // structural change since the last build
-	epochUnpub    bool     // something was marked since the last publish
-	epochBatch    int      // open BeginEpochBatch nesting depth
-	pendingDeltas []Delta  // deltas buffered until the next publication
-
-	// flatSnaps dedups epoch snapshots of span-free planners by pool
-	// size: at rest almost every vertex is flat, so an epoch holds
-	// O(distinct pool sizes) snapshot objects instead of one per vertex.
-	// Guarded by epochMu; entries are immutable and never invalidated
-	// (base and horizon are fixed per graph).
-	flatSnaps map[int64]*planner.Snapshot
+	epochUnpub    bool    // something was marked since the last publish
+	epochBatch    int     // open BeginEpochBatch nesting depth
+	pendingDeltas []Delta // deltas buffered until the next publication
 }
 
 // NewGraph creates an empty store whose planners cover times in
@@ -594,7 +582,7 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	// compose — MarkDown(node) then MarkUp(rack) restores the rack's own
 	// filter exactly — and matches what Finalize computes when a dump of
 	// a degraded system is reloaded.
-	g.MarkEpochDirty(flipped...)
+	g.MarkEpochDirty()
 	for _, x := range flipped {
 		if err := g.propagateStatusDelta(x.Parent(), x.TypeID, sign*x.Size); err != nil {
 			return nil, err
@@ -614,7 +602,7 @@ func (g *Graph) propagateStatusDelta(a *Vertex, id int32, n int64) error {
 		if err := a.filter.Update(id, n); err != nil {
 			return fmt.Errorf("resgraph: status update at %s: %w", a.Name, err)
 		}
-		g.MarkEpochDirty(a)
+		g.MarkEpochDirty()
 	}
 	return nil
 }

@@ -105,8 +105,8 @@ func (s *Scheduler) Checkpoint() ([]byte, error) {
 // already been restored (its allocations reinstalled, e.g. by
 // fluxion.Restore). specs supplies the jobspec for every job that may
 // still be scheduled (pending, reserved, or running); completed, failed,
-// and unsatisfiable jobs resume without one. opts (e.g. WithMatchWorkers,
-// WithDefense) are applied on top of the checkpointed configuration.
+// and unsatisfiable jobs resume without one. opts (e.g. WithDefense,
+// WithMaxRetries) are applied on top of the checkpointed configuration.
 func Resume(tr *traverser.Traverser, data []byte, specs map[int64]*jobspec.Jobspec, opts ...SchedOption) (*Scheduler, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {

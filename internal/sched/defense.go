@@ -6,21 +6,19 @@ package sched
 //
 // Four defenses compose, all opt-in via WithDefense:
 //
-//   - panic isolation: every traverser match attempt (sequential,
-//     speculative worker, incremental resolve) runs behind a recover()
-//     fence that converts a panic into a typed ErrPoisoned failure for
-//     that one job;
-//   - poison-job quarantine: a job whose match panics, whose failed
-//     attempt exceeds MatchDeadline, or which trips ConflictLimit
-//     consecutive speculative-commit rollbacks is moved to
-//     StateQuarantined — out of the pending queue, never retried — with
-//     inspect/release APIs and journal records so quarantine survives a
-//     crash (RecQuarantine/RecUnquarantine);
+//   - panic isolation: every traverser match attempt runs behind a
+//     recover() fence that converts a panic into a typed ErrPoisoned
+//     failure for that one job;
+//   - poison-job quarantine: a job whose match panics or whose failed
+//     attempt exceeds MatchDeadline is moved to StateQuarantined — out
+//     of the pending queue, never retried — with inspect/release APIs
+//     and journal records so quarantine survives a crash
+//     (RecQuarantine/RecUnquarantine);
 //   - cycle watchdog: a deadline on each scheduling cycle drives a
 //     degradation ladder that sheds work one rung at a time (skip
 //     backfill probes behind a blocked head → bound how many jobs a
-//     cycle attempts → fall back to sequential matching) and re-arms —
-//     steps back down — after RearmAfter consecutive healthy cycles;
+//     cycle attempts) and re-arms — steps back down — after RearmAfter
+//     consecutive healthy cycles;
 //   - admission backpressure: SubmitPriority rejects with ErrOverload
 //     once the pending queue crosses AdmitHigh, and keeps rejecting
 //     until it drains to AdmitLow (hysteresis, so admission does not
@@ -51,15 +49,14 @@ import (
 	"sort"
 	"time"
 
-	"fluxion/internal/resgraph"
 	"fluxion/internal/traverser"
 )
 
 // Typed defense errors.
 var (
 	// ErrPoisoned marks a job failed by the defense layer: its match
-	// attempt panicked, blew the per-attempt deadline, or exhausted the
-	// conflict budget. The job is quarantined, not retried.
+	// attempt panicked or blew the per-attempt deadline. The job is
+	// quarantined, not retried.
 	ErrPoisoned = errors.New("sched: job poisoned")
 	// ErrOverload rejects a submit while the pending queue is above the
 	// admission watermarks.
@@ -72,7 +69,8 @@ var (
 	ErrNotQuarantined = errors.New("sched: job not quarantined")
 )
 
-// QuarantineReason records why a job was quarantined.
+// QuarantineReason records why a job was quarantined. The journal stores
+// it as a number (RecQuarantine.Retries), so a value is never reused.
 type QuarantineReason uint8
 
 // Quarantine reasons.
@@ -82,9 +80,7 @@ const (
 	QuarantinePanic
 	// QuarantineDeadline: a failed match attempt exceeded MatchDeadline.
 	QuarantineDeadline
-	// QuarantineConflict: ConflictLimit consecutive speculative commits
-	// rolled back with ErrConflict.
-	QuarantineConflict
+	_ // 3: retired (speculative-commit conflicts)
 	// QuarantineManual: an operator called Quarantine directly.
 	QuarantineManual
 )
@@ -97,8 +93,6 @@ func (r QuarantineReason) String() string {
 		return "panic"
 	case QuarantineDeadline:
 		return "deadline"
-	case QuarantineConflict:
-		return "conflict"
 	case QuarantineManual:
 		return "manual"
 	default:
@@ -109,7 +103,7 @@ func (r QuarantineReason) String() string {
 // parseQuarantineReason is the inverse of String, for checkpoint decode.
 func parseQuarantineReason(s string) (QuarantineReason, error) {
 	for _, r := range []QuarantineReason{QuarantineNone, QuarantinePanic,
-		QuarantineDeadline, QuarantineConflict, QuarantineManual} {
+		QuarantineDeadline, QuarantineManual} {
 		if r.String() == s {
 			return r, nil
 		}
@@ -122,7 +116,6 @@ const (
 	ladderNormal       = 0 // full service
 	ladderShedBackfill = 1 // skip backfill probes behind a blocked head
 	ladderBoundedWake  = 2 // bound how many jobs a cycle attempts
-	ladderSequential   = 3 // demote parallel matching to the sequential loop
 )
 
 // Defaults for DefenseConfig zero fields.
@@ -144,9 +137,6 @@ type DefenseConfig struct {
 	// their allocation already committed, and aggregate slowness is the
 	// cycle watchdog's job.
 	MatchDeadline time.Duration
-	// ConflictLimit quarantines a job after this many consecutive
-	// speculative-commit ErrConflict rollbacks (0 = off).
-	ConflictLimit int
 	// CycleDeadline arms the cycle watchdog: a scheduling cycle running
 	// longer than this climbs the degradation ladder one rung (0 = off).
 	CycleDeadline time.Duration
@@ -200,7 +190,7 @@ func (s *Scheduler) SetMatchHook(fn func(jobID int64)) {
 }
 
 // DefenseLevel returns the current degradation-ladder rung (0 = full
-// service, 3 = sequential fallback).
+// service, 2 = bounded wake).
 func (s *Scheduler) DefenseLevel() int {
 	if s.defense == nil {
 		return 0
@@ -215,10 +205,8 @@ func (s *Scheduler) Overloaded() bool {
 
 // fencedMatch wraps one match attempt in the defense envelope: the chaos
 // hook, a recover() fence converting panics into ErrPoisoned, and the
-// per-attempt deadline on failure. It runs on whatever goroutine the
-// attempt runs on (including speculation workers), so the fence contains
-// worker panics that would otherwise kill the process.
-func (s *Scheduler) fencedMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch) (alloc *traverser.Allocation, err error) {
+// per-attempt deadline on failure.
+func (s *Scheduler) fencedMatch(op matchOp, job *Job, at int64) (alloc *traverser.Allocation, err error) {
 	d := s.defense
 	start := time.Now()
 	defer func() {
@@ -230,7 +218,7 @@ func (s *Scheduler) fencedMatch(op matchOp, job *Job, at int64, ep *resgraph.Epo
 	if d.hook != nil {
 		d.hook(job.ID)
 	}
-	alloc, err = s.rawMatch(op, job, at, ep)
+	alloc, err = s.rawMatch(op, job, at)
 	if err != nil && d.cfg.MatchDeadline > 0 {
 		if el := time.Since(start); el > d.cfg.MatchDeadline {
 			s.poison(job, QuarantineDeadline,
@@ -244,31 +232,12 @@ func (s *Scheduler) fencedMatch(op matchOp, job *Job, at int64, ep *resgraph.Epo
 
 // poison marks a job for quarantine at its cycle position, staging the
 // reason and message in the exported quarantine fields (the loop's
-// quarantine lands in the same cycle). It is safe on speculation
-// workers: each worker owns its job, and the cycle loop reads the flag
-// only after the speculation barrier.
+// quarantine lands in the same cycle).
 func (s *Scheduler) poison(job *Job, reason QuarantineReason, msg string) {
 	job.poisoned = true
 	job.Quarantine = reason
 	job.QuarantineMsg = msg
 	job.sigOK = false
-}
-
-// noteConflict charges one speculative-commit rollback against the job's
-// conflict budget, poisoning it at the limit. Returns true when the job
-// just became poisoned.
-func (s *Scheduler) noteConflict(job *Job) bool {
-	d := s.defense
-	if d == nil || d.cfg.ConflictLimit <= 0 {
-		return false
-	}
-	job.conflicts++
-	if int(job.conflicts) < d.cfg.ConflictLimit {
-		return false
-	}
-	s.poison(job, QuarantineConflict,
-		fmt.Sprintf("%d consecutive speculative-commit conflicts", job.conflicts))
-	return true
 }
 
 // quarantine moves a job into StateQuarantined: out of the pending queue
@@ -284,7 +253,6 @@ func (s *Scheduler) quarantine(job *Job, reason QuarantineReason, msg string) {
 	job.Alloc = nil
 	job.sigOK = false
 	job.poisoned = false
-	job.conflicts = 0
 	s.stats.Quarantined++
 }
 
@@ -348,7 +316,6 @@ func (s *Scheduler) release(job *Job) {
 	job.Quarantine = QuarantineNone
 	job.QuarantineMsg = ""
 	job.poisoned = false
-	job.conflicts = 0
 	s.enqueue(job)
 }
 
@@ -398,7 +365,7 @@ func (s *Scheduler) admit() error {
 // one rung, so the ladder fully re-arms once pressure clears.
 func (d *defenseState) observeCycle(start time.Time) {
 	if time.Since(start) > d.cfg.CycleDeadline {
-		if d.level < ladderSequential {
+		if d.level < ladderBoundedWake {
 			d.level++
 		}
 		d.calm = 0
@@ -420,15 +387,6 @@ func (d *defenseState) observeCycle(start time.Time) {
 
 // Ladder accessors, consulted by the cycle loops. All are nil-safe and
 // collapse to the undegraded answer without defense.
-
-// cycleWorkers is the effective parallel-match worker count: the
-// sequential-fallback rung forces 1.
-func (s *Scheduler) cycleWorkers() int {
-	if s.defense != nil && s.defense.level >= ladderSequential {
-		return 1
-	}
-	return s.matchWorkers
-}
 
 // shedBackfill reports whether this cycle sheds backfill probes behind a
 // blocked head (EASY/conservative degrade toward FCFS-like behavior).

@@ -10,8 +10,8 @@ import (
 	"fluxion/internal/jobspec"
 )
 
-// TestPanicQuarantineParity drives the engine, sequentially and with
-// match workers, with a match hook that panics for one job and asserts
+// TestPanicQuarantineParity drives the engine under every policy with a
+// match hook that panics for one job and asserts
 // (a) the panic is contained: the job is quarantined with QuarantinePanic
 // and the run completes, and (b) decision parity: every other job
 // schedules exactly as in a run where the poisoned job was never
@@ -25,7 +25,6 @@ func TestPanicQuarantineParity(t *testing.T) {
 		{"fcfs-incremental", FCFS, nil},
 		{"easy-incremental", EASY, nil},
 		{"conservative-incremental", Conservative, nil},
-		{"conservative-parallel", Conservative, []SchedOption{WithMatchWorkers(4)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,31 +92,6 @@ func TestMatchDeadlineQuarantine(t *testing.T) {
 	}
 	if j2.State != StateQuarantined || j2.Quarantine != QuarantineDeadline {
 		t.Fatalf("j2 = %v reason=%v msg=%q", j2.State, j2.Quarantine, j2.QuarantineMsg)
-	}
-}
-
-// TestConflictBudget exercises noteConflict: below the limit the job
-// keeps retrying, at the limit it is poisoned with QuarantineConflict,
-// and without a defense (or limit) the budget is off.
-func TestConflictBudget(t *testing.T) {
-	s := newSchedOpts(t, Conservative, 1, 2, 4,
-		WithDefense(DefenseConfig{ConflictLimit: 3}))
-	job := mustSubmit(t, s, 1, nodeJob(1, 4, 10))
-	for i := 0; i < 2; i++ {
-		if s.noteConflict(job) {
-			t.Fatalf("poisoned after %d conflicts (limit 3)", i+1)
-		}
-	}
-	if !s.noteConflict(job) || !job.poisoned || job.Quarantine != QuarantineConflict {
-		t.Fatalf("conflict %d: poisoned=%v reason=%v", 3, job.poisoned, job.Quarantine)
-	}
-
-	off := newSched(t, Conservative, 1, 2, 4)
-	j := mustSubmit(t, off, 1, nodeJob(1, 4, 10))
-	for i := 0; i < 100; i++ {
-		if off.noteConflict(j) {
-			t.Fatal("conflict budget fired without defense")
-		}
 	}
 }
 
@@ -227,18 +201,17 @@ func TestInvalidSpecRejected(t *testing.T) {
 }
 
 // TestLadderClimbRearm white-boxes the watchdog state machine: each
-// over-deadline cycle climbs one rung (capped at sequential), RearmAfter
+// over-deadline cycle climbs one rung (capped at bounded wake), RearmAfter
 // healthy cycles step back down one rung, and the accessors report the
 // shed work at each rung.
 func TestLadderClimbRearm(t *testing.T) {
 	s := newSchedOpts(t, Conservative, 1, 2, 4,
-		WithMatchWorkers(4),
 		WithDefense(DefenseConfig{CycleDeadline: time.Hour, RearmAfter: 2, BoundedWake: 5}))
 	d := s.defense
 	late := func() { d.observeCycle(time.Now().Add(-2 * time.Hour)) }
 	ontime := func() { d.observeCycle(time.Now()) }
 
-	if s.shedBackfill() || s.attemptBound() != 0 || s.cycleWorkers() != 4 {
+	if s.shedBackfill() || s.attemptBound() != 0 {
 		t.Fatal("rung 0 must shed nothing")
 	}
 	late()
@@ -246,33 +219,29 @@ func TestLadderClimbRearm(t *testing.T) {
 		t.Fatalf("after 1 late cycle: level=%d", s.DefenseLevel())
 	}
 	late()
-	if s.DefenseLevel() != ladderBoundedWake || s.attemptBound() != 5 || s.cycleWorkers() != 4 {
+	if s.DefenseLevel() != ladderBoundedWake || !s.shedBackfill() || s.attemptBound() != 5 {
 		t.Fatalf("after 2 late cycles: level=%d bound=%d", s.DefenseLevel(), s.attemptBound())
 	}
 	late()
-	if s.DefenseLevel() != ladderSequential || s.cycleWorkers() != 1 {
-		t.Fatalf("after 3 late cycles: level=%d workers=%d", s.DefenseLevel(), s.cycleWorkers())
-	}
-	late()
-	if s.DefenseLevel() != ladderSequential {
+	if s.DefenseLevel() != ladderBoundedWake {
 		t.Fatalf("ladder overflowed: level=%d", s.DefenseLevel())
 	}
 	// One healthy cycle is not enough; RearmAfter=2 steps down one rung,
 	// and an intervening late cycle resets the calm streak.
 	ontime()
-	if s.DefenseLevel() != ladderSequential {
+	if s.DefenseLevel() != ladderBoundedWake {
 		t.Fatal("re-armed too early")
 	}
 	ontime()
-	if s.DefenseLevel() != ladderBoundedWake {
+	if s.DefenseLevel() != ladderShedBackfill {
 		t.Fatalf("after 2 healthy: level=%d", s.DefenseLevel())
 	}
 	ontime()
 	late()
-	if s.DefenseLevel() != ladderSequential {
+	if s.DefenseLevel() != ladderBoundedWake {
 		t.Fatalf("late cycle must climb and reset calm: level=%d", s.DefenseLevel())
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ {
 		ontime()
 	}
 	if s.DefenseLevel() != ladderNormal {
@@ -511,11 +480,37 @@ func TestJournalQuarantineReplay(t *testing.T) {
 	}
 }
 
+// TestQuarantineReasonCodesPinned replays a hand-built RecQuarantine
+// record with the literal reason code 4. The journal stores the reason as
+// a number (RecQuarantine.Retries), so retiring a reason must not
+// renumber the ones after it: 4 stays QuarantineManual.
+func TestQuarantineReasonCodesPinned(t *testing.T) {
+	s := journalSched(t, Conservative)
+	for _, r := range []Rec{
+		{Kind: RecSubmit, ID: 7, Spec: nodeJob(1, 4, 10)},
+		{Kind: RecQuarantine, ID: 7, Retries: 4, Path: "held"},
+	} {
+		if err := s.Apply(&r); err != nil {
+			t.Fatalf("apply %s: %v", r.Kind, err)
+		}
+	}
+	j, _ := s.Job(7)
+	if j.State != StateQuarantined || j.Quarantine != QuarantineManual || j.QuarantineMsg != "held" {
+		t.Fatalf("job 7 = %v reason=%v msg=%q", j.State, j.Quarantine, j.QuarantineMsg)
+	}
+	for code, want := range map[int]QuarantineReason{0: QuarantineNone, 1: QuarantinePanic,
+		2: QuarantineDeadline, 4: QuarantineManual} {
+		if QuarantineReason(code) != want {
+			t.Fatalf("reason code %d = %v, want %v", code, QuarantineReason(code), want)
+		}
+	}
+}
+
 // TestQuarantineReasonStrings pins the String/parse round-trip the
 // checkpoint format depends on.
 func TestQuarantineReasonStrings(t *testing.T) {
 	for _, r := range []QuarantineReason{QuarantineNone, QuarantinePanic,
-		QuarantineDeadline, QuarantineConflict, QuarantineManual} {
+		QuarantineDeadline, QuarantineManual} {
 		back, err := parseQuarantineReason(r.String())
 		if err != nil || back != r {
 			t.Fatalf("round-trip %v: %v, %v", r, back, err)

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"fluxion/internal/traverser"
@@ -48,15 +46,6 @@ import (
 // the one it was planned in; otherwise it is re-matched, because a
 // changed environment may give the reference's first fit other
 // resources.
-//
-// With match workers, a cycle's attempts are speculated in batches
-// against one pinned epoch (speculateBatch) that already holds the
-// cycle's demotions, and committed strictly in queue order. Commits only
-// take capacity, so a speculation whose resources are still free at
-// commit time is the first fit a sequential match would find there; one
-// that lost its capacity to an earlier commit fails Commit with
-// ErrConflict and the job re-matches at its queue position. Decisions and
-// placements do not depend on the worker count.
 
 // dirKind is the per-job action a cycle's classification pass decides.
 type dirKind uint8
@@ -86,9 +75,6 @@ const (
 type directive struct {
 	job  *Job
 	kind dirKind
-	// specIdx indexes the cycle's attempt list for parallel speculation;
-	// -1 when the job is resolved without a speculative match.
-	specIdx int32
 }
 
 // blockState is the classification pass's three-valued view of the
@@ -147,7 +133,7 @@ func (s *Scheduler) scheduleIncremental() {
 	}
 
 	dirs := s.directives[:0]
-	var attempts []*Job
+	attempts := 0
 	blockedSt := bNo
 	wakeAll := false // a demotion happened: signatures behind it are void
 	planned := 0
@@ -170,7 +156,7 @@ func (s *Scheduler) scheduleIncremental() {
 			if wakeAll {
 				job.sigOK = false
 			}
-			dirs = append(dirs, directive{job: job, kind: dirDepth, specIdx: -1})
+			dirs = append(dirs, directive{job: job, kind: dirDepth})
 			continue
 		}
 		planned++
@@ -192,10 +178,10 @@ func (s *Scheduler) scheduleIncremental() {
 				// demotion ahead — may pick other resources: re-match it
 				// below. On-schedule completions are no change: their
 				// frees end at `now` and never reach the plan.
-				dirs = append(dirs, directive{job: job, kind: dirConvert, specIdx: -1})
+				dirs = append(dirs, directive{job: job, kind: dirConvert})
 				continue
 			case branchOK && !wakeAll && !job.invalidated && job.Alloc != nil && job.Alloc.At > now:
-				dirs = append(dirs, directive{job: job, kind: dirKeep, specIdx: -1})
+				dirs = append(dirs, directive{job: job, kind: dirKeep})
 				blockedSt = bYes
 				continue
 			default:
@@ -212,7 +198,7 @@ func (s *Scheduler) scheduleIncremental() {
 			if wakeAll {
 				job.sigOK = false
 			}
-			dirs = append(dirs, directive{job: job, kind: dirFail, specIdx: -1})
+			dirs = append(dirs, directive{job: job, kind: dirFail})
 			continue
 		}
 		if wakeAll {
@@ -238,20 +224,20 @@ func (s *Scheduler) scheduleIncremental() {
 			case s.policy == EASY && blockedSt == bUnknown:
 				// Skippable behind a blocked head, must attempt at the
 				// head; resolved when the process pass knows.
-				dirs = append(dirs, directive{job: job, kind: dirSkipIfBlocked, specIdx: -1})
+				dirs = append(dirs, directive{job: job, kind: dirSkipIfBlocked})
 				continue
 			}
 			if skip {
-				dirs = append(dirs, directive{job: job, kind: dirSkip, specIdx: -1})
+				dirs = append(dirs, directive{job: job, kind: dirSkip})
 				continue
 			}
 		}
 
-		if bound := s.attemptBound(); bound > 0 && len(attempts) >= bound {
+		if bound := s.attemptBound(); bound > 0 && attempts >= bound {
 			// Degraded bounded wake: the cycle's attempt budget is
 			// spent. Keep the job pending untouched — valid reservations
 			// ahead stay installed, so shedding causes no demotion churn.
-			dirs = append(dirs, directive{job: job, kind: dirDepth, specIdx: -1})
+			dirs = append(dirs, directive{job: job, kind: dirDepth})
 			continue
 		}
 
@@ -263,36 +249,21 @@ func (s *Scheduler) scheduleIncremental() {
 			resAhead = 0
 			wakeAll = true
 		}
-		dirs = append(dirs, directive{job: job, kind: dirAttempt, specIdx: int32(len(attempts))})
-		attempts = append(attempts, job)
+		dirs = append(dirs, directive{job: job, kind: dirAttempt})
+		attempts++
 		if !(s.policy == EASY && blockedSt == bYes) {
 			blockedSt = bUnknown
 		}
 	}
 	s.directives = dirs
 
-	workers := s.cycleWorkers() // sequential ladder rung forces 1
-	parallel := workers > 1
-	if parallel && wakeAll {
-		// Speculation pins the published epoch, which still holds the
-		// reservations this pass demoted. Publish the demotions first, so
-		// a speculation sees what a sequential match at its position sees
-		// and places the job where the reference does.
-		g := s.tr.Graph()
-		g.EndEpochBatch()
-		g.BeginEpochBatch()
-	}
-
 	// Process pass: execute the directives in queue order with the real
 	// blocked flag, exactly mirroring the reference's outcome handling.
 	blocked := false
 	still := s.pending[:0]
-	var specs []*traverser.Allocation
-	specDone := 0
 
 	for _, d := range dirs {
 		job := d.job
-		var spec *traverser.Allocation
 		switch d.kind {
 		case dirDepth:
 			still = append(still, job)
@@ -315,26 +286,14 @@ func (s *Scheduler) scheduleIncremental() {
 				s.stats.SkippedJobs++
 				continue
 			}
-			// Head position: attempt sequentially (no speculation).
-		case dirAttempt:
-			if parallel && int(d.specIdx) >= specDone && !(s.policy == FCFS && blocked) {
-				end := specDone + workers
-				if end > len(attempts) {
-					end = len(attempts)
-				}
-				specs = append(specs, s.speculateBatch(attempts[specDone:end])...)
-				specDone = end
-			}
-			if int(d.specIdx) >= 0 && int(d.specIdx) < len(specs) {
-				spec = specs[d.specIdx]
-			}
+			// Head position: attempt.
 		}
 
 		if job.woken {
 			s.stats.WokenJobs++
 		}
 		start := time.Now()
-		alloc, err := s.resolveAttempt(job, spec, blocked)
+		alloc, err := s.resolveAttempt(job, blocked)
 		job.MatchDuration += time.Since(start)
 		switch {
 		case job.poisoned:
@@ -355,59 +314,10 @@ func (s *Scheduler) scheduleIncremental() {
 	s.pending = still
 }
 
-// speculateBatch fans one batch out across the worker pool. The batch
-// pins the graph's current MVCC epoch once; each worker speculatively
-// matches its job at the current time against that immutable snapshot
-// with no synchronization at all. Failed speculations are nil. Per-job
-// match time is charged to MatchDuration after the barrier.
-func (s *Scheduler) speculateBatch(batch []*Job) []*traverser.Allocation {
-	specs := make([]*traverser.Allocation, len(batch))
-	durs := make([]time.Duration, len(batch))
-	ep := s.tr.PinEpoch()
-	var wg sync.WaitGroup
-	for i, job := range batch {
-		wg.Add(1)
-		go func(i int, job *Job) {
-			defer wg.Done()
-			start := time.Now()
-			if a, err := s.matchSpeculate(job, s.now, ep); err == nil {
-				specs[i] = a
-			}
-			durs[i] = time.Since(start)
-		}(i, job)
-	}
-	wg.Wait()
-	s.stats.MatchAttempts += int64(len(batch))
-	for i, job := range batch {
-		job.MatchDuration += durs[i]
-	}
-	return specs
-}
-
 // resolveAttempt turns one attempt directive into an allocation under the
-// policy branch for its position, committing a speculation when one is
-// available (parallel pipeline) and capturing a fresh blocking signature
-// on failure.
-func (s *Scheduler) resolveAttempt(job *Job, spec *traverser.Allocation, blocked bool) (*traverser.Allocation, error) {
-	if job.poisoned {
-		// The speculation worker's fence caught a panic for this job; drop
-		// its speculation and let the cycle loop quarantine it.
-		return nil, fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
-	}
-	if spec != nil {
-		if s.policy == FCFS && blocked {
-			spec = nil
-		} else if err := s.tr.Commit(spec); err == nil {
-			job.sigOK = false
-			job.conflicts = 0
-			return spec, nil
-		} else if s.noteConflict(job) {
-			// Conflict budget exhausted: quarantine at this position.
-			return nil, fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
-		}
-		// Conflict: an earlier commit took the capacity; fall through to
-		// a fresh match at this queue position.
-	}
+// policy branch for its position, capturing a fresh blocking signature on
+// failure.
+func (s *Scheduler) resolveAttempt(job *Job, blocked bool) (*traverser.Allocation, error) {
 	switch {
 	case s.policy == FCFS:
 		if blocked {

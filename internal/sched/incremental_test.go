@@ -217,27 +217,11 @@ func wideWorkload(seed int64, n int) []arrival {
 	return out
 }
 
-// workerEngines builds the engine at one and at three match workers.
-func workerEngines(t *testing.T, policy QueuePolicy, opts ...SchedOption) []engine {
-	return workerEnginesOn(t, policy, 1, 4, 4, opts...)
-}
-
-// workerEnginesOn is workerEngines on a racks×nodes×cores system.
-func workerEnginesOn(t *testing.T, policy QueuePolicy, racks, nodes, cores int64, opts ...SchedOption) []engine {
-	var out []engine
-	for _, workers := range []int{1, 3} {
-		o := append([]SchedOption{WithMatchWorkers(workers)}, opts...)
-		out = append(out, newSchedOpts(t, policy, racks, nodes, cores, o...))
-	}
-	return out
-}
-
 // TestIncrementalMatchesFullDecisions is the decision-parity property
 // test: random workloads (with priority jumps that insert ahead of
 // standing reservations) run through the engine must produce exactly the
 // per-job states and decisions of the reference qmanager loop, cycle by
-// cycle, for every policy, both sequentially and with match workers —
-// on the 1×4×4 system and on the 2×16×4 wide system, where a carried
+// cycle, for every policy — on the 1×4×4 system and on the 2×16×4 wide system, where a carried
 // reservation must be exactly the plan the reference makes afresh.
 func TestIncrementalMatchesFullDecisions(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
@@ -245,13 +229,13 @@ func TestIncrementalMatchesFullDecisions(t *testing.T) {
 			for shape, work := range workloads(seed, 40) {
 				ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
 				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work,
-					ref, workerEngines(t, policy)...)
+					ref, newSchedOpts(t, policy, 1, 4, 4))
 			}
 		}
 		for _, seed := range wideSeeds {
 			ref := newReference(t, policy, 2, 16, 4, 0, DefaultMaxRetries)
 			drive(t, fmt.Sprintf("%s/wide/seed%d", policy, seed), wideWorkload(seed, 60),
-				ref, workerEnginesOn(t, policy, 2, 16, 4)...)
+				ref, newSchedOpts(t, policy, 2, 16, 4))
 		}
 	}
 }
@@ -275,8 +259,8 @@ func TestIncrementalParityUnderFaults(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			for shape, work := range workloads(seed, 30) {
 				ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
-				engines := workerEngines(t, policy)
-				for _, e := range append(engines, ref) {
+				eng := newSchedOpts(t, policy, 1, 4, 4)
+				for _, e := range []engine{eng, ref} {
 					if err := e.ScheduleNodeDown(60, "/cluster0/rack0/node1"); err != nil {
 						t.Fatal(err)
 					}
@@ -284,7 +268,7 @@ func TestIncrementalParityUnderFaults(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, engines...)
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, eng)
 			}
 		}
 	}
@@ -294,7 +278,7 @@ func TestIncrementalParityUnderFaults(t *testing.T) {
 // of 3: priority jumps push standing reservations past the bound, so the
 // engine must demote them (dirDepth) exactly where the reference stops
 // re-creating them. Under EASY, seed 85 demotes the head reservation in a
-// cycle that then speculates, so it also checks that speculation sees the
+// cycle that then matches, so it also checks that the match sees the
 // cycle's demotions.
 func TestIncrementalParityQueueDepth(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
@@ -302,7 +286,7 @@ func TestIncrementalParityQueueDepth(t *testing.T) {
 			for shape, work := range workloads(seed, 40) {
 				ref := newReference(t, policy, 1, 4, 4, 3, DefaultMaxRetries)
 				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work,
-					ref, workerEngines(t, policy, WithQueueDepth(3))...)
+					ref, newSchedOpts(t, policy, 1, 4, 4, WithQueueDepth(3)))
 			}
 		}
 	}
@@ -318,8 +302,8 @@ func TestIncrementalParityMaxRetries(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			for shape, work := range workloads(seed, 30) {
 				ref := newReference(t, policy, 1, 4, 4, 0, 1)
-				engines := workerEngines(t, policy, WithMaxRetries(1))
-				for _, e := range append(engines, ref) {
+				eng := newSchedOpts(t, policy, 1, 4, 4, WithMaxRetries(1))
+				for _, e := range []engine{eng, ref} {
 					for at := int64(50); at < 1500; at += 90 {
 						if err := e.ScheduleNodeDown(at, "/cluster0/rack0/node0"); err != nil {
 							t.Fatal(err)
@@ -329,7 +313,7 @@ func TestIncrementalParityMaxRetries(t *testing.T) {
 						}
 					}
 				}
-				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, engines...)
+				drive(t, fmt.Sprintf("%s/%s/seed%d", policy, shape, seed), work, ref, eng)
 				for _, j := range ref.Jobs() {
 					if j.State == StateFailed {
 						failed++

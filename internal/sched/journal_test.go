@@ -87,7 +87,6 @@ func TestJournalReplayParity(t *testing.T) {
 		{"fcfs", FCFS, nil},
 		{"easy", EASY, nil},
 		{"conservative", Conservative, nil},
-		{"conservative-parallel", Conservative, []SchedOption{WithMatchWorkers(4)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,31 +3,7 @@ package sched
 import (
 	"fmt"
 	"testing"
-
-	"fluxion/internal/grug"
-	"fluxion/internal/match"
-	"fluxion/internal/resgraph"
-	"fluxion/internal/traverser"
 )
-
-// newSchedWorkers is newSched with a match-worker count.
-func newSchedWorkers(t *testing.T, policy QueuePolicy, racks, nodes, cores int64, workers int) *Scheduler {
-	t.Helper()
-	g, err := grug.BuildGraph(grug.Small(racks, nodes, cores, 0, 0), 0, 1<<40,
-		resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := traverser.New(g, match.First{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(tr, policy, WithMatchWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 // runWorkload submits a fixed mixed workload and drains the event loop,
 // returning the scheduler for inspection. Arrival pattern: a node-hogging
@@ -50,77 +26,29 @@ func runWorkload(t *testing.T, e engine) {
 	e.Run(0)
 }
 
-// TestParallelMatchesSequentialDecisions runs the same workload through
-// the sequential loop and the parallel pipeline at several worker counts
-// and asserts the scheduling decisions — per-job start and end times —
-// are identical for every queue policy. (Vertex placement may differ; the
-// decision timeline must not.)
-func TestParallelMatchesSequentialDecisions(t *testing.T) {
-	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
-		seq := newSchedWorkers(t, policy, 1, 4, 4, 1)
-		runWorkload(t, seq)
-		for _, workers := range []int{2, 4} {
-			par := newSchedWorkers(t, policy, 1, 4, 4, workers)
-			runWorkload(t, par)
-			for id, sj := range seq.Jobs() {
-				pj, ok := par.Job(id)
-				if !ok {
-					t.Fatalf("%s/%d workers: job %d missing", policy, workers, id)
-				}
-				if sj.State != pj.State || sj.StartAt != pj.StartAt || sj.EndAt != pj.EndAt {
-					t.Errorf("%s/%d workers: job %d diverged: %v@[%d,%d] vs %v@[%d,%d]",
-						policy, workers, id,
-						sj.State, sj.StartAt, sj.EndAt, pj.State, pj.StartAt, pj.EndAt)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelVsSequentialBothPaths holds the parallel pipeline to both
-// of its references on the fixed mixed workload: at several worker
-// counts it must reproduce the engine's own sequential decision timeline
-// and the reference qmanager loop's. On the 2×16×4 wide system the
-// sequential engine and the pipeline at 2 workers replay wideWorkload in
-// lockstep with the reference.
+// TestParallelVsSequentialBothPaths holds the engine to the reference
+// qmanager loop on the fixed mixed workload, and on the 2×16×4 wide
+// system replays wideWorkload in lockstep with the reference.
 func TestParallelVsSequentialBothPaths(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
-		seq := newSchedOpts(t, policy, 1, 4, 4, WithMatchWorkers(1))
-		runWorkload(t, seq)
+		eng := newSchedOpts(t, policy, 1, 4, 4)
+		runWorkload(t, eng)
 		ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
 		runWorkload(t, ref)
-		for _, workers := range []int{2, 4} {
-			par := newSchedOpts(t, policy, 1, 4, 4, WithMatchWorkers(workers))
-			runWorkload(t, par)
-			sameDecisions(t, fmt.Sprintf("%s/w%d vs w1", policy, workers), seq, par)
-			sameDecisions(t, fmt.Sprintf("%s/w%d vs reference", policy, workers), ref, par)
-		}
+		sameDecisions(t, fmt.Sprintf("%s vs reference", policy), ref, eng)
 		for _, seed := range steeredSeeds {
 			drive(t, fmt.Sprintf("%s/wide/seed%d", policy, seed), wideWorkload(seed, 60),
 				newReference(t, policy, 2, 16, 4, 0, DefaultMaxRetries),
-				newSchedOpts(t, policy, 2, 16, 4, WithMatchWorkers(1)),
-				newSchedOpts(t, policy, 2, 16, 4, WithMatchWorkers(2)))
+				newSchedOpts(t, policy, 2, 16, 4))
 		}
 	}
 }
 
 // TestParallelQueueDepth verifies the queue-depth bound and pending-order
-// preservation survive the parallel path: jobs beyond the depth stay
-// pending in their original order.
+// preservation: jobs beyond the depth stay pending in their original
+// order.
 func TestParallelQueueDepth(t *testing.T) {
-	g, err := grug.BuildGraph(grug.Small(1, 2, 4, 0, 0), 0, 1<<40,
-		resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := traverser.New(g, match.First{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(tr, Conservative, WithQueueDepth(2), WithMatchWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSchedOpts(t, Conservative, 1, 2, 4, WithQueueDepth(2))
 	// Job 1 fills the system; 2 reserves; 3 and 4 are beyond the depth.
 	for id := int64(1); id <= 4; id++ {
 		mustSubmit(t, s, id, nodeJob(2, 4, 100))
@@ -149,11 +77,10 @@ func TestParallelQueueDepth(t *testing.T) {
 	}
 }
 
-// TestParallelFCFSBlocks verifies FCFS semantics under the parallel
-// pipeline: nothing behind the first non-fitting job may start, even when
-// a speculation for it succeeded.
+// TestParallelFCFSBlocks verifies FCFS semantics: nothing behind the
+// first non-fitting job may start, even when it would fit.
 func TestParallelFCFSBlocks(t *testing.T) {
-	s := newSchedWorkers(t, FCFS, 1, 2, 4, 4)
+	s := newSchedOpts(t, FCFS, 1, 2, 4)
 	mustSubmit(t, s, 1, nodeJob(1, 4, 100)) // takes one of two nodes
 	mustSubmit(t, s, 2, nodeJob(2, 4, 10))  // needs both -> blocks
 	mustSubmit(t, s, 3, nodeJob(1, 4, 10))  // fits the free node, must NOT start

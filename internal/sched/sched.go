@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"fluxion/internal/jobspec"
-	"fluxion/internal/resgraph"
 	"fluxion/internal/traverser"
 )
 
@@ -138,16 +137,13 @@ type Job struct {
 	invalidated bool
 
 	// Defense scratch (transient): poisoned flags the job for quarantine
-	// at its cycle position — set by the match fence, possibly on a
-	// speculation worker, and consumed by the cycle loop after the
-	// barrier. conflicts counts consecutive speculative-commit rollbacks
-	// toward DefenseConfig.ConflictLimit. Kept narrow on purpose: the
-	// classification loop walks every pending job each cycle, so Job
-	// size is cycle-time (the quarantine reason/message stage in the
-	// exported fields above rather than a second copy here).
+	// at its cycle position — set by the match fence and consumed by the
+	// cycle loop. Kept narrow on purpose: the classification loop walks
+	// every pending job each cycle, so Job size is cycle-time (the
+	// quarantine reason/message stage in the exported fields above rather
+	// than a second copy here).
 	poisoned   bool
 	Quarantine QuarantineReason
-	conflicts  int32
 }
 
 // ErrUnknownPolicy reports an unrecognized queue policy.
@@ -232,10 +228,6 @@ type Scheduler struct {
 	// queueDepth bounds how many pending jobs each cycle plans
 	// (flux-sched qmanager's queue-depth knob); 0 = unbounded.
 	queueDepth int
-	// matchWorkers sets how many traverser workers speculatively match
-	// pending jobs concurrently per cycle; <= 1 keeps the sequential
-	// loop.
-	matchWorkers int
 	// maxRetries bounds failure-driven requeues per job; exceeding it
 	// moves the job to StateFailed. 0 = unbounded retries.
 	maxRetries int
@@ -289,17 +281,9 @@ func WithMaxRetries(n int) SchedOption {
 	return func(s *Scheduler) { s.maxRetries = n }
 }
 
-// WithMatchWorkers sets how many traverser workers speculatively match
-// pending jobs concurrently during each scheduling cycle (the parallel
-// match pipeline). n <= 1 (the default) matches sequentially. See
-// incremental.go for the commit-ordering semantics.
-func WithMatchWorkers(n int) SchedOption {
-	return func(s *Scheduler) { s.matchWorkers = n }
-}
-
 // Stats counts scheduling work, surfacing what the incremental engine
-// saves: MatchAttempts is every traverser match call (allocate, reserve,
-// or speculate); WokenJobs counts blocked jobs re-attempted because a
+// saves: MatchAttempts is every traverser match call (allocate or
+// allocate-or-reserve); WokenJobs counts blocked jobs re-attempted because a
 // delta intersected their signature; SkippedJobs counts blocked jobs a
 // cycle proved undisturbed and did not re-match. The defense counters
 // (defense.go) tally quarantined jobs, cycles run with the degradation
@@ -336,14 +320,6 @@ func (st *Stats) Add(o Stats) {
 	st.DegradedCycles += o.DegradedCycles
 	st.OverloadRejects += o.OverloadRejects
 	st.InvalidSpecRejects += o.InvalidSpecRejects
-}
-
-// MatchWorkers returns the configured match worker count (minimum 1).
-func (s *Scheduler) MatchWorkers() int {
-	if s.matchWorkers < 1 {
-		return 1
-	}
-	return s.matchWorkers
 }
 
 // DefaultMaxRetries is the default failure-requeue bound per job.
@@ -462,21 +438,18 @@ func (s *Scheduler) compiledSpec(job *Job) (*jobspec.Compiled, error) {
 type matchOp uint8
 
 const (
-	opSpeculate matchOp = iota
-	opAllocateSig
+	opAllocateSig matchOp = iota
 	opAllocateOrReserveSig
 )
 
 // dispatchMatch routes one match attempt through the defense fence when
 // a defense layer is configured, or straight to the traverser otherwise
-// (the zero-allocation hot path). ep is the pinned MVCC epoch for
-// speculative attempts (nil everywhere else: the committing entry points
-// match live state under the traverser's locks).
-func (s *Scheduler) dispatchMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch) (*traverser.Allocation, error) {
+// (the zero-allocation hot path).
+func (s *Scheduler) dispatchMatch(op matchOp, job *Job, at int64) (*traverser.Allocation, error) {
 	if s.defense != nil {
-		return s.fencedMatch(op, job, at, ep)
+		return s.fencedMatch(op, job, at)
 	}
-	return s.rawMatch(op, job, at, ep)
+	return s.rawMatch(op, job, at)
 }
 
 // rawMatch is the unfenced dispatch across the match entry points. The
@@ -484,14 +457,12 @@ func (s *Scheduler) dispatchMatch(op matchOp, job *Job, at int64, ep *resgraph.E
 // incremental engine's skip test for later cycles; a captured
 // reservation-probe signature additionally justifies conservative-mode
 // skips (sigReserve).
-func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch) (*traverser.Allocation, error) {
+func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64) (*traverser.Allocation, error) {
 	cjs, err := s.compiledSpec(job)
 	if err != nil {
 		return nil, err
 	}
 	switch op {
-	case opSpeculate:
-		return s.tr.MatchSpeculateCompiledEpoch(job.ID, cjs, at, ep)
 	case opAllocateSig:
 		job.sigOK = false
 		alloc, err := s.tr.MatchAllocateCompiledSig(job.ID, cjs, at, &job.sig)
@@ -511,28 +482,18 @@ func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64, ep *resgraph.Epoch)
 	}
 }
 
-// matchSpeculate is matchAllocateSig's speculative form (parallel pipeline),
-// matching lock-free against ep, the MVCC epoch its batch pinned. It runs
-// on worker goroutines: the attempt counter is charged by speculateBatch
-// after the barrier, not here. With a defense layer the fence runs on the
-// worker, so a panicking speculation poisons its job instead of killing
-// the process.
-func (s *Scheduler) matchSpeculate(job *Job, at int64, ep *resgraph.Epoch) (*traverser.Allocation, error) {
-	return s.dispatchMatch(opSpeculate, job, at, ep)
-}
-
 // matchAllocateSig matches job at time `at`, charging one attempt and
 // capturing a blocking signature on failure.
 func (s *Scheduler) matchAllocateSig(job *Job, at int64) (*traverser.Allocation, error) {
 	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocateSig, job, at, nil)
+	return s.dispatchMatch(opAllocateSig, job, at)
 }
 
 // matchAllocateOrReserveSig is matchAllocateSig's allocate-else-reserve
 // form; the captured signature covers the reservation probe.
 func (s *Scheduler) matchAllocateOrReserveSig(job *Job, at int64) (*traverser.Allocation, error) {
 	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocateOrReserveSig, job, at, nil)
+	return s.dispatchMatch(opAllocateOrReserveSig, job, at)
 }
 
 // enqueue inserts a job into the pending queue in priority order (stable
@@ -553,8 +514,9 @@ func (s *Scheduler) enqueue(job *Job) {
 // signature intersects a capacity delta since the last cycle, and carries
 // valid reservations over; its decisions are those of the qmanager loop
 // that drops every reservation and re-plans the whole queue
-// (incremental.go). With WithMatchWorkers(n > 1) the cycle's attempts
-// are speculated across a worker pool and committed in queue order.
+// (incremental.go). Attempts run one at a time, in queue order, on the
+// scheduler's one traverser; throughput beyond one writer comes from
+// shards (internal/shard), not from threads inside a cycle.
 func (s *Scheduler) Schedule() {
 	s.jBegin()
 	defer s.jEnd()
@@ -578,9 +540,9 @@ func (s *Scheduler) Schedule() {
 	// ordered by the queue walk and must not wake next cycle.
 	s.wakeup.mute(true)
 	defer s.wakeup.mute(false)
-	// Batch the cycle's epoch transitions: speculation batches pin one
-	// pre-cycle epoch and every mutation the cycle commits publishes as a
-	// single transition at cycle end. Registered after the mute defer so
+	// Batch the cycle's epoch transitions: every mutation the cycle
+	// commits publishes as a single transition at cycle end. Registered
+	// after the mute defer so
 	// (LIFO) the batch closes — flushing its buffered deltas — while the
 	// sink is still muted.
 	g := s.tr.Graph()
@@ -606,7 +568,6 @@ func (s *Scheduler) start(job *Job, alloc *traverser.Allocation) {
 	job.Alloc = alloc
 	job.StartAt = alloc.At
 	job.EndAt = alloc.At + alloc.Duration
-	job.conflicts = 0
 	heap.Push(&s.events, event{at: job.EndAt, kind: evComplete, jobID: job.ID})
 }
 

@@ -52,7 +52,6 @@ func (s *Scheduler) Withdraw(id int64) (*Job, error) {
 	job.sigOK = false
 	job.sigReserve = false
 	job.poisoned = false
-	job.conflicts = 0
 	job.Quarantine = QuarantineNone
 	job.QuarantineMsg = ""
 	return job, nil

@@ -37,8 +37,9 @@ const maxFreeDeltas = 512
 
 // wakeupIndex buffers capacity deltas between scheduling cycles. publish
 // is called synchronously from the resource store, possibly under graph
-// locks and from match-worker goroutines, so it must stay lock-cheap and
-// must not call back into the store.
+// locks and from goroutines other than the scheduler's (a fault injector's
+// MarkDown, say), so it must stay lock-cheap and must not call back into
+// the store.
 type wakeupIndex struct {
 	mu         sync.Mutex
 	now        int64 // the scheduler's clock (setNow); it never moves back

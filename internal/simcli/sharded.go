@@ -63,9 +63,6 @@ func runSharded(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 
 	su.banner(out, cfg, g, len(jobs))
 	fmt.Fprintf(out, "shards: %d cut=%s\n", cfg.Shards, cut)
-	if cfg.MatchWorkers > 1 {
-		fmt.Fprintf(out, "match workers: %d per shard (parallel match pipeline)\n", cfg.MatchWorkers)
-	}
 	if plan.ShardActive() {
 		mode := "supervised"
 		if cfg.ChaosDry {

@@ -41,9 +41,6 @@ type Config struct {
 	// QueueDepth bounds how many pending jobs each scheduling cycle
 	// plans (0 = unbounded).
 	QueueDepth int
-	// MatchWorkers sets how many traverser workers speculatively match
-	// pending jobs concurrently per cycle (<= 1 = sequential loop).
-	MatchWorkers int
 	// Timeline prints one line per job when true.
 	Timeline bool
 	// MaxSteps bounds the event loop (0 = drain completely).
@@ -164,9 +161,6 @@ func (cfg *Config) setup() schedSetup {
 	}
 	if cfg.MaxRetries > 0 {
 		su.opts = append(su.opts, sched.WithMaxRetries(cfg.MaxRetries))
-	}
-	if cfg.MatchWorkers > 1 {
-		su.opts = append(su.opts, sched.WithMatchWorkers(cfg.MatchWorkers))
 	}
 	if cfg.Defense != nil {
 		su.opts = append(su.opts, sched.WithDefense(*cfg.Defense))
@@ -305,13 +299,6 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	if (cfg.MTBF > 0) != (cfg.MTTR > 0) {
 		return nil, fmt.Errorf("simcli: MTBF and MTTR must be set together")
 	}
-	if cfg.Drill && cfg.MatchWorkers > 1 {
-		// The drill asserts bit-exact convergence between the original
-		// and resumed runs; parallel matching guarantees policy
-		// decisions, not identical vertex placement, so the comparison
-		// would false-fail.
-		return nil, fmt.Errorf("simcli: the crash-recovery drill requires sequential matching (match workers <= 1)")
-	}
 	su := cfg.setup()
 
 	fresh := func() (*fluxion.Fluxion, *sched.Scheduler, error) {
@@ -376,9 +363,6 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	}
 
 	su.banner(out, cfg, g, len(jobs))
-	if cfg.MatchWorkers > 1 {
-		fmt.Fprintf(out, "match workers: %d (parallel match pipeline)\n", cfg.MatchWorkers)
-	}
 	if plan != nil && plan.Active() {
 		mode := "defended"
 		if cfg.ChaosDry {

@@ -272,56 +272,6 @@ func TestDrillConvergesUnderFaults(t *testing.T) {
 	}
 }
 
-// TestMatchWorkersDecisionParity replays the same workload with the
-// sequential loop and the 4-worker pipeline: every per-job scheduling
-// decision (state, start, end) and the aggregate metrics must agree.
-func TestMatchWorkersDecisionParity(t *testing.T) {
-	jobs := []trace.Job{
-		{ID: 1, Nodes: 4, CoresPerNode: 8, Duration: 100},
-		{ID: 2, Nodes: 4, CoresPerNode: 8, Duration: 100},
-		{ID: 3, Nodes: 2, CoresPerNode: 8, Duration: 40},
-		{ID: 4, Nodes: 1, CoresPerNode: 8, Duration: 30},
-		{ID: 5, Nodes: 1, CoresPerNode: 8, Duration: 200},
-		{ID: 6, Nodes: 2, CoresPerNode: 8, Duration: 60},
-	}
-	for _, policy := range []sched.QueuePolicy{sched.FCFS, sched.EASY, sched.Conservative} {
-		var seqOut, parOut bytes.Buffer
-		seq, err := Run(Config{Recipe: smallRecipe(), QueuePolicy: policy}, jobs, &seqOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Run(Config{Recipe: smallRecipe(), QueuePolicy: policy, MatchWorkers: 4}, jobs, &parOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Completed != par.Completed {
-			t.Fatalf("%v: completed %d vs %d", policy, seq.Completed, par.Completed)
-		}
-		for _, j := range jobs {
-			sj, _ := seq.Scheduler.Job(j.ID)
-			pj, _ := par.Scheduler.Job(j.ID)
-			if sj.State != pj.State || sj.StartAt != pj.StartAt || sj.EndAt != pj.EndAt {
-				t.Errorf("%v: job %d diverged: %v@[%d,%d] vs %v@[%d,%d]",
-					policy, j.ID, sj.State, sj.StartAt, sj.EndAt, pj.State, pj.StartAt, pj.EndAt)
-			}
-		}
-		if !strings.Contains(parOut.String(), "match workers: 4") {
-			t.Errorf("%v: banner missing from parallel run:\n%s", policy, parOut.String())
-		}
-	}
-}
-
-// TestDrillRejectsParallelWorkers: the drill asserts bit-exact
-// convergence, which the parallel pipeline does not guarantee at the
-// placement level, so the combination must be refused up front.
-func TestDrillRejectsParallelWorkers(t *testing.T) {
-	jobs := []trace.Job{{ID: 1, Nodes: 1, CoresPerNode: 8, Duration: 10}}
-	_, err := Run(Config{Recipe: smallRecipe(), Drill: true, MatchWorkers: 4}, jobs, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "sequential matching") {
-		t.Fatalf("err = %v, want sequential-matching rejection", err)
-	}
-}
-
 func TestRunSharded(t *testing.T) {
 	// Four single-rack shards; job sizes stay within one rack so every
 	// job is routable and both arms drain completely.

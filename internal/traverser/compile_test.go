@@ -131,9 +131,6 @@ func TestCheckCompiledRejectsForeignGraph(t *testing.T) {
 	if _, err := tr2.MatchSatisfyCompiled(cjs); err == nil {
 		t.Fatal("foreign compiled satisfy accepted")
 	}
-	if _, err := tr2.MatchSpeculateCompiledEpoch(1, cjs, 0, tr2.PinEpoch()); err == nil {
-		t.Fatal("foreign compiled speculate accepted")
-	}
 	if _, err := tr2.MatchAllocateCompiled(1, nil, 0); err == nil {
 		t.Fatal("nil compiled spec accepted")
 	}

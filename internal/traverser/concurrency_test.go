@@ -35,30 +35,26 @@ func checkQuiescent(t *testing.T, g *resgraph.Graph) {
 }
 
 // TestConcurrentMatchStress hammers one traverser from many goroutines —
-// committed allocate/cancel churn, speculate/commit-or-drop churn, and
-// availability queries — under the race detector, then asserts every
-// planner invariant (no double-booked units, exact SP-tree aggregates, exact
-// span accounting) holds and nothing leaked. Live planners belong to the
-// traverser, so every query made from outside it reads a pinned epoch.
+// committed allocate/cancel churn and allocation-table queries — under the
+// race detector, then asserts every planner invariant (no double-booked
+// units, exact SP-tree aggregates, exact span accounting) holds and
+// nothing leaked. Live planners belong to the traverser, so every query
+// made from outside it goes through its locked accessors.
 func TestConcurrentMatchStress(t *testing.T) {
 	g := buildSmall(t, 2, 8, 8, 0, resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
 	tr := newT(t, g, match.First{})
 	js := jobspec.New(3600, jobspec.RX("node", 1, jobspec.R("core", 4)))
-	root := g.Root(resgraph.Containment)
-	coreID, _ := g.Types().Lookup("core")
-	totalCores := int64(len(g.ByType("core")))
 
 	const (
-		allocators  = 4
-		speculators = 3
-		readers     = 2
-		iters       = 60
+		allocators = 4
+		readers    = 2
+		iters      = 60
 	)
 	var ids atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 
-	// Committed path: MatchAllocate + a root-filter probe + Cancel.
+	// Committed path: MatchAllocate + an allocation-table probe + Cancel.
 	for w := 0; w < allocators; w++ {
 		wg.Add(1)
 		go func() {
@@ -72,11 +68,9 @@ func TestConcurrentMatchStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if sn := tr.PinEpoch().Filter(root.UniqID).ByID(coreID); sn != nil {
-					if avail, err := sn.AvailDuring(0, 60); err != nil || avail < 0 || avail > totalCores {
-						t.Errorf("root core filter: avail %d, err %v", avail, err)
-						return
-					}
+				if a, ok := tr.Info(id); !ok || a.Units("core") != 4 {
+					t.Errorf("job %d: info %v, ok %v", id, a, ok)
+					return
 				}
 				if err := tr.Cancel(id); err != nil {
 					t.Error(err)
@@ -86,62 +80,24 @@ func TestConcurrentMatchStress(t *testing.T) {
 		}()
 	}
 
-	// Speculative path: speculate against a fresh pin, then Commit (and
-	// Cancel) or drop the speculation uncommitted.
-	cjs, err := tr.Compile(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < speculators; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				id := ids.Add(1)
-				alloc, err := tr.MatchSpeculateCompiledEpoch(id, cjs, 0, tr.PinEpoch())
-				if err != nil {
-					if errors.Is(err, ErrNoMatch) {
-						continue
-					}
-					t.Error(err)
-					return
-				}
-				if (i+w)%3 == 0 {
-					continue // dropped: an uncommitted speculation holds nothing
-				}
-				if err := tr.Commit(alloc); err != nil {
-					if errors.Is(err, ErrConflict) {
-						continue
-					}
-					t.Error(err)
-					return
-				}
-				if err := tr.Cancel(id); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-
-	// Read-only load: per-vertex planner queries through epoch pins and
-	// job listings. The readers run until the mutating goroutines drain,
-	// on their own WaitGroup.
+	// Read-only load: allocation lookups and job listings. The readers run
+	// until the mutating goroutines drain, on their own WaitGroup.
 	var rwg sync.WaitGroup
 	for w := 0; w < readers; w++ {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			cores := g.ByType("core")
 			for i := 0; !stop.Load(); i++ {
-				v := cores[i%len(cores)]
-				sn := tr.PinEpoch().Plan(v.UniqID)
-				if _, err := sn.AvailDuring(0, 3600); err != nil {
-					t.Error(err)
+				for _, id := range tr.Jobs() {
+					if a, ok := tr.Info(id); ok && a.JobID != id {
+						t.Errorf("Info(%d) returned job %d", id, a.JobID)
+						return
+					}
+				}
+				if n := tr.JobCount(); n > allocators {
+					t.Errorf("%d live jobs with %d allocators", n, allocators)
 					return
 				}
-				sn.AvailAt(int64(i % 1000))
-				tr.JobCount()
 			}
 		}()
 	}

@@ -25,8 +25,8 @@ import (
 //     Allocation on success.
 //
 // Cache correctness: within one attempt the graph topology and status
-// bits are frozen (the traverser holds the graph's reader lock, or reads
-// an immutable pinned epoch), and nothing writes a planner or filter, so
+// bits are frozen (the traverser holds the graph's reader lock), and
+// nothing writes a planner or filter, so
 // the memoized raw availability stays exact for the whole attempt. A
 // cached candidate list can only be invalidated by a claim — or a
 // rollback of a claim — of units on a vertex the collection descended
@@ -46,10 +46,6 @@ type matcher struct {
 	at    int64
 	dur   int64
 	dry   bool // capacity-only satisfiability check: sizes, not planners
-	// ep, when non-nil, is the pinned MVCC epoch of a speculation: status,
-	// subtree labels, planners, and filters are read from its immutable
-	// snapshots with zero synchronization.
-	ep *resgraph.Epoch
 	// sig, when non-nil, accumulates blocking reasons as the walk prunes
 	// or rejects candidates (see signature.go). Reasons survive
 	// rollbacks on purpose: a rolled-back claim was still a real
@@ -64,19 +60,14 @@ func (m *matcher) note(v *resgraph.Vertex, typeID int32, shortfall int64) {
 	}
 }
 
-// up reports whether v is schedulable for this attempt: per the pinned
-// epoch in epoch mode (v.Status would be a data race without the graph
-// lock), per the live status bit otherwise.
+// up reports whether v is schedulable for this attempt.
 func (m *matcher) up(v *resgraph.Vertex) bool {
-	if m.ep != nil {
-		return m.ep.Up(v.UniqID)
-	}
 	return v.Status == resgraph.StatusUp
 }
 
 // availUnits returns the units of v available throughout the window to
-// this attempt: the raw source — v.Size when dry, the pinned snapshot when
-// speculating, the live planner otherwise — memoized per vertex, minus the
+// this attempt: the raw source — v.Size when dry, the live planner
+// otherwise — memoized per vertex, minus the
 // attempt's own tentative claims. A span over exactly the attempt's window
 // would lower AvailDuring by exactly its units, so this equals what the
 // planner would answer had the claims been written.
@@ -85,19 +76,10 @@ func (m *matcher) availUnits(v *resgraph.Vertex) int64 {
 	uid := v.UniqID
 	if s.availGen[uid] != s.gen {
 		var a int64
-		switch {
-		case m.dry:
+		if m.dry {
 			a = v.Size
-		case m.ep != nil:
-			if sn := m.ep.Plan(uid); sn != nil {
-				if avail, err := sn.AvailDuring(m.at, m.dur); err == nil {
-					a = avail
-				}
-			}
-		default:
-			if avail, err := v.Planner().AvailDuring(m.at, m.dur); err == nil {
-				a = avail
-			}
+		} else if avail, err := v.Planner().AvailDuring(m.at, m.dur); err == nil {
+			a = avail
 		}
 		s.avail[uid] = a
 		s.availGen[uid] = s.gen
@@ -112,7 +94,7 @@ func (m *matcher) claim(v *resgraph.Vertex, units int64) {
 	if units > 0 {
 		m.s.tentative[v.UniqID] += units
 		if v.HasChildren(m.t.subsystem) {
-			m.s.cands.structuralChange(v, m.t.containment, m.ep)
+			m.s.cands.structuralChange(v, m.t.containment)
 		}
 	}
 }
@@ -131,7 +113,7 @@ func (m *matcher) rollbackTo(mark int) {
 		}
 		m.s.tentative[va.V.UniqID] -= va.Units
 		if va.V.HasChildren(m.t.subsystem) {
-			m.s.cands.structuralChange(va.V, m.t.containment, m.ep)
+			m.s.cands.structuralChange(va.V, m.t.containment)
 		}
 	}
 	m.s.verts = m.s.verts[:mark]
@@ -325,22 +307,6 @@ func (m *matcher) collect(out []*resgraph.Vertex, v *resgraph.Vertex, cn *jobspe
 // needs of one request instance, resolving member planners by interned
 // type ID.
 func (m *matcher) filterAdmits(c *resgraph.Vertex, needs []jobspec.TypeCount) bool {
-	if m.ep != nil {
-		ms := m.ep.Filter(c.UniqID)
-		if ms == nil {
-			return true
-		}
-		for i := range needs {
-			sn := ms.ByID(needs[i].ID)
-			if sn == nil {
-				continue // filter does not track this type
-			}
-			if !sn.CanFit(m.at, m.dur, needs[i].Units) {
-				return false
-			}
-		}
-		return true
-	}
 	f := c.Filter()
 	if f == nil {
 		return true

@@ -5,10 +5,8 @@ import (
 )
 
 // matchScratch is the reusable working memory of one match attempt. A
-// traverser keeps one instance for the serialized paths (the write lock
-// is held) and a sync.Pool for the lock-free one
-// (MatchSpeculateCompiledEpoch), so steady-state matching allocates
-// nothing.
+// traverser keeps one instance (every match holds its write lock), so
+// steady-state matching allocates nothing.
 //
 // The dense per-vertex arrays are indexed by Vertex.UniqID and
 // generation-stamped: begin bumps gen, and a slot is live only when its
@@ -35,10 +33,10 @@ type matchScratch struct {
 	ordered [][]*resgraph.Vertex
 	depth   int
 
-	// structEpoch stamps which structural epoch generation the candidate
-	// cache's recycled buffers belong to. When it changes (attach/detach
-	// renumbered the tree), the free list is dropped so no buffer keeps
-	// detached vertices reachable across epochs.
+	// structEpoch stamps which structural generation
+	// (Graph.StructVersion) the candidate cache's recycled buffers belong
+	// to. When it changes (attach/detach renumbered the tree), the free
+	// list is dropped so no buffer keeps detached vertices reachable.
 	structEpoch uint64
 
 	cands candCache
@@ -142,9 +140,9 @@ func (c *candCache) reset() {
 }
 
 // dropFree releases the recycled candidate buffers to the garbage
-// collector. Called when the structural epoch changes: a recycled buffer
-// still holds pointers to the previous topology's vertices, and keeping
-// it would pin detached subtrees in memory indefinitely.
+// collector. Called when the structural generation changes: a recycled
+// buffer still holds pointers to the previous topology's vertices, and
+// keeping it would pin detached subtrees in memory indefinitely.
 func (c *candCache) dropFree() {
 	for i := range c.free {
 		c.free[i] = nil
@@ -201,22 +199,14 @@ func (c *candCache) put(key candKey, root *resgraph.Vertex, typeID int32, cands 
 // Invalidated buffers are dropped to the garbage collector rather than
 // recycled: a scan higher up the recursion stack may still be iterating
 // the slice, so handing it to a later collect would alias live state.
-func (c *candCache) structuralChange(v *resgraph.Vertex, containment bool, ep *resgraph.Epoch) {
+func (c *candCache) structuralChange(v *resgraph.Vertex, containment bool) {
 	for i := range c.entries {
 		e := &c.entries[i]
 		if !e.valid || e.typeID == v.TypeID {
 			continue
 		}
-		if containment {
-			// Epoch mode reads the subtree labels from the pinned epoch
-			// — the live labels may be renumbered concurrently.
-			if ep != nil {
-				if !ep.InSubtree(e.root.UniqID, v.UniqID) {
-					continue
-				}
-			} else if !v.InSubtreeOf(e.root) {
-				continue
-			}
+		if containment && !v.InSubtreeOf(e.root) {
+			continue
 		}
 		e.valid = false
 		e.cands = nil

@@ -42,10 +42,6 @@ var (
 	// ErrNoFilter reports a reservation attempt on a graph whose root
 	// carries no pruning filter to enumerate candidate times.
 	ErrNoFilter = errors.New("traverser: reservation requires a root pruning filter")
-	// ErrConflict reports that a speculative allocation lost the race: by
-	// commit time another job had taken some of its selected capacity.
-	// The speculation is consumed; the caller should re-match.
-	ErrConflict = errors.New("traverser: speculative allocation conflicts with committed state")
 )
 
 // Option configures a Traverser.
@@ -59,14 +55,13 @@ func WithSubsystem(name string) Option {
 // Traverser matches jobspecs against a finalized resource graph.
 //
 // A Traverser is safe for concurrent use. It is the single writer of its
-// graph's planners and pruning filters (see package planner): every
-// operation that edits them (MatchAllocate, Commit, Cancel, MarkDown,
+// graph's planners and pruning filters (see package planner): every match
+// and every operation that edits them (MatchAllocate, Cancel, MarkDown,
 // Attach, ...) serializes under the writer side of t.mu, and the
-// read-only queries and epoch pins run under the reader side.
-// MatchSpeculateCompiledEpoch takes no lock at all: it matches against an
-// immutable pinned epoch, keeps its tentative claims in private scratch,
-// and is validated against committed planner state at Commit time.
-// Lock ordering is t.mu, then the graph's lock.
+// read-only queries (Info, Jobs, AffectedJobs) run under the reader side.
+// Throughput beyond one writer comes from more instances (shards), not
+// from more threads inside one. Lock ordering is t.mu, then the graph's
+// lock.
 type Traverser struct {
 	g               *resgraph.Graph
 	policy          match.Policy
@@ -78,17 +73,13 @@ type Traverser struct {
 
 	mu     sync.RWMutex
 	allocs map[int64]*Allocation
-	dirty  []*resgraph.Vertex // markDirty's scratch; guarded by mu (writer side)
 	// reserveProbe's request scratch: the root-tracked totals as type IDs
 	// and units; guarded by mu (writer side).
 	probeIDs   []int32
 	probeUnits []int64
 
-	// scratch is the match working memory for paths serialized under
-	// t.mu; scratchPool serves the lock-free path
-	// (MatchSpeculateCompiledEpoch), which may run concurrently.
-	scratch     *matchScratch
-	scratchPool sync.Pool
+	// scratch is the match working memory; every match runs under t.mu.
+	scratch *matchScratch
 }
 
 // New creates a traverser over g using the given match policy.
@@ -116,7 +107,6 @@ func New(g *resgraph.Graph, policy match.Policy, opts ...Option) (*Traverser, er
 	t.containment = t.subsystem == resgraph.Containment
 	t.staticOrder = match.IsTraversalOrder(t.policy)
 	t.scratch = &matchScratch{}
-	t.scratchPool.New = func() any { return &matchScratch{} }
 	return t, nil
 }
 
@@ -183,12 +173,6 @@ type Allocation struct {
 	Vertices []VertexAlloc
 
 	filterSpans []filterSpan
-
-	// pin is the MVCC epoch this allocation speculated against (nil for
-	// allocations that were matched directly). Commit compares it against
-	// the current epoch: a still-stable pin proves nothing changed since
-	// the match, skipping per-vertex re-validation.
-	pin *resgraph.Epoch
 }
 
 // Describe renders the selected resource set, one "path[units]" per
@@ -269,7 +253,7 @@ func (t *Traverser) MatchAllocateCompiledSig(jobID int64, cjs *jobspec.Compiled,
 	if _, dup := t.allocs[jobID]; dup {
 		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
 	}
-	alloc, err := t.tryMatch(jobID, cjs, at, modeCommit, sig, nil)
+	alloc, err := t.tryMatch(jobID, cjs, at, modeCommit, sig)
 	if err != nil {
 		if sig != nil && errors.Is(err, ErrNoMatch) {
 			t.captureHint(cjs, at, t.effectiveDuration(cjs.Spec(), at), sig)
@@ -310,7 +294,7 @@ func (t *Traverser) MatchAllocateOrReserveCompiledSig(jobID int64, cjs *jobspec.
 	if _, dup := t.allocs[jobID]; dup {
 		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
 	}
-	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, sig, nil); err == nil {
+	if alloc, err := t.tryMatch(jobID, cjs, now, modeCommit, sig); err == nil {
 		t.g.PublishEpoch()
 		return alloc, nil
 	}
@@ -354,7 +338,7 @@ func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) 
 		if err != nil {
 			return nil, fmt.Errorf("%w: no candidate reservation time: %v", ErrNoMatch, err)
 		}
-		if alloc, err := t.tryMatch(jobID, cjs, cand, modeCommit, nil, nil); err == nil {
+		if alloc, err := t.tryMatch(jobID, cjs, cand, modeCommit, nil); err == nil {
 			alloc.Reserved = true
 			t.publishClaims(alloc)
 			t.g.PublishEpoch()
@@ -376,16 +360,14 @@ func (t *Traverser) MatchSatisfy(js *jobspec.Jobspec) (bool, error) {
 }
 
 // MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec. The dry
-// match runs under t.mu, on the traverser's own scratch: a submit-time
-// check has no use for a second graph-sized working set, and a pooled one
-// would live or die with the collector's pacing.
+// match runs under t.mu, on the traverser's own scratch.
 func (t *Traverser) MatchSatisfyCompiled(cjs *jobspec.Compiled) (bool, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, err := t.tryMatch(0, cjs, t.g.Base(), modeDry, nil, nil)
+	_, err := t.tryMatch(0, cjs, t.g.Base(), modeDry, nil)
 	switch {
 	case err == nil:
 		return true, nil
@@ -625,7 +607,7 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 				if err := va.V.Planner().RemoveSpan(va.span); err != nil {
 					return err
 				}
-				t.g.MarkEpochDirty(va.V)
+				t.g.MarkEpochDirty()
 				t.g.PublishSpanDelta(resgraph.DeltaFree, va.V, va.Units, alloc.At, alloc.At+alloc.Duration)
 			}
 			continue
@@ -684,32 +666,25 @@ func (t *Traverser) Jobs() []int64 {
 // matchMode selects what a match attempt does with its selections.
 type matchMode int
 
-// Every mode runs the same read-only walk with claims held in scratch; the
-// modes differ only in where availability is read and in what happens to a
+// Both modes run the same read-only walk with claims held in scratch; they
+// differ only in where availability is read and in what happens to a
 // successful selection.
 const (
 	// modeCommit reads the live planners and installs the selection.
 	modeCommit matchMode = iota
 	// modeDry reads vertex sizes only (capacity check) and discards it.
 	modeDry
-	// modeSnap reads the pinned epoch ep and returns the selection
-	// uninstalled, for Commit to validate and install (or to be dropped).
-	modeSnap
 )
 
 // tryMatch runs one full match attempt at time `at`. The walk writes
 // nothing shared; in commit mode a successful selection is then installed
 // (vertex spans, SDFU, allocation table). A failed attempt returns
-// ErrNoMatch and leaves no trace.
-//
-// Commit and dry attempts pass ep == nil and hold the graph's reader lock
-// for the whole traversal, so topology mutations (attach/detach, status
-// flips) never interleave with a match — which is also what freezes the
-// topology and status bits the match kernel's candidate cache relies on.
-// Speculations (modeSnap) pass the pinned epoch and take no graph lock at
-// all: every status bit, subtree label, planner window, and pruning filter
-// is read from the immutable snapshot.
-func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode matchMode, sig *BlockSig, ep *resgraph.Epoch) (*Allocation, error) {
+// ErrNoMatch and leaves no trace. Callers hold t.mu; the attempt holds the
+// graph's reader lock for the whole traversal, so topology mutations
+// (attach/detach, status flips) never interleave with a match — which is
+// also what freezes the topology and status bits the match kernel's
+// candidate cache relies on.
+func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode matchMode, sig *BlockSig) (*Allocation, error) {
 	dur := t.effectiveDuration(cjs.Spec(), at)
 	if dur <= 0 {
 		if sig != nil {
@@ -722,24 +697,11 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		sig.reset(at, dur)
 	}
 
-	// Commit and dry attempts run under t.mu, so the traverser's own
-	// scratch is free; lock-free speculations draw from the pool.
-	var s *matchScratch
-	if mode != modeSnap {
-		s = t.scratch
-	} else {
-		s = t.scratchPool.Get().(*matchScratch)
-		defer t.scratchPool.Put(s)
-	}
-
+	s := t.scratch
 	root := t.root
-	if ep == nil {
-		t.g.RLock()
-		defer t.g.RUnlock()
-		s.begin(t.g.UniqBound(), t.g.StructVersion())
-	} else {
-		s.begin(ep.UniqBound(), ep.StructVersion())
-	}
+	t.g.RLock()
+	defer t.g.RUnlock()
+	s.begin(t.g.UniqBound(), t.g.StructVersion())
 	// However the attempt ends — selected, failed, or a panic inside the
 	// walk — its claims are dropped on the way out.
 	defer s.dropClaims()
@@ -751,7 +713,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		at:    at,
 		dur:   dur,
 		dry:   mode == modeDry,
-		ep:    ep,
 		sig:   sig,
 	}
 	// Fast fail: the root filter's aggregates must fit first (paper
@@ -768,113 +729,22 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 		}
 		return nil, fmt.Errorf("%w: at t=%d", ErrNoMatch, at)
 	}
-	alloc := &Allocation{JobID: jobID, At: at, Duration: dur, pin: ep}
+	alloc := &Allocation{JobID: jobID, At: at, Duration: dur}
 	if mode == modeDry {
 		return alloc, nil // a capacity check keeps no selection
 	}
 	// The selection must outlive this attempt's scratch.
 	alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
-	if mode == modeCommit {
-		if err := t.install(alloc); err != nil {
-			return nil, err
-		}
+	if err := t.install(alloc); err != nil {
+		return nil, err
 	}
 	return alloc, nil
 }
 
-// PinEpoch returns the graph's current MVCC epoch for a batch of epoch
-// speculations. Epochs are materialised on demand, so the pin holds t.mu's
-// reader side across the call: a build then reads the planners between two
-// mutating operations, never in the middle of one, and every allocation is
-// in the epoch whole or not at all.
-func (t *Traverser) PinEpoch() *resgraph.Epoch {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.g.Epoch()
-}
-
-// MatchSpeculateCompiledEpoch matches cjs at time `at` against ep, an epoch
-// from PinEpoch, without committing anything: the returned Allocation is
-// tentative and is installed by Commit or simply dropped — an uncommitted
-// speculation publishes nothing. The attempt runs with zero
-// synchronization against the epoch's immutable snapshots, so many
-// goroutines may speculate concurrently, typically a scheduling cycle
-// fanning a whole batch out against one pin.
-func (t *Traverser) MatchSpeculateCompiledEpoch(jobID int64, cjs *jobspec.Compiled, at int64, ep *resgraph.Epoch) (*Allocation, error) {
-	if err := t.checkCompiled(cjs); err != nil {
-		return nil, err
-	}
-	if ep == nil {
-		return nil, fmt.Errorf("traverser: speculation needs a pinned epoch")
-	}
-	t.mu.RLock()
-	_, dup := t.allocs[jobID]
-	t.mu.RUnlock()
-	if dup {
-		return nil, fmt.Errorf("%w: %d", ErrExists, jobID)
-	}
-	return t.tryMatch(jobID, cjs, at, modeSnap, nil, ep)
-}
-
-// Commit validates a speculative allocation against committed planner
-// state and installs it. For an epoch speculation whose pinned epoch is
-// still stable — nothing committed, released, or flipped since the pin —
-// re-validation is one version comparison and the per-vertex conflict
-// re-walk (status, exclusive-takeover probes) is skipped entirely; spans
-// are still installed, which is the commit itself. Otherwise detached or
-// downed vertices are rejected and shared structural vertices re-checked
-// for exclusive takeover, and the install itself detects lost capacity:
-// AddSpan fails if a concurrent commit took it first. On any conflict
-// nothing is left installed and ErrConflict is returned — the job must be
-// re-matched.
-func (t *Traverser) Commit(alloc *Allocation) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err := t.commitSpans(alloc)
-	if err == nil {
-		t.g.PublishEpoch()
-	}
-	return err
-}
-
-// commitSpans is Commit's validation and span installation; callers hold
-// t.mu. Split out so the epoch publication above runs after the graph
-// reader lock is released.
-func (t *Traverser) commitSpans(alloc *Allocation) error {
-	if _, dup := t.allocs[alloc.JobID]; dup {
-		return fmt.Errorf("%w: %d", ErrExists, alloc.JobID)
-	}
-	t.g.RLock()
-	defer t.g.RUnlock()
-	// Stability is checked under the reader lock (writers excluded) and
-	// t.mu (committers serialized): if the pinned epoch is still current
-	// with nothing pending, the state the speculation matched against is
-	// the state being committed into.
-	if alloc.pin == nil || !t.g.EpochStable(alloc.pin) {
-		for _, va := range alloc.Vertices {
-			if !va.V.Attached() || va.V.Status != resgraph.StatusUp {
-				return fmt.Errorf("%w: %s went down", ErrConflict, va.V.Path())
-			}
-			if va.Units > 0 {
-				continue
-			}
-			// Shared structural grant: the vertex must not have been
-			// exclusively taken since speculation.
-			if avail, err := va.V.Planner().AvailDuring(alloc.At, alloc.Duration); err != nil || avail <= 0 {
-				return fmt.Errorf("%w: %s exclusively taken", ErrConflict, va.V.Path())
-			}
-		}
-	}
-	if err := t.install(alloc); err != nil {
-		return fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	return nil
-}
-
 // install writes a selection into the live planners — one span per
 // consuming vertex over the allocation's window, then SDFU — and records
-// the allocation. It is the one place a match, Commit or Reinstall plans
-// vertex spans. On error it removes exactly the vertex spans it added
+// the allocation. It is the one place a match or Reinstall plans vertex
+// spans. On error it removes exactly the vertex spans it added
 // (updateFilters undoes its own) and records nothing. Callers hold t.mu.
 func (t *Traverser) install(alloc *Allocation) error {
 	for i := range alloc.Vertices {
@@ -915,9 +785,9 @@ func (t *Traverser) unplan(vas []VertexAlloc) {
 // remove, Release and the rollback below undo. The per-owner requests
 // accumulate in the traverser's SDFU scratch (all callers hold t.mu)
 // instead of a freshly built map of maps. It is the last step of every
-// install, so it also marks the whole allocation — vertices and filter
-// owners — dirty for the epoch layer; on failure it marks what it touched
-// and install marks the vertices it unplans.
+// install, so it also marks the allocation changed for the publish
+// boundary; on failure it marks what it touched and install marks the
+// vertices it unplans.
 func (t *Traverser) updateFilters(alloc *Allocation) error {
 	s := &t.scratch.sdfu
 	s.begin()
@@ -947,8 +817,7 @@ func (t *Traverser) updateFilters(alloc *Allocation) error {
 				for _, fs := range alloc.filterSpans {
 					_ = fs.remove()
 				}
-				t.markDirty(nil, alloc.filterSpans)
-				t.g.MarkEpochDirty(owner)
+				t.g.MarkEpochDirty()
 				alloc.filterSpans = nil
 				return fmt.Errorf("traverser: SDFU failed at %s: %w", owner.Path(), err)
 			}
@@ -959,19 +828,18 @@ func (t *Traverser) updateFilters(alloc *Allocation) error {
 	return nil
 }
 
-// markDirty tells the epoch layer that the planners of vas' consuming
-// vertices and the filters of fss' owners changed, under one acquisition
-// of its lock instead of one per vertex. Callers hold t.mu's writer side.
+// markDirty tells the publish boundary that something changed when vas
+// holds a consuming vertex or fss a filter span. Callers hold t.mu's
+// writer side.
 func (t *Traverser) markDirty(vas []VertexAlloc, fss []filterSpan) {
-	d := t.dirty[:0]
+	if len(fss) > 0 {
+		t.g.MarkEpochDirty()
+		return
+	}
 	for i := range vas {
 		if vas[i].Units > 0 {
-			d = append(d, vas[i].V)
+			t.g.MarkEpochDirty()
+			return
 		}
 	}
-	for i := range fss {
-		d = append(d, fss[i].owner)
-	}
-	t.g.MarkEpochDirty(d...)
-	t.dirty = d[:0]
 }

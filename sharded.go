@@ -100,9 +100,6 @@ func NewSharded(shards int, queue sched.QueuePolicy, opts ...Option) (*Sharded, 
 		return nil, err
 	}
 	var sopts []sched.SchedOption
-	if c.matchWorkers > 1 {
-		sopts = append(sopts, sched.WithMatchWorkers(c.matchWorkers))
-	}
 	if c.defense != nil {
 		sopts = append(sopts, sched.WithDefense(*c.defense))
 	}
