@@ -17,7 +17,9 @@ import (
 //     attempt (traverser.BlockSig); it is re-attempted only when the
 //     cycle's drained deltas intersect the signature (wakeup.go), when
 //     its root-aggregate hint matures, or when the environment changed
-//     in a way signatures cannot track (structural events, demotions);
+//     in a way signatures cannot track (structural events, demotions).
+//     A signature without a hint waits for a free under one of its
+//     reasons, including the frees of on-schedule completions;
 //   - standing EASY/conservative reservations are carried across cycles
 //     instead of being cancelled and re-planned; a reservation is
 //     dropped only when a delta touches its claim window (a completion
@@ -111,8 +113,10 @@ func (s *Scheduler) scheduleIncremental() {
 				if clamped {
 					job.sigOK = false
 				} else if s.plan.wakes(&job.sig, now) {
-					// A spent signature no longer certifies failure;
-					// the job attempts every cycle until re-captured.
+					// A relieved or matured signature no longer
+					// certifies failure: the job attempts at every
+					// cycle's reachable position until a failed
+					// attempt captures a new one.
 					job.woken = true
 					job.sigOK = false
 				}
@@ -177,7 +181,8 @@ func (s *Scheduler) scheduleIncremental() {
 				// free into its window, frees the plan could not keep, a
 				// demotion ahead — may pick other resources: re-match it
 				// below. On-schedule completions are no change: their
-				// frees end at `now` and never reach the plan.
+				// frees end at `now`, so they reach only the plan's
+				// ended list, which invalidates never reads.
 				dirs = append(dirs, directive{job: job, kind: dirConvert})
 				continue
 			case branchOK && !wakeAll && !job.invalidated && job.Alloc != nil && job.Alloc.At > now:

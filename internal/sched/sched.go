@@ -536,6 +536,12 @@ func (s *Scheduler) Schedule() {
 	}
 
 	s.wakeup.drain(&s.plan)
+	if s.skim(); len(s.events) > 0 && s.events[0].at <= s.now {
+		// The clock was advanced onto an event that has not fired: a
+		// span ending there left the attempt window with no free
+		// published yet, so no hintless signature may wait for one.
+		s.plan.endedOverflow = true
+	}
 	// Mute the sink for the cycle: our own cancels and matches are
 	// ordered by the queue walk and must not wake next cycle.
 	s.wakeup.mute(true)

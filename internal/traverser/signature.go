@@ -47,8 +47,9 @@ type BlockSig struct {
 	// HintAt is the root filter's earliest-fit hint (AvailTimeFirst over
 	// the request's tracked totals): before HintAt the root aggregates
 	// provably cannot host the request, so time alone cannot unblock the
-	// job. HintAt == At means the hint has no discriminating power and
-	// the holder should re-attempt every cycle.
+	// job. HintAt == At means the root aggregates fit and the shape did
+	// not: only a free under a reason (including a span that ended) or
+	// a structural change can unblock the job.
 	HintAt int64
 	// Valid is set by a capture; a zero signature must wake always.
 	Valid bool

@@ -44,6 +44,17 @@ var (
 	ErrNoFilter = errors.New("traverser: reservation requires a root pruning filter")
 )
 
+// noMatchAt is the ErrNoMatch of one failed attempt at time at. It
+// formats only when printed: in a busy queue most attempts fail, and
+// their errors are checked with errors.Is, not read.
+type noMatchAt struct {
+	why string // what failed; the message ends "<why> t=<at>"
+	at  int64
+}
+
+func (e *noMatchAt) Error() string { return fmt.Sprintf("%v: %s t=%d", ErrNoMatch, e.why, e.at) }
+func (e *noMatchAt) Unwrap() error { return ErrNoMatch }
+
 // Option configures a Traverser.
 type Option func(*Traverser)
 
@@ -719,7 +730,7 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	// §3.2: the traversal begins at the graph store root, where the
 	// aggregate counts of all requested resources are checked).
 	if mode != modeDry && !m.filterAdmits(root, cjs.Totals()) {
-		return nil, fmt.Errorf("%w: root filter rejects at t=%d", ErrNoMatch, at)
+		return nil, &noMatchAt{why: "root filter rejects at", at: at}
 	}
 	if !m.matchForest(root, cjs.Roots(), false) {
 		if sig != nil && len(sig.Reasons) == 0 && !sig.Overflow {
@@ -727,7 +738,7 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 			// candidate was status-down). Wake on any free in the system.
 			sig.noteVertex(root, AnyType, 1)
 		}
-		return nil, fmt.Errorf("%w: at t=%d", ErrNoMatch, at)
+		return nil, &noMatchAt{why: "at", at: at}
 	}
 	alloc := &Allocation{JobID: jobID, At: at, Duration: dur}
 	if mode == modeDry {

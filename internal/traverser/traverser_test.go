@@ -104,8 +104,12 @@ func TestFillToCapacityAndCancel(t *testing.T) {
 		}
 		ids = append(ids, i)
 	}
-	if _, err := tr.MatchAllocate(5, js, 0); !errors.Is(err, ErrNoMatch) {
+	_, err := tr.MatchAllocate(5, js, 0)
+	if !errors.Is(err, ErrNoMatch) {
 		t.Fatalf("5th job: %v", err)
+	}
+	if want := ErrNoMatch.Error() + ": root filter rejects at t=0"; err.Error() != want {
+		t.Fatalf("5th job: %q, want %q", err, want)
 	}
 	if got := tr.Jobs(); len(got) != 4 || got[0] != 1 {
 		t.Fatalf("Jobs = %v", got)
