@@ -13,7 +13,7 @@ BENCH_FLAGS  = -run NONE -bench '$(BENCH_GATE)' -benchtime 0.5s -count 5 -cpu 4
 BENCH_PKGS   = . ./internal/sched ./internal/wal ./internal/resgraph ./internal/shard
 
 .PHONY: all build test test-race race bench repro cover cover-check \
-	lint bench-baseline bench-regress bench-pairs fmt vet loc clean
+	lint bench-baseline bench-regress bench-pairs golden fmt vet loc clean
 
 all: build test
 
@@ -72,6 +72,11 @@ bench-regress:
 # defaults are in scripts/bench-pairs.sh.
 bench-pairs:
 	./scripts/bench-pairs.sh
+
+# golden rewrites internal/simcli/testdata/golden from the working tree's
+# decisions (TestGoldenDecisions compares against them).
+golden:
+	$(GO) test ./internal/simcli -run Golden -update
 
 fmt:
 	gofmt -w .
