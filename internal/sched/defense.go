@@ -26,14 +26,14 @@ package sched
 //
 // Decision parity is the design invariant: a quarantined job must leave
 // every other job's schedule untouched. Quarantine never sets the cycle
-// loops' `blocked` flag and a poisoned attempt never commits capacity,
+// walk's `blocked` flag and a poisoned attempt never commits capacity,
 // so the queue walk behind a quarantined job sees exactly the
 // environment of a run where that job never existed. The parity property
 // test lives in internal/chaos.
 //
 // Hot-path discipline: with no defense configured (s.defense == nil)
-// every match helper dispatches straight to the traverser — no deferred
-// recover, no time.Now, no closure — so the zero-allocation benchmarks
+// every attempt goes straight to the traverser — no deferred recover, no
+// time.Now, no closure — so the zero-allocation benchmarks
 // (BenchmarkSchedCycle, BenchmarkLODMatch) are unaffected.
 //
 // A panic inside a match walk leaves no state behind: the traverser
@@ -205,44 +205,41 @@ func (s *Scheduler) Overloaded() bool {
 
 // fencedMatch wraps one match attempt in the defense envelope: the chaos
 // hook, a recover() fence converting panics into ErrPoisoned, and the
-// per-attempt deadline on failure.
-func (s *Scheduler) fencedMatch(op matchOp, job *Job, at int64) (alloc *traverser.Allocation, err error) {
+// per-attempt deadline on failure. A poisoned job is quarantined here;
+// the cycle learns of it from the ErrPoisoned result and drops it from
+// the queue.
+func (s *Scheduler) fencedMatch(job *Job, reserve bool) (alloc *traverser.Allocation, err error) {
 	d := s.defense
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			s.poison(job, QuarantinePanic, fmt.Sprintf("match panicked: %v", r))
-			alloc, err = nil, fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
+			alloc, err = nil, s.poison(job, QuarantinePanic, fmt.Sprintf("match panicked: %v", r))
 		}
 	}()
 	if d.hook != nil {
 		d.hook(job.ID)
 	}
-	alloc, err = s.rawMatch(op, job, at)
+	alloc, err = s.match(job, reserve)
 	if err != nil && d.cfg.MatchDeadline > 0 {
 		if el := time.Since(start); el > d.cfg.MatchDeadline {
-			s.poison(job, QuarantineDeadline,
+			err = s.poison(job, QuarantineDeadline,
 				fmt.Sprintf("failed match attempt took %v (deadline %v)",
 					el.Round(time.Millisecond), d.cfg.MatchDeadline))
-			err = fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, job.QuarantineMsg)
 		}
 	}
 	return alloc, err
 }
 
-// poison marks a job for quarantine at its cycle position, staging the
-// reason and message in the exported quarantine fields (the loop's
-// quarantine lands in the same cycle).
-func (s *Scheduler) poison(job *Job, reason QuarantineReason, msg string) {
-	job.poisoned = true
-	job.Quarantine = reason
-	job.QuarantineMsg = msg
-	job.sigOK = false
+// poison quarantines a job at its cycle position and returns the
+// ErrPoisoned failure its attempt reports.
+func (s *Scheduler) poison(job *Job, reason QuarantineReason, msg string) error {
+	s.quarantine(job, reason, msg)
+	return fmt.Errorf("%w: job %d: %s", ErrPoisoned, job.ID, msg)
 }
 
 // quarantine moves a job into StateQuarantined: out of the pending queue
 // and reservation table, journaled so the state survives a crash. The
-// caller is responsible for the job's queue slot (cycle loops drop it;
+// caller is responsible for the job's queue slot (the cycle drops it;
 // the manual API unqueues first).
 func (s *Scheduler) quarantine(job *Job, reason QuarantineReason, msg string) {
 	s.jrec(Rec{Kind: RecQuarantine, ID: job.ID, Retries: int(reason), Path: msg})
@@ -252,16 +249,7 @@ func (s *Scheduler) quarantine(job *Job, reason QuarantineReason, msg string) {
 	job.QuarantineMsg = msg
 	job.Alloc = nil
 	job.sigOK = false
-	job.poisoned = false
 	s.stats.Quarantined++
-}
-
-// quarantinePoisoned quarantines a job flagged by the fence inside a
-// cycle loop. The cycle's `blocked` flag is deliberately untouched and
-// the job is not appended to the surviving queue: jobs behind it see
-// exactly the schedule of a run where it never existed.
-func (s *Scheduler) quarantinePoisoned(job *Job) {
-	s.quarantine(job, job.Quarantine, job.QuarantineMsg)
 }
 
 // Quarantine manually quarantines a pending or reserved job (operator
@@ -315,7 +303,6 @@ func (s *Scheduler) release(job *Job) {
 	job.State = StatePending
 	job.Quarantine = QuarantineNone
 	job.QuarantineMsg = ""
-	job.poisoned = false
 	s.enqueue(job)
 }
 

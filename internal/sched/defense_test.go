@@ -575,3 +575,30 @@ func TestLadderRungDecisions(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedWakeCountsEveryAttempt: the bounded-wake cap counts every
+// match a cycle runs. Job 5 holds a backfill signature from a cycle at
+// rung 0 and is reached unblocked after job 4's attempt has spent the
+// bound of one, so it waits for the next cycle instead of reserving now.
+func TestBoundedWakeCountsEveryAttempt(t *testing.T) {
+	s := newSchedOpts(t, EASY, 1, 3, 4, WithDefense(DefenseConfig{BoundedWake: 1}))
+	mustSubmit(t, s, 1, nodeJob(2, 4, 100))
+	mustSubmit(t, s, 2, nodeJob(1, 4, 100))
+	mustSubmit(t, s, 3, nodeJob(2, 4, 50)) // head: reserves at 100
+	mustSubmit(t, s, 4, nodeJob(1, 4, 10)) // backfill signature, hint 100
+	mustSubmit(t, s, 5, nodeJob(2, 4, 10)) // backfill signature, hint 150
+	s.Schedule()
+	s.defense.level = ladderBoundedWake
+	before := s.Stats().MatchAttempts
+	s.Step() // t=100: job 3 converts, job 4 attempts and starts
+	if got := s.Stats().MatchAttempts - before; got != 1 {
+		t.Fatalf("cycle at t=100 ran %d match attempts, bound is 1", got)
+	}
+	if j, _ := s.Job(5); j.State != StatePending {
+		t.Fatalf("job 5 = %v at t=100, want pending past the bound", j.State)
+	}
+	s.Run(0)
+	if j, _ := s.Job(5); j.State != StateCompleted || j.StartAt != 150 {
+		t.Fatalf("job 5 = %v from %d, want completed from 150", j.State, j.StartAt)
+	}
+}

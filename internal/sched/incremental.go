@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"time"
 
 	"fluxion/internal/traverser"
@@ -39,138 +40,76 @@ import (
 // capacity, kept reservations re-create the reference's own re-plan, and
 // everything that can add capacity — frees, structural changes,
 // demotions — either wakes the job or clears its signature. Behind the
-// first real match of a cycle no reservation stands: the classification
-// walk demotes every one it reaches from there on, before any match runs,
-// so the attempt sees exactly the reference's environment. Demotions in
-// turn clear the signatures of every job behind them, since their muted
-// cancel frees capacity signatures cannot see. A reservation is carried,
-// or converted in place when it matures, only while its environment is
-// the one it was planned in; otherwise it is re-matched, because a
-// changed environment may give the reference's first fit other
-// resources.
+// first match of a cycle no reservation stands: just before it the walk
+// sweeps the rest of the queue and demotes every reservation still
+// standing there, so that match and every later one see exactly the
+// reference's environment. Demotions in turn clear the signatures of
+// every job behind them, since their muted cancel frees capacity
+// signatures cannot see. A reservation is carried, or converted in place
+// when it matures, only while its environment is the one it was planned
+// in; otherwise it is re-matched, because a changed environment may give
+// the reference's first fit other resources.
 
-// dirKind is the per-job action a cycle's classification pass decides.
-type dirKind uint8
-
-const (
-	// dirDepth keeps a job pending past the queue-depth bound, unmatched.
-	dirDepth dirKind = iota
-	// dirFail synthesizes the FCFS behind-blocked-head failure (the
-	// reference does not match these either).
-	dirFail
-	// dirSkip keeps a blocked job pending without matching: its
-	// signature proves the reference's attempt would fail.
-	dirSkip
-	// dirSkipIfBlocked resolves at process time: behind a blocked head
-	// the signature justifies skipping, at the head the job must attempt
-	// (its signature does not cover the reservation probe).
-	dirSkipIfBlocked
-	// dirKeep carries a standing reservation across the cycle.
-	dirKeep
-	// dirConvert starts a matured reservation (Alloc.At == now) in place.
-	dirConvert
-	// dirAttempt re-matches the job under the policy branch.
-	dirAttempt
-)
-
-// directive is one classified queue entry, in queue order.
-type directive struct {
-	job  *Job
-	kind dirKind
-}
-
-// blockState is the classification pass's three-valued view of the
-// reference's `blocked` flag: attempts have unknown outcomes until process
-// time, so the flag may be provably false, provably true, or unknown.
-type blockState uint8
-
-const (
-	bNo blockState = iota
-	bYes
-	bUnknown
-)
-
-// scheduleIncremental runs one incremental cycle. The wakeup index has
+// scheduleIncremental runs one cycle: one walk over the pending queue in
+// order, carrying the reference's `blocked` flag. The wakeup index has
 // been drained into s.plan and the delta sink is muted for the duration.
 func (s *Scheduler) scheduleIncremental() {
 	now := s.now
 	horizonEnd := s.tr.Graph().Base() + s.tr.Graph().Horizon()
-
-	// Wake pre-pass: apply the cycle's deltas to every blocked job's
-	// signature exactly once (wakes decrements shortfalls in place), and
-	// test every standing reservation for invalidation. A job whose
-	// attempt window would be horizon-clamped is never skipped or kept:
-	// its effective duration shrinks as the clock advances, which the
-	// signature's fixed window cannot model.
-	for _, job := range s.pending {
-		job.woken = false
-		job.invalidated = false
-		clamped := job.Spec == nil || job.Spec.Duration <= 0 ||
-			now+job.Spec.Duration > horizonEnd
-		switch job.State {
-		case StatePending:
-			if job.sigOK {
-				if clamped {
-					job.sigOK = false
-				} else if s.plan.wakes(&job.sig, now) {
-					// A relieved or matured signature no longer
-					// certifies failure: the job attempts at every
-					// cycle's reachable position until a failed
-					// attempt captures a new one.
-					job.woken = true
-					job.sigOK = false
-				}
-			}
-		case StateReserved:
-			job.invalidated = clamped || s.plan.invalidates(job, now)
-		}
-	}
-
-	// Classification pass: walk the queue in order and decide each job's
-	// directive, tracking the provable blocked state and demoting
-	// reservations the reference would not have re-created.
-	resAhead := 0
-	for _, job := range s.pending {
-		if job.State == StateReserved {
-			resAhead++
-		}
-	}
-
-	dirs := s.directives[:0]
-	attempts := 0
-	blockedSt := bNo
+	blocked := false
 	wakeAll := false // a demotion happened: signatures behind it are void
-	planned := 0
+	swept := false   // no reservation stands behind the walk any more
+	planned, attempts := 0, 0
+	still := s.pending[:0]
 
-	for _, job := range s.pending {
+	for i, job := range s.pending {
 		switch job.State {
 		case StatePending, StateReserved:
 		default:
 			continue // dropped from the queue, as in the reference
 		}
 
+		// Wake test, once per job per cycle whatever follows: wakes
+		// decrements a signature's shortfalls in place. A job whose
+		// attempt window would be horizon-clamped is never skipped or
+		// kept: its effective duration shrinks as the clock advances,
+		// which the signature's fixed window cannot model.
+		clamped := job.Spec == nil || job.Spec.Duration <= 0 ||
+			now+job.Spec.Duration > horizonEnd
+		woken, invalidated := false, false
+		switch {
+		case job.State == StateReserved:
+			invalidated = clamped || s.plan.invalidates(job, now)
+		case job.sigOK && clamped:
+			job.sigOK = false
+		case job.sigOK && s.plan.wakes(&job.sig, now):
+			// A relieved or matured signature no longer certifies
+			// failure: the job attempts at every cycle's reachable
+			// position until a failed attempt captures a new one.
+			woken = true
+			job.sigOK = false
+		}
+
 		if s.queueDepth > 0 && planned >= s.queueDepth {
 			if job.State == StateReserved {
 				// The reference would not re-create a reservation past
 				// the depth bound.
-				resAhead--
 				s.demote(job)
 				wakeAll = true
 			}
 			if wakeAll {
 				job.sigOK = false
 			}
-			dirs = append(dirs, directive{job: job, kind: dirDepth})
+			still = append(still, job)
 			continue
 		}
 		planned++
 
 		if job.State == StateReserved {
-			resAhead--
 			// A reservation stands only while its position's environment
 			// is the one it was planned in: same policy branch, no
 			// demotion ahead, no delta into its window.
-			branchOK := s.policy == Conservative || (s.policy == EASY && blockedSt == bNo)
+			branchOK := s.policy == Conservative || (s.policy == EASY && !blocked)
 			switch {
 			case branchOK && !wakeAll && job.Alloc != nil && job.Alloc.At == now &&
 				!s.plan.invalidates(job, now):
@@ -183,162 +122,117 @@ func (s *Scheduler) scheduleIncremental() {
 				// below. On-schedule completions are no change: their
 				// frees end at `now`, so they reach only the plan's
 				// ended list, which invalidates never reads.
-				dirs = append(dirs, directive{job: job, kind: dirConvert})
+				s.convert(job)
 				continue
-			case branchOK && !wakeAll && !job.invalidated && job.Alloc != nil && job.Alloc.At > now:
-				dirs = append(dirs, directive{job: job, kind: dirKeep})
-				blockedSt = bYes
+			case branchOK && !wakeAll && !invalidated && job.Alloc != nil && job.Alloc.At > now:
+				blocked = true
+				s.stats.SkippedJobs++
+				still = append(still, job)
 				continue
 			default:
 				s.demote(job)
 				wakeAll = true
-				// Re-classify as pending below.
+				// Handled as pending below.
 			}
-		}
-
-		if blockedSt == bYes && (s.policy == FCFS || s.shedBackfill()) {
-			// Behind a provably blocked head nothing matches under FCFS;
-			// the shed-backfill ladder rung extends the same fail-fast to
-			// EASY/conservative backfill probes.
-			if wakeAll {
-				job.sigOK = false
-			}
-			dirs = append(dirs, directive{job: job, kind: dirFail})
-			continue
 		}
 		if wakeAll {
 			job.sigOK = false
 		}
 
-		if job.sigOK {
-			skip := false
-			switch {
-			case s.policy == FCFS:
-				// Both FCFS branches fail under a valid signature
-				// (behind a blocked head nothing matches; at the head
-				// the signature certifies the immediate match fails).
-				skip = true
-				blockedSt = bYes
-			case s.policy == EASY && blockedSt == bYes:
-				skip = true // backfill branch: immediate match fails
-			case job.sigReserve:
-				// Conservative, or EASY at/possibly-at the head: the
-				// signature covers the reservation probe too.
-				skip = true
-				blockedSt = bYes
-			case s.policy == EASY && blockedSt == bUnknown:
-				// Skippable behind a blocked head, must attempt at the
-				// head; resolved when the process pass knows.
-				dirs = append(dirs, directive{job: job, kind: dirSkipIfBlocked})
-				continue
-			}
-			if skip {
-				dirs = append(dirs, directive{job: job, kind: dirSkip})
-				continue
-			}
+		if blocked && (s.policy == FCFS || s.shedBackfill()) {
+			// Behind a blocked head nothing matches under FCFS; the
+			// shed-backfill ladder rung extends the same fail-fast to
+			// EASY/conservative backfill probes.
+			still = append(still, job)
+			continue
+		}
+
+		// A valid signature certifies that this position's match fails:
+		// the FCFS head's immediate match, an EASY backfill probe, and,
+		// when it covers the reservation probe, the allocate-or-reserve
+		// of the EASY head or of any conservative position. Only the
+		// EASY head holding a backfill signature must attempt.
+		if job.sigOK && (s.policy == FCFS || job.sigReserve || (s.policy == EASY && blocked)) {
+			blocked = true
+			s.stats.SkippedJobs++
+			still = append(still, job)
+			continue
 		}
 
 		if bound := s.attemptBound(); bound > 0 && attempts >= bound {
 			// Degraded bounded wake: the cycle's attempt budget is
 			// spent. Keep the job pending untouched — valid reservations
 			// ahead stay installed, so shedding causes no demotion churn.
-			dirs = append(dirs, directive{job: job, kind: dirDepth})
+			still = append(still, job)
 			continue
 		}
 
-		// Attempt. The reference's match at this position runs with no
-		// reservation behind it in the planners: every one that stands is
-		// demoted as this walk reaches it (wakeAll makes none valid), all
-		// before the process pass runs the attempt.
-		if resAhead > 0 {
-			resAhead = 0
-			wakeAll = true
-		}
-		dirs = append(dirs, directive{job: job, kind: dirAttempt})
-		attempts++
-		if !(s.policy == EASY && blockedSt == bYes) {
-			blockedSt = bUnknown
-		}
-	}
-	s.directives = dirs
-
-	// Process pass: execute the directives in queue order with the real
-	// blocked flag, exactly mirroring the reference's outcome handling.
-	blocked := false
-	still := s.pending[:0]
-
-	for _, d := range dirs {
-		job := d.job
-		switch d.kind {
-		case dirDepth:
-			still = append(still, job)
-			continue
-		case dirFail:
-			blocked = true
-			still = append(still, job)
-			continue
-		case dirSkip, dirKeep:
-			blocked = true
-			still = append(still, job)
-			s.stats.SkippedJobs++
-			continue
-		case dirConvert:
-			s.convert(job)
-			continue
-		case dirSkipIfBlocked:
-			if blocked {
-				still = append(still, job)
-				s.stats.SkippedJobs++
-				continue
+		if !swept {
+			// The reference's match at this position runs with no
+			// reservation behind it in the planners, and neither may any
+			// later match of the cycle: demote every one still standing
+			// behind, in queue order, before the first attempt.
+			swept = true
+			for _, r := range s.pending[i+1:] {
+				if r.State == StateReserved {
+					s.demote(r)
+					wakeAll = true
+				}
 			}
-			// Head position: attempt.
 		}
 
-		if job.woken {
+		attempts++
+		if woken {
 			s.stats.WokenJobs++
 		}
 		start := time.Now()
-		alloc, err := s.resolveAttempt(job, blocked)
+		alloc, err := s.attempt(job, s.policy == Conservative || (s.policy == EASY && !blocked))
 		job.MatchDuration += time.Since(start)
 		switch {
-		case job.poisoned:
-			// Quarantine without touching `blocked`: jobs behind see the
-			// schedule of a run where this job never existed.
-			s.quarantinePoisoned(job)
-		case err != nil:
-			blocked = true
-			still = append(still, job)
-		case alloc.Reserved:
+		case err == nil && !alloc.Reserved:
+			s.start(job, alloc)
+		case err == nil:
 			s.reserve(job, alloc)
 			blocked = true
 			still = append(still, job)
+		case errors.Is(err, ErrPoisoned):
+			// The fence quarantined the job. `blocked` stays as it was:
+			// jobs behind see the schedule of a run without it.
 		default:
-			s.start(job, alloc)
+			blocked = true
+			still = append(still, job)
 		}
 	}
 	s.pending = still
 }
 
-// resolveAttempt turns one attempt directive into an allocation under the
-// policy branch for its position, capturing a fresh blocking signature on
-// failure.
-func (s *Scheduler) resolveAttempt(job *Job, blocked bool) (*traverser.Allocation, error) {
-	switch {
-	case s.policy == FCFS:
-		if blocked {
-			// The signature (if any) survives: nothing matched, so it
-			// still certifies the last real attempt's failure.
-			return nil, traverser.ErrNoMatch
-		}
-		return s.matchAllocateSig(job, s.now)
-	case blocked && s.shedBackfill():
-		// Degraded: shed the backfill probe behind the blocked head.
-		return nil, traverser.ErrNoMatch
-	case s.policy == EASY && blocked:
-		return s.matchAllocateSig(job, s.now)
-	default: // Conservative always; EASY head
-		return s.matchAllocateOrReserveSig(job, s.now)
+// attempt matches job at the clock, allocate-or-reserve when reserve is
+// set and allocate only otherwise, behind the defense fence when one is
+// configured. It charges one match attempt and, on ErrNoMatch, arms the
+// job's blocking signature for later cycles' skip test; sigReserve
+// records that the signature also covers the reservation probe.
+func (s *Scheduler) attempt(job *Job, reserve bool) (*traverser.Allocation, error) {
+	s.stats.MatchAttempts++
+	if s.defense != nil {
+		return s.fencedMatch(job, reserve)
 	}
+	return s.match(job, reserve)
+}
+
+// match is attempt's unfenced body.
+func (s *Scheduler) match(job *Job, reserve bool) (alloc *traverser.Allocation, err error) {
+	cjs, err := s.compiledSpec(job)
+	if err != nil {
+		return nil, err
+	}
+	if reserve {
+		alloc, err = s.tr.MatchAllocateOrReserveCompiledSig(job.ID, cjs, s.now, &job.sig)
+	} else {
+		alloc, err = s.tr.MatchAllocateCompiledSig(job.ID, cjs, s.now, &job.sig)
+	}
+	job.sigOK = err != nil && errors.Is(err, traverser.ErrNoMatch)
+	job.sigReserve = reserve
+	return alloc, err
 }
 
 // convert starts a matured reservation in place: its planner spans are

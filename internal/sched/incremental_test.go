@@ -276,7 +276,7 @@ func TestIncrementalParityUnderFaults(t *testing.T) {
 
 // TestIncrementalParityQueueDepth checks parity under a queue-depth bound
 // of 3: priority jumps push standing reservations past the bound, so the
-// engine must demote them (dirDepth) exactly where the reference stops
+// engine must demote them exactly where the reference stops
 // re-creating them. Under EASY, seed 85 demotes the head reservation in a
 // cycle that then matches, so it also checks that the match sees the
 // cycle's demotions.

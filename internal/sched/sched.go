@@ -111,12 +111,9 @@ type Job struct {
 	// Alloc is the live or reserved selected resource set.
 	Alloc *traverser.Allocation
 
-	// QuarantineMsg and Quarantine (packed below with the scratch flags)
-	// record why a quarantined job was set aside (defense.go); meaningful
-	// only in StateQuarantined. The match fence stages the pending
-	// reason/message in the same fields (with poisoned set) between the
-	// attempt and the cycle loop's quarantine, which always lands within
-	// the same cycle.
+	// QuarantineMsg and Quarantine (packed below with the signature
+	// flags) record why a quarantined job was set aside (defense.go);
+	// meaningful only in StateQuarantined.
 	QuarantineMsg string
 
 	// compiled caches Spec compiled against the scheduler's graph, so
@@ -128,21 +125,12 @@ type Job struct {
 	// the blocking signature of the job's last failed attempt, valid
 	// while sigOK; sigReserve records that the failed attempt included a
 	// reservation probe (allocate-or-reserve), so the signature also
-	// justifies skipping reservation re-attempts. woken and invalidated
-	// are per-cycle scratch set by the wake pre-pass.
-	sig         traverser.BlockSig
-	sigOK       bool
-	sigReserve  bool
-	woken       bool
-	invalidated bool
-
-	// Defense scratch (transient): poisoned flags the job for quarantine
-	// at its cycle position — set by the match fence and consumed by the
-	// cycle loop. Kept narrow on purpose: the classification loop walks
-	// every pending job each cycle, so Job size is cycle-time (the
-	// quarantine reason/message stage in the exported fields above rather
-	// than a second copy here).
-	poisoned   bool
+	// justifies skipping reservation re-attempts. The cycle's queue walk
+	// reads every pending job, so Job stays narrow: no per-cycle scratch
+	// lives here.
+	sig        traverser.BlockSig
+	sigOK      bool
+	sigReserve bool
 	Quarantine QuarantineReason
 }
 
@@ -232,11 +220,10 @@ type Scheduler struct {
 	// moves the job to StateFailed. 0 = unbounded retries.
 	maxRetries int
 
-	// wakeup buffers capacity deltas between cycles; plan and directives
-	// are reusable per-cycle scratch.
-	wakeup     wakeupIndex
-	plan       cyclePlan
-	directives []directive
+	// wakeup buffers capacity deltas between cycles; plan is the
+	// reusable per-cycle drain.
+	wakeup wakeupIndex
+	plan   cyclePlan
 	// stats tallies incremental-engine effectiveness (see Stats).
 	stats Stats
 
@@ -283,9 +270,10 @@ func WithMaxRetries(n int) SchedOption {
 
 // Stats counts scheduling work, surfacing what the incremental engine
 // saves: MatchAttempts is every traverser match call (allocate or
-// allocate-or-reserve); WokenJobs counts blocked jobs re-attempted because a
-// delta intersected their signature; SkippedJobs counts blocked jobs a
-// cycle proved undisturbed and did not re-match. The defense counters
+// allocate-or-reserve); WokenJobs counts the attempts of jobs whose
+// signature the cycle's wake test released (a delta relieved it or its
+// hint matured); SkippedJobs counts jobs a cycle did not re-match because
+// a signature or a carried reservation settled their outcome. The defense counters
 // (defense.go) tally quarantined jobs, cycles run with the degradation
 // ladder engaged, submits rejected by admission backpressure, and
 // jobspecs rejected as invalid at submit.
@@ -430,70 +418,6 @@ func (s *Scheduler) compiledSpec(job *Job) (*jobspec.Compiled, error) {
 		job.compiled = c
 	}
 	return job.compiled, nil
-}
-
-// matchOp enumerates the traverser match entry points so the defense
-// fence can dispatch by value — a closure per attempt would allocate on
-// the zero-alloc hot path.
-type matchOp uint8
-
-const (
-	opAllocateSig matchOp = iota
-	opAllocateOrReserveSig
-)
-
-// dispatchMatch routes one match attempt through the defense fence when
-// a defense layer is configured, or straight to the traverser otherwise
-// (the zero-allocation hot path).
-func (s *Scheduler) dispatchMatch(op matchOp, job *Job, at int64) (*traverser.Allocation, error) {
-	if s.defense != nil {
-		return s.fencedMatch(op, job, at)
-	}
-	return s.rawMatch(op, job, at)
-}
-
-// rawMatch is the unfenced dispatch across the match entry points. The
-// Sig forms capture a blocking signature on ErrNoMatch, arming the
-// incremental engine's skip test for later cycles; a captured
-// reservation-probe signature additionally justifies conservative-mode
-// skips (sigReserve).
-func (s *Scheduler) rawMatch(op matchOp, job *Job, at int64) (*traverser.Allocation, error) {
-	cjs, err := s.compiledSpec(job)
-	if err != nil {
-		return nil, err
-	}
-	switch op {
-	case opAllocateSig:
-		job.sigOK = false
-		alloc, err := s.tr.MatchAllocateCompiledSig(job.ID, cjs, at, &job.sig)
-		if err != nil && errors.Is(err, traverser.ErrNoMatch) {
-			job.sigOK = true
-			job.sigReserve = false
-		}
-		return alloc, err
-	default: // opAllocateOrReserveSig
-		job.sigOK = false
-		alloc, err := s.tr.MatchAllocateOrReserveCompiledSig(job.ID, cjs, at, &job.sig)
-		if err != nil && errors.Is(err, traverser.ErrNoMatch) {
-			job.sigOK = true
-			job.sigReserve = true
-		}
-		return alloc, err
-	}
-}
-
-// matchAllocateSig matches job at time `at`, charging one attempt and
-// capturing a blocking signature on failure.
-func (s *Scheduler) matchAllocateSig(job *Job, at int64) (*traverser.Allocation, error) {
-	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocateSig, job, at)
-}
-
-// matchAllocateOrReserveSig is matchAllocateSig's allocate-else-reserve
-// form; the captured signature covers the reservation probe.
-func (s *Scheduler) matchAllocateOrReserveSig(job *Job, at int64) (*traverser.Allocation, error) {
-	s.stats.MatchAttempts++
-	return s.dispatchMatch(opAllocateOrReserveSig, job, at)
 }
 
 // enqueue inserts a job into the pending queue in priority order (stable

@@ -51,7 +51,6 @@ func (s *Scheduler) Withdraw(id int64) (*Job, error) {
 	job.compiled = nil
 	job.sigOK = false
 	job.sigReserve = false
-	job.poisoned = false
 	job.Quarantine = QuarantineNone
 	job.QuarantineMsg = ""
 	return job, nil
