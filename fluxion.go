@@ -89,7 +89,6 @@ const DefaultHorizon = int64(1) << 31
 
 // config collects construction options.
 type config struct {
-	base      int64
 	horizon   int64
 	policy    string
 	prune     string
@@ -152,11 +151,6 @@ func WithPruneFilters(spec string) Option {
 // exclusive.
 func WithPruneSpec(spec PruneSpec) Option {
 	return func(c *config) error { c.pruneSpec = spec; return nil }
-}
-
-// WithBase sets the planners' first schedulable time (default 0).
-func WithBase(base int64) Option {
-	return func(c *config) error { c.base = base; return nil }
 }
 
 // WithHorizon sets the planners' schedulable duration (default
@@ -272,11 +266,11 @@ func buildStore(c *config, spec resgraph.PruneSpec) (*resgraph.Graph, error) {
 		c.recipe = r
 		fallthrough
 	case c.recipe != nil:
-		g, err = grug.BuildGraph(c.recipe, c.base, c.horizon, spec)
+		g, err = grug.BuildGraph(c.recipe, 0, c.horizon, spec)
 	case c.jgfData != nil:
-		g, err = jgf.Decode(c.jgfData, c.base, c.horizon, spec)
+		g, err = jgf.Decode(c.jgfData, 0, c.horizon, spec)
 	case c.graphmlData != nil:
-		g, err = graphml.Decode(c.graphmlData, c.base, c.horizon, spec)
+		g, err = graphml.Decode(c.graphmlData, 0, c.horizon, spec)
 	default:
 		g = c.graph
 		if !g.Finalized() {

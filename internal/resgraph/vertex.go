@@ -140,10 +140,6 @@ type overlayEdges struct {
 	in  map[string][]*Edge
 }
 
-// Attached reports whether the vertex is currently part of its graph's
-// containment tree (false after Detach).
-func (v *Vertex) Attached() bool { return v.graph != nil }
-
 // Planner returns the vertex's availability planner (nil until the graph
 // is finalized).
 func (v *Vertex) Planner() *planner.Planner { return v.plan }

@@ -297,14 +297,6 @@ func (sh *Sharded) ShardScheduler(i int) *sched.Scheduler {
 	return sh.shards[i].s
 }
 
-// ShardGraph exposes shard i's resource graph (tests, stats). The
-// pointer is replaced when a failed shard is reabsorbed.
-func (sh *Sharded) ShardGraph(i int) *resgraph.Graph {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.shards[i].g
-}
-
 // RouterStats returns the router's cumulative placement counters.
 func (sh *Sharded) RouterStats() RouterStats {
 	sh.mu.Lock()
