@@ -27,8 +27,11 @@ func runWorkload(t *testing.T, e engine) {
 }
 
 // TestParallelVsSequentialBothPaths holds the engine to the reference
-// qmanager loop on the fixed mixed workload, and on the 2×16×4 wide
-// system replays wideWorkload in lockstep with the reference.
+// qmanager loop on the fixed mixed workload, on nine random jobs under a
+// queue depth of 3 (a job past the bound must still take each cycle's
+// wake test: under EASY the relief it sees there is what later lets it
+// start), and on the 2×16×4 wide system, where it replays wideWorkload in
+// lockstep with the reference.
 func TestParallelVsSequentialBothPaths(t *testing.T) {
 	for _, policy := range []QueuePolicy{FCFS, EASY, Conservative} {
 		eng := newSchedOpts(t, policy, 1, 4, 4)
@@ -36,6 +39,9 @@ func TestParallelVsSequentialBothPaths(t *testing.T) {
 		ref := newReference(t, policy, 1, 4, 4, 0, DefaultMaxRetries)
 		runWorkload(t, ref)
 		sameDecisions(t, fmt.Sprintf("%s vs reference", policy), ref, eng)
+		drive(t, fmt.Sprintf("%s/random/seed95/depth3", policy), randomWorkload(95, 9),
+			newReference(t, policy, 1, 4, 4, 3, DefaultMaxRetries),
+			newSchedOpts(t, policy, 1, 4, 4, WithQueueDepth(3)))
 		for _, seed := range steeredSeeds {
 			drive(t, fmt.Sprintf("%s/wide/seed%d", policy, seed), wideWorkload(seed, 60),
 				newReference(t, policy, 2, 16, 4, 0, DefaultMaxRetries),
