@@ -79,7 +79,7 @@ func (s *Scheduler) scheduleIncremental() {
 		woken, invalidated := false, false
 		switch {
 		case job.State == StateReserved:
-			invalidated = clamped || s.plan.invalidates(job, now)
+			invalidated = s.plan.invalidates(job, now)
 		case job.sigOK && clamped:
 			job.sigOK = false
 		case job.sigOK && s.plan.wakes(&job.sig, now):
@@ -104,15 +104,16 @@ func (s *Scheduler) scheduleIncremental() {
 			continue
 		}
 		planned++
+		// The policy branch at this position: allocate-or-reserve, or
+		// allocate only (FCFS, and EASY behind a blocked head).
+		reserve := s.policy == Conservative || (s.policy == EASY && !blocked)
 
 		if job.State == StateReserved {
 			// A reservation stands only while its position's environment
 			// is the one it was planned in: same policy branch, no
 			// demotion ahead, no delta into its window.
-			branchOK := s.policy == Conservative || (s.policy == EASY && !blocked)
 			switch {
-			case branchOK && !wakeAll && job.Alloc != nil && job.Alloc.At == now &&
-				!s.plan.invalidates(job, now):
+			case reserve && !wakeAll && !invalidated && job.Alloc != nil && job.Alloc.At == now:
 				// Matured: the reference's re-match at this position
 				// succeeds at `now` on the same resources (an unchanged
 				// environment picks the same first fit), so start it
@@ -124,7 +125,7 @@ func (s *Scheduler) scheduleIncremental() {
 				// ended list, which invalidates never reads.
 				s.convert(job)
 				continue
-			case branchOK && !wakeAll && !invalidated && job.Alloc != nil && job.Alloc.At > now:
+			case reserve && !wakeAll && !invalidated && !clamped && job.Alloc != nil && job.Alloc.At > now:
 				blocked = true
 				s.stats.SkippedJobs++
 				still = append(still, job)
@@ -186,7 +187,7 @@ func (s *Scheduler) scheduleIncremental() {
 			s.stats.WokenJobs++
 		}
 		start := time.Now()
-		alloc, err := s.attempt(job, s.policy == Conservative || (s.policy == EASY && !blocked))
+		alloc, err := s.attempt(job, reserve)
 		job.MatchDuration += time.Since(start)
 		switch {
 		case err == nil && !alloc.Reserved:
@@ -230,7 +231,7 @@ func (s *Scheduler) match(job *Job, reserve bool) (alloc *traverser.Allocation, 
 	} else {
 		alloc, err = s.tr.MatchAllocateCompiledSig(job.ID, cjs, s.now, &job.sig)
 	}
-	job.sigOK = err != nil && errors.Is(err, traverser.ErrNoMatch)
+	job.sigOK = errors.Is(err, traverser.ErrNoMatch)
 	job.sigReserve = reserve
 	return alloc, err
 }

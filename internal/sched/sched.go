@@ -273,10 +273,10 @@ func WithMaxRetries(n int) SchedOption {
 // allocate-or-reserve); WokenJobs counts the attempts of jobs whose
 // signature the cycle's wake test released (a delta relieved it or its
 // hint matured); SkippedJobs counts jobs a cycle did not re-match because
-// a signature or a carried reservation settled their outcome. The defense counters
-// (defense.go) tally quarantined jobs, cycles run with the degradation
-// ladder engaged, submits rejected by admission backpressure, and
-// jobspecs rejected as invalid at submit.
+// a signature or a carried reservation settled their outcome. The
+// defense counters (defense.go) tally quarantined jobs, cycles run with
+// the degradation ladder engaged, submits rejected by admission
+// backpressure, and jobspecs rejected as invalid at submit.
 type Stats struct {
 	Cycles        int64
 	MatchAttempts int64
