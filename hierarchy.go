@@ -14,8 +14,8 @@ import (
 // parent; the parent-child relationship can extend to arbitrary depth.
 //
 // opts configure the child (policy, prune filters, horizon); sources
-// (WithRecipe etc.) must not be passed. By default the child inherits the
-// parent's planner horizon; like every facade graph, it starts at time 0.
+// (WithRecipe etc.) must not be passed. The child starts at the parent's
+// planner base and, by default, inherits its horizon.
 func (f *Fluxion) SpawnInstance(jobID int64, opts ...Option) (*Fluxion, error) {
 	c := &config{horizon: f.g.Horizon()}
 	spec, err := c.apply(opts)
@@ -25,7 +25,7 @@ func (f *Fluxion) SpawnInstance(jobID int64, opts ...Option) (*Fluxion, error) {
 	if c.sources() != 0 {
 		return nil, fmt.Errorf("fluxion: SpawnInstance does not accept a store source option")
 	}
-	g := resgraph.NewGraph(0, c.horizon)
+	g := resgraph.NewGraph(f.g.Base(), c.horizon)
 
 	// The grant lookup and the clone of its subtree happen under one
 	// critical section: looking the allocation up, dropping the lock, and

@@ -534,8 +534,7 @@ func TestQuarantineReasonStrings(t *testing.T) {
 // ladderDecisions is every job's final (state, start, end) for
 // TestLadderRungDecisions, one "id:start-end" entry per job in ID order
 // (a state other than completed follows the end as "/state"), by policy
-// and rung. Recorded before the single-walk engine replaced the
-// classify-then-process cycle, whose decisions these are.
+// and rung. Re-record it only in a change that declares moved decisions.
 var ladderDecisions = map[string]string{
 	"fcfs/rung1":         "1:30-160 2:40-190 3:740-810 4:90-230 5:810-960 6:810-880 7:960-1080 8:1080-1170 9:1170-1210 10:190-330 11:1210-1370 12:230-350 13:1370-1460 14:1460-1620 15:1620-1780 16:1780-1940 17:350-420 18:330-360 19:610-740 20:330-480 21:1940-2030 22:1940-1960 23:540-610 24:540-630 25:420-540 26:1960-2110 27:2110-2140 28:2110-2180 29:2140-2220 30:2140-2280 31:2140-2220 32:2180-2260 33:2220-2300 34:2260-2320 35:2300-2380 36:2320-2400 37:2380-2420 38:2400-2500 39:2400-2470 40:2420-2580",
 	"fcfs/rung2":         "1:30-160 2:40-190 3:740-810 4:90-230 5:810-960 6:960-1030 7:1030-1150 8:1150-1240 9:1240-1280 10:190-330 11:1280-1440 12:230-350 13:1440-1530 14:1530-1690 15:1690-1850 16:1850-2010 17:350-420 18:330-360 19:610-740 20:330-480 21:2010-2100 22:2100-2120 23:540-610 24:560-650 25:420-540 26:2120-2270 27:2270-2300 28:2300-2370 29:2370-2450 30:2450-2590 31:2590-2670 32:2670-2750 33:2750-2830 34:2830-2890 35:2890-2970 36:2970-3050 37:3050-3090 38:3090-3190 39:3190-3260 40:3260-3420",
