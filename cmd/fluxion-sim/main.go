@@ -43,7 +43,7 @@ func main() {
 		mttr       = flag.Int64("mttr", 0, "mean seconds to repair a failed node")
 		faultSeed  = flag.Int64("fault-seed", 1, "fault-injection seed; same seed, same failures")
 		maxRetries = flag.Int("max-retries", 0, "failure requeues per job before it fails (0 = default)")
-		drill      = flag.Bool("drill", false, "run the crash-recovery drill: checkpoint mid-run, restore, verify convergence")
+		drill      = flag.Bool("drill", false, "run the crash-recovery drill: replay again, stop midway, recover through a temporary WAL, verify convergence")
 		shards     = flag.Int("shards", 1, "partition the graph into N subtree shards, each with its own scheduler loop (1 = flat)")
 		shardCut   = flag.String("shard-cut", "rack", "containment type sharding cuts the graph at")
 		walDir     = flag.String("wal-dir", "", "durable state directory: journal every mutation to a write-ahead log and recover prior state on start")

@@ -1,9 +1,10 @@
-// Package chaos unifies the repo's fault sources behind one seeded,
-// composable schedule: node MTBF/MTTR faults (internal/simcli's
-// injector), storage faults (internal/wal's FaultPlan), and the
-// hostile-input faults the scheduler self-defense layer exists for —
-// injected match panics, slow-match latency, and malformed-spec
-// streams. A Plan is pure data plus pure hash functions: every decision
+// Package chaos is the seeded, composable schedule of the hostile-input
+// faults the scheduler self-defense layer exists for — injected match
+// panics, slow-match latency, and malformed-spec streams — and of the
+// shard kills and stalls the shard supervisor exists for. Node MTBF/MTTR
+// faults (internal/simcli's injector) and storage faults (internal/wal's
+// FaultPlan) are configured apart from it; the node injector hashes with
+// Mix too. A Plan is pure data plus pure hash functions: every decision
 // ("does job 17 panic?") is a stateless function of (Seed, salt, job
 // ID), so the same plan replays identically across runs, across a
 // checkpoint resume, and across the defense-free parity baseline.
@@ -22,7 +23,6 @@ import (
 
 	"fluxion/internal/jobspec"
 	"fluxion/internal/trace"
-	"fluxion/internal/wal"
 )
 
 // Hash salts separating the per-job fault streams.
@@ -40,16 +40,6 @@ const (
 type Plan struct {
 	// Seed drives every per-job fault decision.
 	Seed int64
-
-	// NodeMTBF/NodeMTTR (mean simulated seconds between node failures /
-	// to repair) enable node fault injection when both are positive;
-	// drivers feed them to their node-fault injector.
-	NodeMTBF int64
-	NodeMTTR int64
-
-	// Storage injects WAL faults (write/sync/truncate failures) when
-	// non-nil; drivers feed it to durable.Open.
-	Storage *wal.FaultPlan
 
 	// PanicFrac is the fraction of jobs whose match attempts panic
 	// (injected through the scheduler's match hook).
@@ -86,7 +76,7 @@ func (p *Plan) hits(id int64, salt uint64, frac float64) bool {
 	if p == nil || frac <= 0 {
 		return false
 	}
-	x := mix(uint64(p.Seed)*0x9e3779b97f4a7c15 ^ uint64(id)*0xbf58476d1ce4e5b9 ^ salt)
+	x := Mix(uint64(p.Seed)*0x9e3779b97f4a7c15 ^ uint64(id)*0xbf58476d1ce4e5b9 ^ salt)
 	return float64(x>>11)/(1<<53) < frac
 }
 
@@ -178,7 +168,7 @@ func (p *Plan) ShardHook() func(shard int, now int64) {
 // min above count, unknown resource types, empty type names, slot
 // violations, an empty resource section, and depth-bomb nesting.
 func (p *Plan) MalformedSpec(id int64) *jobspec.Jobspec {
-	switch mix(uint64(p.Seed)^uint64(id)*0x94d049bb133111eb^saltShape) % 8 {
+	switch Mix(uint64(p.Seed)^uint64(id)*0x94d049bb133111eb^saltShape) % 8 {
 	case 0: // zero unit count
 		return jobspec.New(60, jobspec.R("node", 0, jobspec.R("core", 1)))
 	case 1: // negative unit count
@@ -233,8 +223,8 @@ func (p *Plan) String() string {
 	return s
 }
 
-// mix is the splitmix64 finalizer: a high-quality 64-bit avalanche.
-func mix(x uint64) uint64 {
+// Mix is the splitmix64 finalizer: a high-quality 64-bit avalanche.
+func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"fluxion/internal/chaos"
 	"fluxion/internal/resgraph"
 	"fluxion/internal/sched"
 )
@@ -84,7 +85,7 @@ func (inj *injector) observe(at int64, path string, down bool) {
 func (inj *injector) delay(path string, at int64, salt uint64, mean int64) int64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(path))
-	x := mix(uint64(inj.seed) ^ h.Sum64() ^ uint64(at)*0x9e3779b97f4a7c15 ^ salt)
+	x := chaos.Mix(uint64(inj.seed) ^ h.Sum64() ^ uint64(at)*0x9e3779b97f4a7c15 ^ salt)
 	// 53 high bits → uniform u in (0, 1]; -mean·ln(u) is exponential.
 	u := (float64(x>>11) + 1) / (1 << 53)
 	d := int64(math.Round(-float64(mean) * math.Log(u)))
@@ -92,12 +93,4 @@ func (inj *injector) delay(path string, at int64, salt uint64, mean int64) int64
 		d = 1
 	}
 	return d
-}
-
-// mix is the splitmix64 finalizer: a high-quality 64-bit avalanche.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

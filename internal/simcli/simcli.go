@@ -4,15 +4,17 @@
 // face of internal/sched, factored out of cmd/fluxion-sim for testing.
 //
 // Beyond plain replay it supports seeded per-node fault injection
-// (exponential MTBF/MTTR, deterministic for a given seed) and a
-// crash-recovery drill that checkpoints mid-run, rebuilds the scheduler
-// from the checkpoint, and verifies the resumed run converges to the same
-// terminal state as the uninterrupted one.
+// (exponential MTBF/MTTR, deterministic for a given seed), durable runs
+// that journal to a write-ahead log and recover a crashed run's state,
+// and a crash-recovery drill that stops a second replay midway, recovers
+// it through a temporary WAL, and verifies the recovered run converges
+// to the same terminal state as the uninterrupted one.
 package simcli
 
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -57,16 +59,17 @@ type Config struct {
 	// MaxRetries bounds failure-driven requeues per job (0 = scheduler
 	// default).
 	MaxRetries int
-	// Drill checkpoints the run midway, rebuilds a scheduler from the
-	// checkpoint, and verifies the resumed run reaches the same terminal
-	// state.
+	// Drill replays the trace twice more after the report, against a
+	// WAL in a temporary directory: once stopped midway, once recovering
+	// that directory and running to the end. The recovered run must reach
+	// the same terminal state as the uninterrupted one.
 	Drill bool
 
 	// Shards > 1 runs the sharded scheduler (internal/shard): the graph
 	// is partitioned into subtree shards cut at ShardCut, each with its
 	// own scheduler loop behind a residue-routing root with work
 	// stealing. Sharded runs are in-memory only: WAL durability, the
-	// crash drill, fault injection, and job-level/storage chaos are
+	// crash drill, fault injection, and job-level chaos are
 	// flat-scheduler features and are rejected in combination —
 	// shard-level chaos (kills/stalls) is the sharded-only converse.
 	Shards int
@@ -86,20 +89,17 @@ type Config struct {
 	// SnapshotEvery is how many journal command units elapse between
 	// automatic snapshots (0 = durable.DefaultSnapshotEvery).
 	SnapshotEvery int
-	// WALFaults injects storage failures into the WAL (tests).
-	WALFaults *wal.FaultPlan
 	// WALKeepAll retains every WAL segment and snapshot instead of
 	// compacting (archival mode; the crash drill truncates the full
 	// history at every record boundary).
 	WALKeepAll bool
 
-	// Chaos composes every fault source behind one seeded plan: node
-	// MTBF/MTTR (fills the fields above when they are unset), WAL storage
-	// faults, the hostile-job streams (match panics, slow matches,
-	// malformed specs), and shard kills/stalls (sharded runs only). When
-	// the plan injects job-level faults the scheduler self-defense layer
-	// auto-enables unless ChaosDry is set; when it injects shard faults
-	// the shard supervisor auto-enables likewise.
+	// Chaos is one seeded plan of the hostile-job streams (match panics,
+	// slow matches, malformed specs) and shard kills/stalls (sharded runs
+	// only); node faults are MTBF/MTTR above. When the plan injects
+	// job-level faults the scheduler self-defense layer auto-enables
+	// unless ChaosDry is set; when it injects shard faults the shard
+	// supervisor auto-enables likewise.
 	Chaos *chaos.Plan
 	// ChaosDry runs the defense-free parity baseline: the plan's
 	// poisoned jobs are filtered out of the trace up front and no faults
@@ -127,7 +127,8 @@ type Result struct {
 	Sharded *shard.Sharded
 	// Fluxion is the resource-layer handle the run scheduled against.
 	Fluxion *fluxion.Fluxion
-	// DrillRan/DrillOK report the crash-recovery drill (Config.Drill).
+	// DrillRan/DrillOK report the crash-recovery drill (Config.Drill);
+	// DrillRan is false when the run ended before the drill's stop.
 	DrillRan bool
 	DrillOK  bool
 	// Recovered reports that WAL state from a prior run was restored;
@@ -141,7 +142,7 @@ type Result struct {
 
 // schedSetup is the scheduler configuration every run derives from a
 // Config: the prune spec and queue policy with defaults applied, and the
-// sched options (flat, sharded and drill-resumed schedulers share it).
+// sched options (flat and sharded schedulers share it).
 type schedSetup struct {
 	prune resgraph.PruneSpec
 	queue sched.QueuePolicy
@@ -168,18 +169,9 @@ func (cfg *Config) setup() schedSetup {
 	return su
 }
 
-// banner prints the system and policy lines that open every report.
-func (su schedSetup) banner(out io.Writer, cfg Config, g *resgraph.Graph, jobs int) {
-	mp := cfg.MatchPolicy
-	if mp == "" {
-		mp = "first"
-	}
-	fmt.Fprintf(out, "system: %s\n", g.Stats())
-	fmt.Fprintf(out, "policies: match=%s queue=%s; %d jobs\n", mp, su.queue, jobs)
-}
-
-// loopTarget is the discrete-event scheduler surface the looper drives,
-// implemented by both *sched.Scheduler and *shard.Sharded.
+// loopTarget is the discrete-event scheduler surface the looper drives
+// and the report reads, implemented by both *sched.Scheduler and
+// *shard.Sharded.
 type loopTarget interface {
 	Now() int64
 	HasEvents() bool
@@ -189,6 +181,9 @@ type loopTarget interface {
 	Schedule()
 	SubmitPriority(int64, *jobspec.Jobspec, int) (*sched.Job, error)
 	Atomic(func())
+	Job(int64) (*sched.Job, bool)
+	Metrics() sched.Metrics
+	Stats() sched.Stats
 }
 
 // looper is the discrete-event loop: trace arrivals interleave with
@@ -205,13 +200,9 @@ type looper struct {
 	spec func(trace.Job) *jobspec.Jobspec
 }
 
-// drive advances the simulation until arrivals and events drain. When
-// pause is non-nil it is consulted after every event step; returning true
-// suspends the loop (resume by calling drive again).
-func (l *looper) drive(pause func() bool) error {
-	if l.max > 0 && l.steps >= l.max {
-		return nil
-	}
+// drive advances the simulation until arrivals and events drain, or
+// until max event steps when max is positive.
+func (l *looper) drive() error {
 	for l.i < len(l.jobs) || l.s.HasEvents() {
 		if l.i < len(l.jobs) && l.jobs[l.i].Submit <= l.s.Now() {
 			// Submit everything due and re-plan the queue, as one journal
@@ -257,122 +248,175 @@ func (l *looper) drive(pause func() bool) error {
 		if l.max > 0 && l.steps >= l.max {
 			break
 		}
-		if pause != nil && pause() {
-			return nil
-		}
 	}
 	return nil
 }
 
-// Run replays the trace and writes a report to out.
+// Run replays the trace and writes a report to out; with cfg.Drill set
+// it then runs the crash-recovery drill (see drill).
 func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
-	if cfg.Recipe == nil {
-		return nil, fmt.Errorf("simcli: recipe is required")
+	res, l, err := run(cfg, jobs, out)
+	if err == nil && cfg.Drill {
+		res.DrillRan, res.DrillOK, err = drill(cfg, l.jobs, res.Scheduler, out)
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg, jobs, out)
+	if err != nil {
+		return nil, err
 	}
+	return res, nil
+}
+
+// run is one replay, flat or sharded: it builds the scheduler (a flat
+// one is recovered from cfg.WALDir when that holds a crashed run's
+// state), drives the trace through it and prints the report. The looper
+// comes back too, so the drill can tell whether work remained.
+func run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, *looper, error) {
 	plan := cfg.Chaos
-	if plan.ShardActive() {
-		return nil, fmt.Errorf("simcli: shard chaos requires a sharded run (-shards > 1)")
+	sharded := cfg.Shards > 1
+	var err error
+	switch {
+	case cfg.Recipe == nil:
+		err = fmt.Errorf("simcli: recipe is required")
+	case !sharded && plan.ShardActive():
+		err = fmt.Errorf("simcli: shard chaos requires a sharded run (-shards > 1)")
+	case sharded && cfg.WALDir != "":
+		err = fmt.Errorf("simcli: sharded runs are WAL-free (drop -wal-dir or -shards)")
+	case sharded && cfg.Drill:
+		err = fmt.Errorf("simcli: the crash-recovery drill requires a flat scheduler (drop -drill or -shards)")
+	case sharded && (cfg.MTBF > 0 || cfg.MTTR > 0):
+		err = fmt.Errorf("simcli: fault injection requires a flat scheduler (drop -mtbf/-mttr or -shards)")
+	case sharded && plan.Active():
+		err = fmt.Errorf("simcli: job-level chaos requires a flat scheduler (drop chaos flags or -shards)")
+	case (cfg.MTBF > 0) != (cfg.MTTR > 0):
+		err = fmt.Errorf("simcli: MTBF and MTTR must be set together")
 	}
-	chaosLive := plan.Active() && !cfg.ChaosDry
-	if plan != nil {
-		if cfg.ChaosDry {
-			// Parity baseline: the poisoned set never existed.
-			jobs = plan.FilterTrace(jobs)
-		} else {
-			if plan.NodeMTBF > 0 && cfg.MTBF == 0 {
-				cfg.MTBF, cfg.MTTR, cfg.FaultSeed = plan.NodeMTBF, plan.NodeMTTR, plan.Seed
-			}
-			if plan.Storage != nil && cfg.WALFaults == nil {
-				cfg.WALFaults = plan.Storage
-			}
-			if chaosLive && cfg.Defense == nil {
-				// Hostile jobs are incoming: enable the self-defense layer
-				// with defaults (fences and quarantine active; deadline,
-				// watchdog, and backpressure stay off until tuned).
-				cfg.Defense = &sched.DefenseConfig{}
-			}
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	if (cfg.MTBF > 0) != (cfg.MTTR > 0) {
-		return nil, fmt.Errorf("simcli: MTBF and MTTR must be set together")
+	if plan != nil && cfg.ChaosDry {
+		// Parity baseline: the poisoned set never existed.
+		jobs = plan.FilterTrace(jobs)
+	}
+	jobChaos := plan.Active() && !cfg.ChaosDry
+	if jobChaos && cfg.Defense == nil {
+		// Hostile jobs are incoming: enable the self-defense layer with
+		// defaults (fences and quarantine active; deadline, watchdog, and
+		// backpressure stay off until tuned).
+		cfg.Defense = &sched.DefenseConfig{}
 	}
 	su := cfg.setup()
-
-	fresh := func() (*fluxion.Fluxion, *sched.Scheduler, error) {
-		g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, su.prune)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := fluxion.New(fluxion.WithGraph(g), fluxion.WithPolicy(cfg.MatchPolicy))
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := sched.New(f.Traverser(), su.queue, su.opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, s, nil
-	}
-
+	res := &Result{}
+	l := &looper{jobs: jobs, out: out, max: cfg.MaxSteps}
+	var g *resgraph.Graph
 	var st *durable.Store
-	var f *fluxion.Fluxion
-	var s *sched.Scheduler
-	recovered := false
-	if cfg.WALDir != "" {
-		var err error
-		st, err = durable.Open(durable.Options{
-			Dir:           cfg.WALDir,
-			SyncInterval:  cfg.WALSyncInterval,
-			SnapshotEvery: cfg.SnapshotEvery,
-			KeepAll:       cfg.WALKeepAll,
-			Faults:        cfg.WALFaults,
-			Warn:          out,
+	if sharded {
+		if g, err = grug.BuildGraph(cfg.Recipe, 0, simHorizon, su.prune); err != nil {
+			return nil, nil, err
+		}
+		if cfg.ShardCut == "" {
+			cfg.ShardCut = shard.DefaultCutType
+		}
+		// Shard-level chaos feeds the supervisor's cycle fences; a dry
+		// run ignores the plan (the clean twin a chaos run is diffed
+		// against).
+		shardChaos := plan.ShardActive() && !cfg.ChaosDry
+		sup := cfg.ShardSupervisor
+		if shardChaos && sup == nil {
+			sup = &shard.SupervisorConfig{}
+		}
+		sh, err := shard.New(shard.Config{
+			Graph:       g,
+			Shards:      cfg.Shards,
+			CutType:     cfg.ShardCut,
+			MatchPolicy: cfg.MatchPolicy,
+			Queue:       su.queue,
+			SchedOpts:   su.opts,
+			Supervisor:  sup,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		defer st.Close()
-		if st.Recovered() {
+		if shardChaos {
+			sh.SetCycleHook(plan.ShardHook())
+		}
+		res.Sharded, l.s = sh, sh
+	} else {
+		fresh := func() (*fluxion.Fluxion, *sched.Scheduler, error) {
+			g, err := grug.BuildGraph(cfg.Recipe, 0, simHorizon, su.prune)
+			if err != nil {
+				return nil, nil, err
+			}
+			f, err := fluxion.New(fluxion.WithGraph(g), fluxion.WithPolicy(cfg.MatchPolicy))
+			if err != nil {
+				return nil, nil, err
+			}
+			s, err := sched.New(f.Traverser(), su.queue, su.opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			return f, s, nil
+		}
+		if cfg.WALDir != "" {
+			st, err = durable.Open(durable.Options{
+				Dir:           cfg.WALDir,
+				SyncInterval:  cfg.WALSyncInterval,
+				SnapshotEvery: cfg.SnapshotEvery,
+				KeepAll:       cfg.WALKeepAll,
+				Warn:          out,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			defer st.Close()
+			res.Recovered = st.Recovered()
+		}
+		var f *fluxion.Fluxion
+		var s *sched.Scheduler
+		if res.Recovered {
 			f, s, err = st.Restore(fresh, []fluxion.Option{
 				fluxion.WithPolicy(cfg.MatchPolicy),
 				fluxion.WithPruneSpec(su.prune),
 				fluxion.WithHorizon(simHorizon),
 			}, su.opts)
 			if err != nil {
-				return nil, fmt.Errorf("simcli: wal recovery: %w", err)
+				return nil, nil, fmt.Errorf("simcli: wal recovery: %w", err)
 			}
-			recovered = true
 			fmt.Fprintf(out, "wal: recovered %s\n", st.Stats())
+		} else if f, s, err = fresh(); err != nil {
+			return nil, nil, err
 		}
-	}
-	if s == nil {
-		var err error
-		if f, s, err = fresh(); err != nil {
-			return nil, err
+		if st != nil {
+			st.Attach(f, s)
 		}
-	}
-	g := f.Graph()
-	if st != nil {
-		st.Attach(f, s)
-	}
-	if chaosLive {
-		s.SetMatchHook(plan.MatchHook())
+		if jobChaos {
+			s.SetMatchHook(plan.MatchHook())
+		}
+		g = f.Graph()
+		res.Fluxion, res.Scheduler, l.s = f, s, s
 	}
 
-	su.banner(out, cfg, g, len(jobs))
-	if plan != nil && plan.Active() {
+	mp := cfg.MatchPolicy
+	if mp == "" {
+		mp = "first"
+	}
+	fmt.Fprintf(out, "system: %s\n", g.Stats())
+	fmt.Fprintf(out, "policies: match=%s queue=%s; %d jobs\n", mp, su.queue, len(jobs))
+	if sharded {
+		fmt.Fprintf(out, "shards: %d cut=%s\n", cfg.Shards, cfg.ShardCut)
+	}
+	if plan.Active() || plan.ShardActive() {
 		mode := "defended"
-		if cfg.ChaosDry {
+		switch {
+		case sharded && cfg.ChaosDry:
+			mode = "dry (supervision-free clean twin)"
+		case sharded:
+			mode = "supervised"
+		case cfg.ChaosDry:
 			mode = "dry (defense-free parity baseline)"
 		}
 		fmt.Fprintf(out, "chaos: %s mode=%s\n", plan, mode)
 	}
 
-	l := &looper{s: s, jobs: jobs, out: out, max: cfg.MaxSteps}
-	if chaosLive && plan.MalformedFrac > 0 {
+	if jobChaos && plan.MalformedFrac > 0 {
 		l.spec = func(j trace.Job) *jobspec.Jobspec {
 			if plan.Malformed(j.ID) {
 				return plan.MalformedSpec(j.ID)
@@ -380,7 +424,8 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 			return j.Jobspec()
 		}
 	}
-	if recovered {
+	s := res.Scheduler
+	if res.Recovered {
 		// Skip the trace prefix the recovered state already ingested.
 		// Arrival batches commit atomically, so ingestion is a prefix of
 		// the trace — but rejected submits (malformed specs, overload)
@@ -399,7 +444,7 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	if cfg.MTBF > 0 {
 		inj = newInjector(s, cfg.FaultSeed, cfg.MTBF, cfg.MTTR)
 		inj.more = func() bool { return l.i < len(l.jobs) || s.Unfinished() > 0 }
-		if !recovered {
+		if !res.Recovered {
 			// Seed each node's first failure as one journal command; a
 			// recovered run's pending events travel in the checkpoint and
 			// replay, and future delays are pure functions of (seed, node,
@@ -407,7 +452,7 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 			var ierr error
 			s.Atomic(func() { ierr = inj.start(g) })
 			if ierr != nil {
-				return nil, ierr
+				return nil, nil, ierr
 			}
 		}
 		fmt.Fprintf(out, "faults: seed=%d mtbf=%ds mttr=%ds over %d nodes\n",
@@ -415,139 +460,103 @@ func Run(cfg Config, jobs []trace.Job, out io.Writer) (*Result, error) {
 	}
 
 	start := time.Now()
-	var cp *drillCheckpoint
-	if cfg.Drill {
-		// Pause midway — after roughly half the jobs' worth of events —
-		// and snapshot both state layers at the same instant.
-		trigger := (len(jobs) + 1) / 2
-		if err := l.drive(func() bool { return l.steps >= trigger }); err != nil {
-			return nil, err
-		}
-		if l.i < len(jobs) || s.HasEvents() {
-			cp = &drillCheckpoint{i: l.i, steps: l.steps}
-			var err error
-			if cp.resource, err = f.Checkpoint(); err != nil {
-				return nil, err
-			}
-			if cp.sched, err = s.Checkpoint(); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(out, "drill: checkpoint at t=%d (%d arrivals in, %d events done)\n",
-				s.Now(), cp.i, cp.steps)
-		}
-	}
-	if err := l.drive(nil); err != nil {
-		return nil, err
+	if err := l.drive(); err != nil {
+		return nil, nil, err
 	}
 	wall := time.Since(start)
 
 	if cfg.Timeline {
-		printTimeline(out, s, jobs)
+		printTimeline(out, l.s, jobs)
 	}
-	m := s.Metrics()
+	m := l.s.Metrics()
 	fmt.Fprintf(out, "metrics: %s\n", m)
 	if inj != nil {
 		fmt.Fprintf(out, "faults injected: downs=%d ups=%d\n", inj.downs, inj.ups)
 	}
-	ss := s.Stats()
+	var cycles int
+	if sh := res.Sharded; sh != nil {
+		rs := sh.RouterStats()
+		fmt.Fprintf(out, "router: routed=%d rerouted=%d steals=%d unroutable=%d\n",
+			rs.Routed, rs.Rerouted, rs.Steals, rs.Unroutable)
+		if sh.Supervised() {
+			sst := sh.SupervisorStats()
+			fmt.Fprintf(out, "supervisor: trips=%d deadline-misses=%d failures=%d recoveries=%d drained=%d evicted=%d lost=%d\n",
+				sst.Trips, sst.DeadlineMisses, sst.Failures, sst.Recoveries, sst.Drained, sst.Evicted, sst.Lost)
+			for _, ev := range sh.HealthEvents() {
+				fmt.Fprintf(out, "supervisor event: %s\n", ev)
+			}
+		}
+		cycles = sh.Cycles()
+	}
+	ss := l.s.Stats()
 	fmt.Fprintf(out, "sched: %d cycles, %d match attempts, %d woken, %d skipped\n",
 		ss.Cycles, ss.MatchAttempts, ss.WokenJobs, ss.SkippedJobs)
-	if cfg.Defense != nil {
-		fmt.Fprintf(out, "defense: quarantined=%d degraded=%d overload-rejects=%d invalid-rejects=%d level=%d\n",
-			ss.Quarantined, ss.DegradedCycles, ss.OverloadRejects, ss.InvalidSpecRejects, s.DefenseLevel())
+	if s != nil {
+		if cfg.Defense != nil {
+			fmt.Fprintf(out, "defense: quarantined=%d degraded=%d overload-rejects=%d invalid-rejects=%d level=%d\n",
+				ss.Quarantined, ss.DegradedCycles, ss.OverloadRejects, ss.InvalidSpecRejects, s.DefenseLevel())
+		}
+		cycles = s.Cycles
 	}
-	fmt.Fprintf(out, "wall: %v for %d scheduling cycles\n", wall.Round(time.Millisecond), s.Cycles)
+	fmt.Fprintf(out, "wall: %v for %d scheduling cycles\n", wall.Round(time.Millisecond), cycles)
 
-	res := &Result{Completed: m.Completed, Metrics: m, Scheduler: s, Fluxion: f}
+	res.Completed, res.Metrics = m.Completed, m
 	if st != nil {
-		res.Recovered = recovered
 		res.Recovery = st.Stats()
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(out, "wal: %v\n", err)
 		}
 		res.WALDegraded = st.Degraded()
 	}
-	if cp != nil {
-		res.DrillRan = true
-		var err error
-		res.DrillOK, err = runDrill(cfg, su, jobs, cp, s, out)
-		if err != nil {
-			return nil, err
+	return res, l, nil
+}
+
+// drill checks crash recovery through the WAL path durable runs use. It
+// replays the trace twice more without output, against a WAL in a
+// temporary directory: the first replay stops after half the jobs' worth
+// of events (closing its store snapshots that instant), the second
+// recovers the directory and runs to the end. The recovered run must
+// match orig, the uninterrupted run, in every job's state, start and end
+// and in the requeue, lost-core and failed counts. ran is false when the
+// run ends before the stop.
+func drill(cfg Config, jobs []trace.Job, orig *sched.Scheduler, out io.Writer) (ran, ok bool, err error) {
+	half, bound := (len(jobs)+1)/2, cfg.MaxSteps
+	skip := bound > 0 && bound <= half
+	dir, err := os.MkdirTemp("", "fluxion-drill-")
+	if err != nil {
+		return false, false, err
+	}
+	defer os.RemoveAll(dir)
+	cfg.Drill, cfg.Timeline, cfg.WALDir, cfg.WALKeepAll, cfg.MaxSteps = false, false, dir, false, half
+	var l *looper
+	if !skip {
+		if _, l, err = run(cfg, jobs, io.Discard); err != nil {
+			return false, false, err
 		}
-		if !res.DrillOK {
-			fmt.Fprintf(out, "drill: FAIL — resumed run diverged from the uninterrupted run\n")
-		} else {
-			fmt.Fprintf(out, "drill: PASS — resumed run converged to the same terminal state\n")
-		}
-	} else if cfg.Drill {
+		skip = l.i == len(l.jobs) && !l.s.HasEvents()
+	}
+	if skip {
 		fmt.Fprintf(out, "drill: skipped — run drained before the checkpoint trigger\n")
+		return false, false, nil
 	}
-	return res, nil
-}
-
-// drillCheckpoint is the paired mid-run snapshot: resource-graph state
-// (allocations, statuses) and scheduler state (queue, clock, events).
-type drillCheckpoint struct {
-	resource []byte
-	sched    []byte
-	i, steps int
-}
-
-// runDrill rebuilds scheduler + store from the checkpoint, replays the
-// remainder of the trace on the rebuilt instance, and compares every
-// job's terminal state against the uninterrupted run.
-func runDrill(cfg Config, su schedSetup, jobs []trace.Job,
-	cp *drillCheckpoint, orig *sched.Scheduler, out io.Writer) (bool, error) {
-	f2, err := fluxion.Restore(cp.resource,
-		fluxion.WithPolicy(cfg.MatchPolicy),
-		fluxion.WithPruneSpec(su.prune),
-		fluxion.WithHorizon(simHorizon))
+	cfg.MaxSteps = max(bound-half, 0)
+	res, _, err := run(cfg, jobs, io.Discard)
 	if err != nil {
-		return false, fmt.Errorf("simcli: drill restore: %w", err)
+		return false, false, err
 	}
-	specs := make(map[int64]*jobspec.Jobspec, len(jobs))
-	for _, j := range jobs {
-		specs[j.ID] = j.Jobspec()
-	}
-	s2, err := sched.Resume(f2.Traverser(), cp.sched, specs, su.opts...)
-	if err != nil {
-		return false, fmt.Errorf("simcli: drill resume: %w", err)
-	}
-	if cfg.Chaos.Active() && !cfg.ChaosDry {
-		// Re-arm the fault streams: jobs poisoned after the checkpoint
-		// must poison identically in the resumed run.
-		s2.SetMatchHook(cfg.Chaos.MatchHook())
-	}
-	l2 := &looper{s: s2, jobs: jobs, i: cp.i, steps: cp.steps, out: io.Discard, max: cfg.MaxSteps}
-	if cfg.Chaos.Active() && !cfg.ChaosDry && cfg.Chaos.MalformedFrac > 0 {
-		l2.spec = func(j trace.Job) *jobspec.Jobspec {
-			if cfg.Chaos.Malformed(j.ID) {
-				return cfg.Chaos.MalformedSpec(j.ID)
-			}
-			return j.Jobspec()
-		}
-	}
-	if cfg.MTBF > 0 {
-		// Re-attach a fresh injector; pending node events were restored
-		// from the checkpoint and future delays are pure functions of
-		// (seed, node, time), so the fault timeline replays exactly.
-		inj := newInjector(s2, cfg.FaultSeed, cfg.MTBF, cfg.MTTR)
-		inj.more = func() bool { return l2.i < len(l2.jobs) || s2.Unfinished() > 0 }
-	}
-	if err := l2.drive(nil); err != nil {
-		return false, err
-	}
+	fmt.Fprintf(out, "drill: stopped at t=%d (%d arrivals in, %d events done), recovered replaying %d WAL records\n",
+		l.s.Now(), l.i, l.steps, res.Recovery.RecordsReplayed)
 
-	a, b := orig.Jobs(), s2.Jobs()
+	ok = res.Recovered
+	a, b := orig.Jobs(), res.Scheduler.Jobs()
 	if len(a) != len(b) {
 		fmt.Fprintf(out, "drill: job count %d vs %d\n", len(a), len(b))
-		return false, nil
+		ok = false
 	}
-	ok := true
 	for id, ja := range a {
 		jb, exists := b[id]
 		if !exists {
-			fmt.Fprintf(out, "drill: job %d missing after resume\n", id)
+			fmt.Fprintf(out, "drill: job %d missing after recovery\n", id)
 			ok = false
 			continue
 		}
@@ -557,17 +566,20 @@ func runDrill(cfg Config, su schedSetup, jobs []trace.Job,
 			ok = false
 		}
 	}
-	ma, mb := orig.Metrics(), s2.Metrics()
+	ma, mb := orig.Metrics(), res.Metrics
 	if ma.Requeues != mb.Requeues || ma.LostCoreSeconds != mb.LostCoreSeconds || ma.Failed != mb.Failed {
 		fmt.Fprintf(out, "drill: metrics diverged: %s vs %s\n", ma, mb)
 		ok = false
 	}
-	return ok, nil
+	if ok {
+		fmt.Fprintf(out, "drill: PASS — recovered run converged to the same terminal state\n")
+	} else {
+		fmt.Fprintf(out, "drill: FAIL — recovered run diverged from the uninterrupted run\n")
+	}
+	return true, ok, nil
 }
 
-func printTimeline(out io.Writer, s interface {
-	Job(int64) (*sched.Job, bool)
-}, jobs []trace.Job) {
+func printTimeline(out io.Writer, s loopTarget, jobs []trace.Job) {
 	ids := make([]int64, 0, len(jobs))
 	for _, j := range jobs {
 		ids = append(ids, j.ID)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -269,6 +271,111 @@ func TestDrillConvergesUnderFaults(t *testing.T) {
 	}
 	if !res.DrillRan || !res.DrillOK {
 		t.Fatalf("drill under faults: ran=%v ok=%v\n%s", res.DrillRan, res.DrillOK, out.String())
+	}
+}
+
+// TestDrillConvergesUnderChaos runs the drill with match panics and
+// malformed specs against the defense layer. Arrivals are spread so that
+// half of them come after the drill's stop: the run recovered from the
+// WAL must quarantine and reject exactly the jobs the uninterrupted run
+// did, which needs the chaos hooks armed on the recovered run too.
+func TestDrillConvergesUnderChaos(t *testing.T) {
+	plan := &chaos.Plan{Seed: 23, PanicFrac: 0.15, MalformedFrac: 0.1}
+	jobs := trace.Synthesize(60, 8, 8, 35)
+	for i := range jobs {
+		jobs[i].Submit = int64(i) * 3000
+	}
+	for _, c := range []struct {
+		name   string
+		policy sched.QueuePolicy
+		depth  int
+	}{
+		{"conservative", sched.Conservative, 0},
+		{"easy", sched.EASY, 0},
+		{"conservative-depth3", sched.Conservative, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out bytes.Buffer
+			res, err := Run(Config{
+				Recipe:      grug.Small(2, 4, 8, 32, 100),
+				QueuePolicy: c.policy,
+				QueueDepth:  c.depth,
+				Chaos:       plan,
+				Drill:       true,
+			}, jobs, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.DrillRan || !res.DrillOK {
+				t.Fatalf("drill under chaos: ran=%v ok=%v\n%s", res.DrillRan, res.DrillOK, out.String())
+			}
+			if st := res.Scheduler.Stats(); st.Quarantined == 0 || st.InvalidSpecRejects == 0 {
+				t.Fatalf("chaos injected nothing: %+v", st)
+			}
+		})
+	}
+}
+
+// TestDrillSkipsWhenDrained: a run with no work left at the drill's stop
+// reports the drill skipped — one that drains after one event against a
+// stop after two, or one bounded by MaxSteps at the stop. Bounded past
+// the stop, the recovered run takes only the remaining steps.
+func TestDrillSkipsWhenDrained(t *testing.T) {
+	drained := []trace.Job{
+		{ID: 1, Nodes: 1, CoresPerNode: 8, Duration: 10},
+		{ID: 2, Nodes: 8, CoresPerNode: 8, Duration: 10}, // unsatisfiable
+		{ID: 3, Nodes: 8, CoresPerNode: 8, Duration: 10},
+	}
+	busy := trace.Synthesize(20, 4, 8, 5)
+	for _, c := range []struct {
+		name     string
+		jobs     []trace.Job
+		maxSteps int
+		ran      bool
+	}{
+		{"drained", drained, 0, false},
+		{"bounded-at-stop", busy, 10, false},
+		{"bounded-past-stop", busy, 14, true},
+	} {
+		var out bytes.Buffer
+		res, err := Run(Config{Recipe: smallRecipe(), Drill: true, MaxSteps: c.maxSteps}, c.jobs, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DrillRan != c.ran || res.DrillRan != res.DrillOK || strings.Contains(out.String(), "drill: skipped") == c.ran {
+			t.Errorf("%s: drill ran=%v ok=%v, want ran=%v:\n%s", c.name, res.DrillRan, res.DrillOK, c.ran, out.String())
+		}
+	}
+}
+
+// TestDrillLeavesNoFiles: the drill's WAL lives in a temporary directory
+// it removes, and a user's WAL directory holds only the printed run's
+// state, which a second run recovers in full.
+func TestDrillLeavesNoFiles(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	cfg := Config{Recipe: smallRecipe(), Drill: true, WALDir: walDir}
+	jobs := trace.Synthesize(12, 4, 8, 5)
+	var out bytes.Buffer
+	res, err := Run(cfg, jobs, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.DrillRan || !res.DrillOK {
+		t.Fatalf("drill: ran=%v ok=%v\n%s", res.DrillRan, res.DrillOK, out.String())
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("drill left %d entries in the temporary directory", len(left))
+	}
+	cfg.Drill = false
+	again, err := Run(cfg, jobs, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Recovered || again.Recovery.RecordsReplayed != 0 || again.Completed != res.Completed {
+		t.Fatalf("second run over the user's WAL: recovered=%v %+v completed=%d, want %d",
+			again.Recovered, again.Recovery, again.Completed, res.Completed)
 	}
 }
 

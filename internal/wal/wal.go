@@ -22,10 +22,10 @@
 //
 // Group commit: Append only copies the frame into an in-memory buffer;
 // a background flusher writes and fsyncs the buffer every SyncInterval
-// (or when FlushBytes accumulate), so the hot scheduling loop never
-// blocks on a per-record fsync. The durability window is therefore the
-// sync interval; recovery rolls back to the last complete command unit
-// on disk regardless of where the crash landed.
+// (or when DefaultFlushBytes accumulate), so the hot scheduling loop
+// never blocks on a per-record fsync. The durability window is therefore
+// the sync interval; recovery rolls back to the last complete command
+// unit on disk regardless of where the crash landed.
 //
 // Recovery (Open) loads the newest valid snapshot, scans the segments,
 // truncates at the first torn or CRC-failing frame, discards any
@@ -62,7 +62,8 @@ const (
 	flagCommit = 0x01
 )
 
-// Tunable defaults; zero values in Options select these.
+// Tunable defaults; zero values in Options select these. The buffer is
+// always flushed early once DefaultFlushBytes accumulate.
 const (
 	DefaultSyncInterval  = 10 * time.Millisecond
 	DefaultFlushBytes    = 256 << 10
@@ -87,8 +88,6 @@ type Options struct {
 	// written and fsynced at this period. Negative syncs on every commit
 	// frame instead (no background flusher — deterministic, for tests).
 	SyncInterval time.Duration
-	// FlushBytes flushes early when this many bytes are buffered.
-	FlushBytes int
 	// SegmentBytes rotates to a new segment after a commit frame once
 	// the current segment exceeds this size.
 	SegmentBytes int64
@@ -113,9 +112,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.SyncInterval == 0 {
 		o.SyncInterval = DefaultSyncInterval
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = DefaultFlushBytes
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
@@ -305,7 +301,7 @@ func (l *Log) Append(typ byte, commit bool, payload []byte) (uint64, error) {
 	l.nextLSN++
 
 	switch {
-	case len(l.buf) >= l.o.FlushBytes,
+	case len(l.buf) >= DefaultFlushBytes,
 		commit && l.o.SyncInterval < 0:
 		if err := l.flushLocked(); err != nil {
 			return 0, err
