@@ -26,10 +26,16 @@ import (
 // capacity of that type in the subtree, which MarkDown/MarkUp and
 // Attach/Detach keep through ID-keyed filter updates. (Instantaneous
 // windows are required: the minimum of an aggregate over a window is not
-// the sum of per-vertex window minimums.)
-func checkFilterConsistency(t *testing.T, g *resgraph.Graph, at int64) {
+// the sum of per-vertex window minimums.) It also checks that the
+// traverser's window-exact admission index equals one rebuilt from the
+// graph and the allocation table.
+func checkFilterConsistency(t *testing.T, tr *traverser.Traverser, at int64) {
 	const dur = 1
 	t.Helper()
+	if err := tr.CheckIdleIndex(); err != nil {
+		t.Fatalf("idle index drift: %v", err)
+	}
+	g := tr.Graph()
 	var subtree func(v *resgraph.Vertex, typ string) (busy, up int64)
 	subtree = func(v *resgraph.Vertex, typ string) (busy, up int64) {
 		if v.Type == typ {
@@ -210,7 +216,7 @@ func TestInvariantRandomWorkload(t *testing.T) {
 			}
 		}
 		if op%10 == 0 {
-			checkFilterConsistency(t, g, int64(rng.Intn(400)))
+			checkFilterConsistency(t, tr, int64(rng.Intn(400)))
 		}
 	}
 	if downs == 0 || ups == 0 || grows == 0 || shrinks == 0 {
@@ -221,7 +227,7 @@ func TestInvariantRandomWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkFilterConsistency(t, g, 0)
+	checkFilterConsistency(t, tr, 0)
 	checkDrained(t, g)
 }
 
@@ -248,7 +254,7 @@ func TestInvariantReleasePreservesConsistency(t *testing.T) {
 				}
 			}
 			live = nil
-			checkFilterConsistency(t, g, 0)
+			checkFilterConsistency(t, tr, 0)
 			if alloc, err = tr.MatchAllocate(int64(round+1), spec, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -265,13 +271,13 @@ func TestInvariantReleasePreservesConsistency(t *testing.T) {
 		if err := tr.Release(int64(round+1), paths); err != nil {
 			t.Fatal(err)
 		}
-		checkFilterConsistency(t, g, 0)
+		checkFilterConsistency(t, tr, 0)
 		if rng.Intn(2) == 0 {
 			if err := tr.Cancel(int64(round + 1)); err != nil {
 				t.Fatal(err)
 			}
 			live = live[:len(live)-1]
-			checkFilterConsistency(t, g, 0)
+			checkFilterConsistency(t, tr, 0)
 		}
 	}
 }
@@ -384,7 +390,7 @@ func TestGrowShrinkConcurrentMatch(t *testing.T) {
 			t.Fatalf("shrink %s after drain: %v", p, err)
 		}
 	}
-	checkFilterConsistency(t, f.Graph(), 0)
+	checkFilterConsistency(t, f.Traverser(), 0)
 	checkDrained(t, f.Graph())
 	if n := f.Graph().Root(resgraph.Containment).Aggregates()["node"]; n != 2 {
 		t.Fatalf("root node aggregate after shrinking every grown rack: %d", n)
@@ -416,7 +422,7 @@ func TestElasticityUnderLoad(t *testing.T) {
 	if _, err := f.Grow("/cluster0", sub); err != nil {
 		t.Fatal(err)
 	}
-	checkFilterConsistency(t, f.Graph(), 0)
+	checkFilterConsistency(t, f.Traverser(), 0)
 	// An immediate allocation lands on the new nodes even though the
 	// original ones are busy.
 	a3, err := f.MatchAllocate(3, jobspec.New(50, jobspec.RX("node", 2, jobspec.R("core", 4))), 0)
@@ -428,7 +434,7 @@ func TestElasticityUnderLoad(t *testing.T) {
 			t.Fatalf("job 3 landed on old node %s", n.Path())
 		}
 	}
-	checkFilterConsistency(t, f.Graph(), 10)
+	checkFilterConsistency(t, f.Traverser(), 10)
 	// Drain everything; shrink succeeds and the store is consistent.
 	for _, id := range []int64{1, 2, 3} {
 		if err := f.Cancel(id); err != nil {

@@ -134,13 +134,15 @@ func (st *Store) Err() error {
 // Log exposes the underlying WAL (tests, inspection).
 func (st *Store) Log() *wal.Log { return st.log }
 
-// snapshotDoc is the snapshot payload: both checkpoint layers plus the
-// canonical jobspec (and integrity hash) of every non-terminal job, which
-// sched.Resume needs to recompile the queue.
+// snapshotDoc is the snapshot payload: both checkpoint layers, the
+// scheduler's work counters, and the canonical jobspec (and integrity
+// hash) of every non-terminal job, which sched.Resume needs to recompile
+// the queue.
 type snapshotDoc struct {
 	Version  int                  `json:"version"`
 	Resource json.RawMessage      `json:"resource"`
 	Sched    json.RawMessage      `json:"sched"`
+	Stats    sched.Stats          `json:"stats"`
 	Specs    map[int64]snapedSpec `json:"specs,omitempty"`
 }
 
@@ -188,6 +190,7 @@ func (st *Store) Restore(
 		if s, err = sched.Resume(f.Traverser(), doc.Sched, specs, sopts...); err != nil {
 			return nil, nil, fmt.Errorf("%w: snapshot scheduler state: %v", wal.ErrWAL, err)
 		}
+		s.RestoreStats(doc.Stats)
 	} else {
 		var err error
 		if f, s, err = fresh(); err != nil {
@@ -292,7 +295,7 @@ func (st *Store) encodeSnapshot() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: scheduler checkpoint: %v", wal.ErrWAL, err)
 	}
-	doc := snapshotDoc{Version: 1, Resource: res, Sched: sch}
+	doc := snapshotDoc{Version: 1, Resource: res, Sched: sch, Stats: st.s.Stats()}
 	for id, job := range st.s.Jobs() {
 		switch job.State {
 		case sched.StateCompleted, sched.StateFailed, sched.StateUnsatisfiable:

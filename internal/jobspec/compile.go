@@ -2,6 +2,7 @@ package jobspec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fluxion/internal/intern"
@@ -56,6 +57,7 @@ type Compiled struct {
 	nodes  []CNode
 	roots  []int32
 	totals []TypeCount
+	wholes []TypeCount
 }
 
 // Compile validates js and flattens it against the given intern table
@@ -78,6 +80,7 @@ func Compile(js *Jobspec, tab *intern.Table) (*Compiled, error) {
 		c.nodes[i].Needs = compileNeeds(&c.nodes[i], c.nodes)
 	}
 	c.totals = internCounts(js.TotalCounts(), tab)
+	c.wholes = compileWholes(c.nodes, c.roots)
 	return c, nil
 }
 
@@ -145,6 +148,44 @@ func compileNeeds(n *CNode, nodes []CNode) []TypeCount {
 	return out
 }
 
+// compileWholes counts, per type, the distinct vertices any match must
+// take whole: the product of Min counts down the request tree for every
+// structural request vertex (one with nested requests) that is taken
+// exclusively — marked so, or beneath an exclusive vertex or a slot,
+// since exclusivity is inherited downward. Such a claim needs the
+// candidate's whole pool free over the window, so no other such claim
+// can share the vertex. A request beneath another of the same type is
+// skipped: it may match its parent's candidate itself.
+func compileWholes(nodes []CNode, roots []int32) []TypeCount {
+	var out []TypeCount
+	var walk func(x *CNode, mult int64, excl bool, above []int32)
+	walk = func(x *CNode, mult int64, excl bool, above []int32) {
+		units := mult * x.Min
+		if x.IsSlot {
+			excl = true
+		} else {
+			excl = excl || x.Exclusive
+			if excl && len(x.With) > 0 && units > 0 && !slices.Contains(above, x.TypeID) {
+				i := slices.IndexFunc(out, func(tc TypeCount) bool { return tc.ID == x.TypeID })
+				if i < 0 {
+					i = len(out)
+					out = append(out, TypeCount{Type: x.Type, ID: x.TypeID})
+				}
+				out[i].Units += units
+			}
+			above = append(above, x.TypeID)
+		}
+		for _, ci := range x.With {
+			walk(&nodes[ci], units, excl, above)
+		}
+	}
+	for _, ri := range roots {
+		walk(&nodes[ri], 1, false, nil)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Type < out[j].Type })
+	return out
+}
+
 // internCounts converts a type->units map into a sorted TypeCount
 // slice.
 func internCounts(counts map[string]int64, tab *intern.Table) []TypeCount {
@@ -173,3 +214,8 @@ func (c *Compiled) Roots() []int32 { return c.roots }
 // minimum counts (TotalCounts interned), sorted by type name. The slice
 // is live; do not modify.
 func (c *Compiled) Totals() []TypeCount { return c.totals }
+
+// Wholes returns, per type, how many distinct vertices of that type any
+// match takes whole and exclusively (see compileWholes), sorted by type
+// name; types with none are absent. The slice is live; do not modify.
+func (c *Compiled) Wholes() []TypeCount { return c.wholes }

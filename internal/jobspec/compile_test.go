@@ -122,6 +122,47 @@ func TestCompileTotalsMatchTotalCounts(t *testing.T) {
 	}
 }
 
+// TestCompileWholes pins the per-type count of vertices a match takes
+// whole: exclusive or slot-held structural requests, multiplied by the
+// Min counts above them.
+func TestCompileWholes(t *testing.T) {
+	moldable := Moldable("node", 2, 6, R("core", 1))
+	moldable.Exclusive = true
+	cases := []struct {
+		name string
+		js   *Jobspec
+		want map[string]int64
+	}{
+		{"exclusive nodes", New(0, RX("node", 3, R("core", 2))), map[string]int64{"node": 3}},
+		{"shared nodes", New(0, R("node", 3, R("core", 2))), nil},
+		{"slots of nodes", New(0, SlotR(4, R("node", 1, R("core", 2)))), map[string]int64{"node": 4}},
+		{"slot of cores", New(0, SlotR(4, R("core", 2))), nil},
+		{"moldable uses Min", New(0, moldable), map[string]int64{"node": 2}},
+		{"racks of nodes", New(0, R("rack", 2, RX("node", 3, R("core", 1)))), map[string]int64{"node": 6}},
+		{"exclusive rack", New(0, RX("rack", 1, R("node", 2, R("core", 1)))), map[string]int64{"rack": 1, "node": 2}},
+		{"two requests", New(0, RX("node", 1, R("core", 1)), SlotR(2, R("node", 1, R("core", 1)))), map[string]int64{"node": 3}},
+		{"node under node", New(0, RX("node", 1, R("node", 1, R("core", 1)))), map[string]int64{"node": 1}},
+		{"leaf node", New(0, RX("node", 2)), nil},
+		{"node-local (shared nodes)", NodeLocal(2, 1, 4, 0, 0, 0), nil},
+	}
+	for _, tc := range cases {
+		c, err := Compile(tc.js, intern.NewTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]int64
+		for _, w := range c.Wholes() {
+			if got == nil {
+				got = map[string]int64{}
+			}
+			got[w.Type] = w.Units
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: wholes %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	tab := intern.NewTable()
 	if _, err := Compile(New(0, R("core", 1)), nil); !errors.Is(err, ErrInvalid) {

@@ -203,6 +203,21 @@ func (p *Planner) PointCount() int {
 	return int(p.n)
 }
 
+// FirstStart returns the earliest start of any live span, and false when
+// the planner holds none. The base point comes first in time and carries
+// a positive delta exactly when a span starts there; otherwise the next
+// point is a span start, since every span ends after it starts. O(log N).
+func (p *Planner) FirstStart() (int64, bool) {
+	if len(p.spans) == 0 {
+		return 0, false
+	}
+	b := p.first()
+	if p.pts[b].delta > 0 {
+		return p.pts[b].at, true
+	}
+	return p.pts[p.next(b)].at, true
+}
+
 // Span returns a copy of the span with the given ID.
 func (p *Planner) Span(id int64) (Span, error) {
 	i, ok := p.spanIndex(id)

@@ -19,6 +19,12 @@ func (g *Graph) EpochVersion() uint64 { return g.epochVersion.Load() }
 // candidate buffers off it; stable while the graph's reader lock is held.
 func (g *Graph) StructVersion() uint64 { return g.structVersion.Load() }
 
+// StatusGen returns the status generation: it changes whenever MarkDown or
+// MarkUp flips at least one vertex. A cache derived from status bits
+// compares it to the generation it was built at to learn that a flip it
+// did not see happened.
+func (g *Graph) StatusGen() uint64 { return g.statusGen.Load() }
+
 // MarkEpochDirty records that planner or filter state changed: the next
 // publication advances the version. Mutators call it after installing or
 // removing spans, once per operation that changed something.

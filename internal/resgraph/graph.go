@@ -126,6 +126,7 @@ type Graph struct {
 	// (either side) before epochMu, never the reverse.
 	epochVersion  atomic.Uint64
 	structVersion atomic.Uint64
+	statusGen     atomic.Uint64 // bumped by every status flip (see StatusGen)
 	epochMu       sync.Mutex
 	epochUnpub    bool    // something was marked since the last publish
 	epochBatch    int     // open BeginEpochBatch nesting depth
@@ -572,6 +573,7 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	if len(delta) == 0 {
 		return delta, nil // already in the requested state
 	}
+	g.statusGen.Add(1)
 	sign := int64(1)
 	if want == StatusDown {
 		sign = -1

@@ -42,6 +42,7 @@ type jobCheckpoint struct {
 	State    string `json:"state"`
 	StartAt  int64  `json:"start_at,omitempty"`
 	EndAt    int64  `json:"end_at,omitempty"`
+	Nodes    int    `json:"nodes,omitempty"` // Job.NodeCount
 	Retries  int    `json:"retries,omitempty"`
 	// Quarantine reason and message, present only for quarantined jobs.
 	Quarantine    string `json:"quarantine,omitempty"`
@@ -77,7 +78,7 @@ func (s *Scheduler) Checkpoint() ([]byte, error) {
 		jc := jobCheckpoint{
 			ID: j.ID, Submit: j.Submit, Priority: j.Priority,
 			State: j.State.String(), StartAt: j.StartAt, EndAt: j.EndAt,
-			Retries: j.Retries,
+			Nodes: j.NodeCount, Retries: j.Retries,
 		}
 		if j.State == StateQuarantined {
 			jc.Quarantine = j.Quarantine.String()
@@ -136,7 +137,7 @@ func Resume(tr *traverser.Traverser, data []byte, specs map[int64]*jobspec.Jobsp
 		job := &Job{
 			ID: jc.ID, Submit: jc.Submit, Priority: jc.Priority,
 			State: state, StartAt: jc.StartAt, EndAt: jc.EndAt,
-			Retries: jc.Retries, Spec: specs[jc.ID],
+			NodeCount: jc.Nodes, Retries: jc.Retries, Spec: specs[jc.ID],
 		}
 		switch state {
 		case StatePending, StateReserved, StateRunning, StateQuarantined:
@@ -169,6 +170,7 @@ func Resume(tr *traverser.Traverser, data []byte, specs map[int64]*jobspec.Jobsp
 			if state == StateReserved {
 				s.reserved[jc.ID] = job
 			} else {
+				job.NodeCount = s.countNodes(alloc)
 				heap.Push(&s.events, event{at: job.EndAt, kind: evComplete, jobID: job.ID})
 			}
 		}

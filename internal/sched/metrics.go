@@ -124,9 +124,7 @@ func FoldMetrics(each func(func(*Job)), nodeCapacity int64) Metrics {
 		if wait > m.MaxWait {
 			m.MaxWait = wait
 		}
-		if j.Alloc != nil {
-			m.NodeSecondsUsed += int64(len(j.Alloc.Nodes())) * (j.EndAt - j.StartAt)
-		}
+		m.NodeSecondsUsed += int64(j.NodeCount) * (j.EndAt - j.StartAt)
 	})
 	if m.Completed > 0 {
 		m.Makespan = lastEnd - firstSubmit

@@ -14,12 +14,15 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"fluxion/internal/jobspec"
+	"fluxion/internal/resgraph"
 	"fluxion/internal/traverser"
 )
 
@@ -100,6 +103,10 @@ type Job struct {
 	State   JobState
 	StartAt int64 // simulated start (allocation) time
 	EndAt   int64
+	// NodeCount is the number of distinct nodes granted when the job last
+	// started; it outlives Alloc, so utilization folds over completed jobs
+	// that recovery brought back without one.
+	NodeCount int
 	// Retries counts how many times the job was evicted by a resource
 	// failure and requeued. Exceeding the scheduler's MaxRetries moves
 	// the job to StateFailed.
@@ -226,6 +233,8 @@ type Scheduler struct {
 	plan   cyclePlan
 	// stats tallies incremental-engine effectiveness (see Stats).
 	stats Stats
+	// nodeBuf is start's scratch for counting a grant's distinct nodes.
+	nodeBuf []*resgraph.Vertex
 
 	// defense, when non-nil, is the self-defense layer (defense.go):
 	// panic fences, quarantine, the cycle watchdog, and admission
@@ -278,24 +287,30 @@ func WithMaxRetries(n int) SchedOption {
 // the degradation ladder engaged, submits rejected by admission
 // backpressure, and jobspecs rejected as invalid at submit.
 type Stats struct {
-	Cycles        int64
-	MatchAttempts int64
-	WokenJobs     int64
-	SkippedJobs   int64
+	Cycles        int64 `json:"cycles,omitempty"`
+	MatchAttempts int64 `json:"match_attempts,omitempty"`
+	WokenJobs     int64 `json:"woken,omitempty"`
+	SkippedJobs   int64 `json:"skipped,omitempty"`
 	// Quarantined counts jobs moved to StateQuarantined (including
 	// re-quarantines after a release).
-	Quarantined int64
+	Quarantined int64 `json:"quarantined,omitempty"`
 	// DegradedCycles counts scheduling cycles that started with the
 	// degradation ladder above normal.
-	DegradedCycles int64
+	DegradedCycles int64 `json:"degraded_cycles,omitempty"`
 	// OverloadRejects counts submits rejected with ErrOverload.
-	OverloadRejects int64
+	OverloadRejects int64 `json:"overload_rejects,omitempty"`
 	// InvalidSpecRejects counts submits rejected with ErrInvalidSpec.
-	InvalidSpecRejects int64
+	InvalidSpecRejects int64 `json:"invalid_spec_rejects,omitempty"`
 }
 
 // Stats returns the scheduler's cumulative work counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
+
+// RestoreStats sets the work counters after Resume. They are not part of
+// Checkpoint, which a journal replay reproduces byte for byte: replay runs
+// no matching, and the first cycle after a recovery re-attempts every
+// job. A durable snapshot records them next to the checkpoint instead.
+func (s *Scheduler) RestoreStats(st Stats) { s.stats = st }
 
 // Add accumulates o into st field by field (the sharded router sums its
 // shard schedulers' counters).
@@ -496,9 +511,24 @@ func (s *Scheduler) start(job *Job, alloc *traverser.Allocation) {
 	}
 	job.State = StateRunning
 	job.Alloc = alloc
+	job.NodeCount = s.countNodes(alloc)
 	job.StartAt = alloc.At
 	job.EndAt = alloc.At + alloc.Duration
 	heap.Push(&s.events, event{at: job.EndAt, kind: evComplete, jobID: job.ID})
+}
+
+// countNodes returns len(alloc.Nodes()) without allocating: it sorts the
+// node vertices in s.nodeBuf and counts the distinct ones.
+func (s *Scheduler) countNodes(alloc *traverser.Allocation) int {
+	buf := s.nodeBuf[:0]
+	for _, va := range alloc.Vertices {
+		if va.V.Type == "node" {
+			buf = append(buf, va.V)
+		}
+	}
+	slices.SortFunc(buf, func(a, b *resgraph.Vertex) int { return cmp.Compare(a.UniqID, b.UniqID) })
+	s.nodeBuf = buf
+	return len(slices.Compact(buf))
 }
 
 // reserve records a future reservation. The job keeps its queue position

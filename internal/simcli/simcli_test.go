@@ -379,6 +379,49 @@ func TestDrillLeavesNoFiles(t *testing.T) {
 	}
 }
 
+// TestRecoveredRunReportsSameMetrics: a second run over a finished run's
+// WAL recovers it and prints the same metrics and sched lines — job node
+// counts and the work counters travel through the checkpoint. Only
+// match=, the wall time spent matching, is run-local.
+func TestRecoveredRunReportsSameMetrics(t *testing.T) {
+	cfg := Config{
+		Recipe: grug.Small(2, 4, 8, 32, 100), QueuePolicy: sched.EASY,
+		MTBF: 50000, MTTR: 600, FaultSeed: 42, WALDir: filepath.Join(t.TempDir(), "wal"),
+	}
+	jobs := trace.Synthesize(60, 8, 8, 9)
+	report := func() (string, *Result) {
+		var out bytes.Buffer
+		res, err := Run(cfg, jobs, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keep []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "metrics:") || strings.HasPrefix(line, "sched:") {
+				f := strings.Fields(line)
+				for i := range f {
+					if strings.HasPrefix(f[i], "match=") {
+						f[i] = "match=-"
+					}
+				}
+				keep = append(keep, strings.Join(f, " "))
+			}
+		}
+		return strings.Join(keep, "\n"), res
+	}
+	first, res := report()
+	if res.Recovered || res.Metrics.NodeSecondsUsed == 0 || res.Metrics.Requeues == 0 {
+		t.Fatalf("first run: recovered=%v %+v", res.Recovered, res.Metrics)
+	}
+	again, res := report()
+	if !res.Recovered {
+		t.Fatal("second run did not recover the first one's WAL")
+	}
+	if first != again {
+		t.Fatalf("recovered run reports\n%s\nthe run it recovered reported\n%s", again, first)
+	}
+}
+
 func TestRunSharded(t *testing.T) {
 	// Four single-rack shards; job sizes stay within one rack so every
 	// job is routable and both arms drain completely.

@@ -91,6 +91,9 @@ type Traverser struct {
 
 	// scratch is the match working memory; every match runs under t.mu.
 	scratch *matchScratch
+
+	// idle is the window-exact admission index (idle.go); guarded by mu.
+	idle idleIndex
 }
 
 // New creates a traverser over g using the given match policy.
@@ -179,6 +182,9 @@ type Allocation struct {
 	// Reserved is true when the allocation is a future reservation
 	// rather than an immediate allocation.
 	Reserved bool
+	// idleEnd marks an allocation whose end the idle index holds: one
+	// with units on an indexed vertex.
+	idleEnd bool
 	// Vertices lists the selected vertices; entries with Units 0 are
 	// shared structural vertices granting traversal only.
 	Vertices []VertexAlloc
@@ -434,6 +440,9 @@ func (t *Traverser) remove(jobID int64) (*Allocation, error) {
 	}
 	t.markDirty(alloc.Vertices, alloc.filterSpans)
 	t.publishFrees(alloc)
+	// After publishFrees, which read the same vertices' type and labels.
+	t.idle.rekeyAll(alloc, false)
+	t.idle.dropEnd(alloc)
 	return alloc, firstErr
 }
 
@@ -489,7 +498,10 @@ func (t *Traverser) MarkDown(path string) ([]*Allocation, error) {
 		}
 		evicted = append(evicted, alloc)
 	}
-	if _, err := t.g.MarkDown(v); err != nil {
+	synced := t.idle.synced(t.g)
+	_, err := t.g.MarkDown(v)
+	t.idle.statusChanged(t.g, v, synced)
+	if err != nil {
 		return evicted, err
 	}
 	// g.MarkDown publishes when status flipped; this covers the
@@ -507,7 +519,9 @@ func (t *Traverser) MarkUp(path string) error {
 	if v == nil {
 		return fmt.Errorf("traverser: no vertex at %q", path)
 	}
+	synced := t.idle.synced(t.g)
 	_, err := t.g.MarkUp(v)
+	t.idle.statusChanged(t.g, v, synced)
 	return err
 }
 
@@ -517,7 +531,13 @@ func (t *Traverser) MarkUp(path string) error {
 func (t *Traverser) Attach(parent, sub *resgraph.Vertex) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.g.Attach(parent, sub)
+	synced := t.idle.synced(t.g)
+	if err := t.g.Attach(parent, sub); err != nil {
+		t.idle.invalidate()
+		return err
+	}
+	t.idle.attached(t.g, sub, synced)
+	return nil
 }
 
 // Detach prunes the containment subtree at path from the graph; it fails
@@ -529,7 +549,15 @@ func (t *Traverser) Detach(path string) error {
 	if v == nil {
 		return fmt.Errorf("traverser: no vertex at %q", path)
 	}
-	return t.g.Detach(v)
+	synced, rs := t.idle.synced(t.g), t.idle.detachRange(v)
+	if err := t.g.Detach(v); err != nil {
+		if !errors.Is(err, resgraph.ErrBusy) {
+			t.idle.invalidate()
+		}
+		return err
+	}
+	t.idle.detached(t.g, rs, synced)
+	return nil
 }
 
 // Grant names one vertex grant for Reinstall: the vertex's containment
@@ -618,6 +646,7 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 				if err := va.V.Planner().RemoveSpan(va.span); err != nil {
 					return err
 				}
+				t.idle.rekey(va.V)
 				t.g.MarkEpochDirty()
 				t.g.PublishSpanDelta(resgraph.DeltaFree, va.V, va.Units, alloc.At, alloc.At+alloc.Duration)
 			}
@@ -636,7 +665,11 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 		}
 	}
 	alloc.filterSpans = nil
-	if remaining == 0 && len(alloc.Vertices) == 0 {
+	gone := remaining == 0 && len(alloc.Vertices) == 0
+	if gone || !t.idle.holds(alloc) {
+		t.idle.dropEnd(alloc)
+	}
+	if gone {
 		delete(t.allocs, jobID)
 		t.g.PublishEpoch()
 		return nil
@@ -732,6 +765,15 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	if mode != modeDry && !m.filterAdmits(root, cjs.Totals()) {
 		return nil, &noMatchAt{why: "root filter rejects at", at: at}
 	}
+	// Fast fail: too few vertices idle over the whole window for the
+	// ones the request takes whole (idle.go) — the aggregates above
+	// cannot see a fragmented window.
+	if mode != modeDry {
+		if id, short := t.idle.short(t, cjs.Wholes(), at, dur); short > 0 {
+			m.note(root, id, short)
+			return nil, &noMatchAt{why: "too few idle vertices at", at: at}
+		}
+	}
 	if !m.matchForest(root, cjs.Roots(), false) {
 		if sig != nil && len(sig.Reasons) == 0 && !sig.Overflow {
 			// Backstop: a failure the walk did not localize (e.g. every
@@ -775,6 +817,10 @@ func (t *Traverser) install(alloc *Allocation) error {
 		return err
 	}
 	t.allocs[alloc.JobID] = alloc
+	// After updateFilters, which read the same vertices' parent links.
+	if t.idle.rekeyAll(alloc, true) {
+		t.idle.addEnd(alloc)
+	}
 	return nil
 }
 
