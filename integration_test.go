@@ -19,63 +19,23 @@ import (
 	"fluxion/internal/traverser"
 )
 
-// checkFilterConsistency verifies, for every filter-carrying vertex and
-// tracked type, that the filter's busy amount at one instant equals the
-// sum of planner usage across the subtree at that instant — i.e. SDFU kept
-// aggregates exact — and that the member's pool size equals the in-service
-// capacity of that type in the subtree, which MarkDown/MarkUp and
-// Attach/Detach keep through ID-keyed filter updates. (Instantaneous
-// windows are required: the minimum of an aggregate over a window is not
-// the sum of per-vertex window minimums.) It also checks that the
-// traverser's window-exact admission index equals one rebuilt from the
-// graph and the allocation table.
+// checkFilterConsistency verifies that the traverser's planners and
+// pruning filters agree with its allocation table at instant at
+// (Traverser.CheckPlanners: every uncovered vertex planner holds exactly
+// the table's spans and units, every covered entry lies beneath a whole
+// claim of its own job, every filter member holds the table's units of
+// its type across the owner's subtree and, in total, the subtree's
+// in-service capacity — which MarkDown/MarkUp and Attach/Detach keep
+// through ID-keyed filter updates). It also checks that the traverser's
+// window-exact admission index equals one rebuilt from the graph and the
+// allocation table.
 func checkFilterConsistency(t *testing.T, tr *traverser.Traverser, at int64) {
-	const dur = 1
 	t.Helper()
 	if err := tr.CheckIdleIndex(); err != nil {
 		t.Fatalf("idle index drift: %v", err)
 	}
-	g := tr.Graph()
-	var subtree func(v *resgraph.Vertex, typ string) (busy, up int64)
-	subtree = func(v *resgraph.Vertex, typ string) (busy, up int64) {
-		if v.Type == typ {
-			avail, err := v.Planner().AvailDuring(at, dur)
-			if err != nil {
-				t.Fatal(err)
-			}
-			busy += v.Size - avail
-			if v.Status == resgraph.StatusUp {
-				up += v.Size
-			}
-		}
-		v.EachChild(resgraph.Containment, func(c *resgraph.Vertex) bool {
-			b, u := subtree(c, typ)
-			busy, up = busy+b, up+u
-			return true
-		})
-		return busy, up
-	}
-	for _, v := range g.Vertices() {
-		f := v.Filter()
-		if f == nil {
-			continue
-		}
-		for _, id := range f.IDs() {
-			typ, p := g.Types().Name(id), f.PlannerByID(id)
-			avail, err := p.AvailDuring(at, dur)
-			if err != nil {
-				t.Fatal(err)
-			}
-			busy, up := subtree(v, typ)
-			if filterBusy := p.Total() - avail; filterBusy != busy {
-				t.Fatalf("filter drift at %s type %s window [%d,%d): filter busy %d, subtree busy %d",
-					v.Path(), typ, at, at+dur, filterBusy, busy)
-			}
-			if p.Total() != up {
-				t.Fatalf("filter pool drift at %s type %s: filter total %d, subtree up capacity %d",
-					v.Path(), typ, p.Total(), up)
-			}
-		}
+	if err := tr.CheckPlanners(at); err != nil {
+		t.Fatalf("planner drift at %d: %v", at, err)
 	}
 }
 

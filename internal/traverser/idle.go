@@ -26,15 +26,16 @@ import (
 // starts before at+dur overlaps [at, at+dur), so the vertices idle over
 // the whole window are exactly those keyed at or after at+dur: one prefix
 // count. A second calendar holds the end of every
-// allocation with units on an indexed vertex; when one has ended by `at`
+// allocation with a span on an indexed vertex; when one has ended by `at`
 // (a future-time reservation probe, or a clock moved onto an event
 // instant before its completions ran) the count is not exact and is
 // skipped.
 //
 // The count is a necessary condition, never a sufficient one: a vertex it
 // calls idle may still be refused by the walk (a shared job holding its
-// leaves, a down ancestor), but a vertex the walk could take whole is up
-// and free of spans over the window, so it is counted. That holds only
+// leaves, a down ancestor, a whole claim above it that covers it without a
+// span of its own: cover.go), but a vertex the walk could take whole is
+// up and free of spans over the window, so it is counted. That holds only
 // while the keys reflect every span and status bit, so every writer of
 // either keeps them: install (once it succeeded: its rollback restores
 // the spans the keys were taken from), remove and Release rekey the
@@ -53,7 +54,7 @@ type idleIndex struct {
 	base   int64
 	types  []idleType // one per indexed type
 	byType []int32    // type ID -> index into types, -1 when unindexed
-	// ends holds one key per installed allocation with units on an
+	// ends holds one key per installed allocation with a span on an
 	// indexed vertex (Allocation.idleEnd), at its end.
 	ends planner.Counts
 	// statusGen and structGen are the graph generations the keys reflect.
@@ -212,17 +213,17 @@ func (x *idleIndex) rekey(v *resgraph.Vertex) bool {
 	return true
 }
 
-// rekeyAll rekeys the vertices holding units of alloc, whose spans were
-// just added (added) or removed, and reports whether one of them is
-// indexed. A span starting at alloc.At moves a key only to min(key,
-// alloc.At) when added, and only a key equal to alloc.At when removed, so
-// the planner is read in that case alone. The vertices of one allocation
-// mostly move between the same two keys, so their calendar edits are
-// merged: one per type and key.
+// rekeyAll rekeys the vertices holding spans of alloc, which were just
+// added (added) or removed, and reports whether one of them is indexed;
+// covered entries hold no span and key nothing. A span starting at
+// alloc.At moves a key only to min(key, alloc.At) when added, and only a
+// key equal to alloc.At when removed, so the planner is read in that case
+// alone. The vertices of one allocation mostly move between the same two
+// keys, so their calendar edits are merged: one per type and key.
 func (x *idleIndex) rekeyAll(alloc *Allocation, added bool) bool {
 	held := false
 	for _, va := range alloc.Vertices {
-		if va.Units == 0 {
+		if va.span == 0 {
 			continue
 		}
 		it := x.typeOf(va.V.TypeID)
@@ -274,18 +275,18 @@ func (x *idleIndex) move(it *idleType, t, n int64) {
 	it.cal.Add(t, n)
 }
 
-// holds reports whether alloc has units on an indexed vertex.
+// holds reports whether alloc has a span on an indexed vertex.
 func (x *idleIndex) holds(alloc *Allocation) bool {
 	for _, va := range alloc.Vertices {
-		if va.Units > 0 && x.typeOf(va.V.TypeID) != nil {
+		if va.span > 0 && x.typeOf(va.V.TypeID) != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// addEnd records the end of alloc, just installed with units on an
-// indexed vertex.
+// addEnd records the end of alloc, which now holds a span on an indexed
+// vertex.
 func (x *idleIndex) addEnd(alloc *Allocation) {
 	alloc.idleEnd = true
 	x.ends.Add(alloc.At+alloc.Duration, 1)

@@ -15,22 +15,33 @@ import (
 )
 
 // idlePair drives two traversers over identical graphs through the same
-// operations: one with the window-exact count, one walking every attempt
-// (idle.off). Every attempt must end the same way on both.
+// operations, the second with one shortcut switched off: the window-exact
+// count (idle.off, walking every attempt) or covered claims (cover.off,
+// planning a span on every selected vertex). Every operation must end the
+// same way on both, and both must keep planners, filters and the idle
+// index equal to what their allocation tables imply.
 type idlePair struct {
 	t       *testing.T
 	g       [2]*resgraph.Graph
 	tr      [2]*Traverser
-	rejects int // attempts the count refused on the first traverser
+	now     int64 // the stream's clock; planners are checked at it
+	rejects int   // attempts the count refused on the first traverser
+	// seen counts the covered-claim cases the stream reached on the
+	// first traverser, by name.
+	seen map[string]int
 }
 
-func newIdlePair(t *testing.T, racks, nodes, cores int64, spec resgraph.PruneSpec) *idlePair {
-	p := &idlePair{t: t}
+// idleOff and coverOff switch a pair's second traverser's shortcut off.
+func idleOff(tr *Traverser)  { tr.idle.off = true }
+func coverOff(tr *Traverser) { tr.cover.off = true }
+
+func newIdlePair(t *testing.T, racks, nodes, cores int64, spec resgraph.PruneSpec, off func(*Traverser)) *idlePair {
+	p := &idlePair{t: t, seen: make(map[string]int)}
 	for i := range p.g {
 		p.g[i] = buildSmall(t, racks, nodes, cores, 0, spec)
 		p.tr[i] = newT(t, p.g[i], match.First{})
 	}
-	p.tr[1].idle.off = true
+	off(p.tr[1])
 	return p
 }
 
@@ -74,9 +85,25 @@ func (p *idlePair) match(id int64, js *jobspec.Jobspec, at int64, reserve bool) 
 		}
 	}
 	if got[0] != got[1] {
-		p.t.Fatalf("job %d %s at %d (reserve %v): with the count %q, without %q", id, js.Resources[0], at, reserve, got[0], got[1])
+		p.t.Fatalf("job %d %s at %d (reserve %v): with the shortcut %q, without %q", id, js.Resources[0], at, reserve, got[0], got[1])
 	}
+	p.check("match", false)
 	return ok
+}
+
+// reinstall restores grants on both sides and compares the outcomes.
+func (p *idlePair) reinstall(id, at, dur int64, grants []Grant) bool {
+	p.t.Helper()
+	var got [2]string
+	for i, tr := range p.tr {
+		a, err := tr.Reinstall(id, at, dur, false, grants)
+		got[i] = outcome(a, err)
+	}
+	if got[0] != got[1] {
+		p.t.Fatalf("reinstall job %d at %d %v: with the shortcut %q, without %q", id, at, grants, got[0], got[1])
+	}
+	p.check("reinstall", false)
+	return !strings.HasPrefix(got[0], "no match") && !strings.HasPrefix(got[0], "error")
 }
 
 // both applies fn to each side and requires the same error class. For an
@@ -90,14 +117,17 @@ func (p *idlePair) both(op string, graph bool, fn func(g *resgraph.Graph, tr *Tr
 	for i := range p.tr {
 		errs[i] = fn(p.g[i], p.tr[i])
 	}
-	if (errs[0] == nil) != (errs[1] == nil) {
-		p.t.Fatalf("%s: with the count %v, without %v", op, errs[0], errs[1])
+	if (errs[0] == nil) != (errs[1] == nil) || errors.Is(errs[0], resgraph.ErrBusy) != errors.Is(errs[1], resgraph.ErrBusy) {
+		p.t.Fatalf("%s: with the shortcut %v, without %v", op, errs[0], errs[1])
 	}
 	p.check(op, synced && !graph)
 }
 
 // check compares the live index with one rebuilt from scratch and, when
-// wantSynced, requires it to be in step with the graph.
+// wantSynced, requires it to be in step with the graph. It also requires
+// both sides' planners and filters to agree with their allocation tables
+// (CheckPlanners) at the clock and past it, the tables to hold the same
+// grants, and the filters to be equal.
 func (p *idlePair) check(op string, wantSynced bool) {
 	p.t.Helper()
 	if wantSynced && !p.tr[0].idle.synced(p.g[0]) {
@@ -106,6 +136,53 @@ func (p *idlePair) check(op string, wantSynced bool) {
 	if err := p.tr[0].CheckIdleIndex(); err != nil {
 		p.t.Fatalf("%s: %v", op, err)
 	}
+	for i, tr := range p.tr {
+		for _, at := range []int64{p.now, p.now + 41, p.now + 97} {
+			if err := tr.CheckPlanners(at); err != nil {
+				p.t.Fatalf("%s: traverser %d: %v", op, i, err)
+			}
+		}
+	}
+	if a, b := p.table(0), p.table(1); a != b {
+		p.t.Fatalf("%s: allocation tables differ:\n%s\n%s", op, a, b)
+	}
+	for _, v := range p.g[0].Vertices() {
+		f := v.Filter()
+		if f == nil || v.Path() == "" {
+			continue
+		}
+		g := p.g[1].ByPath(v.Path()).Filter()
+		for _, id := range f.IDs() {
+			a, b := f.PlannerByID(id), g.PlannerByID(id)
+			x, _ := a.AvailDuring(p.now, 1)
+			y, _ := b.AvailDuring(p.now, 1)
+			if a.Total() != b.Total() || a.SpanCount() != b.SpanCount() || x != y {
+				p.t.Fatalf("%s: %s filter %d differs: total %d/%d, spans %d/%d, free %d/%d",
+					op, v.Path(), id, a.Total(), b.Total(), a.SpanCount(), b.SpanCount(), x, y)
+			}
+		}
+	}
+}
+
+// table renders side i's allocation table.
+func (p *idlePair) table(i int) string {
+	var b strings.Builder
+	for _, id := range p.tr[i].Jobs() {
+		a, _ := p.tr[i].Info(id)
+		fmt.Fprintf(&b, "%d: %s\n", id, outcome(a, nil))
+	}
+	return b.String()
+}
+
+// coveredAt reports whether a job on the first traverser holds a covered
+// entry in v's subtree.
+func (p *idlePair) coveredAt(v *resgraph.Vertex) bool {
+	for _, a := range p.tr[0].allocs {
+		if a.coveredIn(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // chooser is the random source of an operation stream: *rand.Rand, or
@@ -167,7 +244,7 @@ func TestIdleCountMatchesWalk(t *testing.T) {
 	rejects := 0
 	for seed := int64(1); seed <= 32; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rejects += runIdlePair(t, rand.New(rand.NewSource(seed)), 400)
+			rejects += runIdlePair(t, rand.New(rand.NewSource(seed)), 400, idleOff).rejects
 		})
 	}
 	t.Logf("the count refused %d attempts", rejects)
@@ -186,19 +263,36 @@ func FuzzIdleCount(f *testing.F) {
 	rng.Read(seed)
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runIdlePair(t, &byteChooser{data: data}, min(len(data)/4, 300))
+		runIdlePair(t, &byteChooser{data: data}, min(len(data)/4, 300), idleOff)
 	})
 }
 
-// runIdlePair drives one random pair through ops operations and returns
-// how many attempts the count refused.
-func runIdlePair(t *testing.T, rng chooser, ops int) int {
+// pairSpecs are the pruning filters a random pair is built with: on every
+// vertex, or at the root alone (so no node carries a filter that refuses
+// to detach what a job holds beneath it).
+var pairSpecs = []resgraph.PruneSpec{
+	{resgraph.ALL: {"core", "node"}},
+	{"cluster": {"core", "node"}},
+}
+
+// shuffled returns gs in a random order.
+func shuffled(rng chooser, gs []Grant) []Grant {
+	out := slices.Clone(gs)
+	for i := len(out) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+// runIdlePair drives one random pair, its second traverser switched by
+// off, through ops operations and returns it.
+func runIdlePair(t *testing.T, rng chooser, ops int, off func(*Traverser)) *idlePair {
 	racks, nodes, cores := 1+rng.Int63n(3), 2+rng.Int63n(7), 2+rng.Int63n(3)
-	p := newIdlePair(t, racks, nodes, cores, resgraph.PruneSpec{resgraph.ALL: {"core", "node"}})
+	p := newIdlePair(t, racks, nodes, cores, pairSpecs[rng.Intn(len(pairSpecs))], off)
 	var live []int64
 	var grown []string
 	nextID := int64(1)
-	now := int64(0)
 	forget := func(id int64) {
 		for i := range live {
 			if live[i] == id {
@@ -207,32 +301,44 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 			}
 		}
 	}
+	// pick returns a random vertex of typ still in the graph, or nil.
 	pick := func(typ string) *resgraph.Vertex {
-		vs := p.g[0].ByType(typ)
-		for {
-			v := vs[rng.Intn(len(vs))]
+		var vs []*resgraph.Vertex
+		for _, v := range p.g[0].ByType(typ) {
 			if v.Path() != "" {
-				return v
+				vs = append(vs, v)
 			}
 		}
+		if len(vs) == 0 {
+			return nil
+		}
+		return vs[rng.Intn(len(vs))]
 	}
 	// attemptAt is mostly the clock, sometimes a time before it (past
 	// the end of spans still installed) or after it.
 	attemptAt := func() int64 {
 		switch rng.Intn(8) {
 		case 0:
-			return rng.Int63n(now + 1)
+			return rng.Int63n(p.now + 1)
 		case 1:
-			return now + rng.Int63n(150)
+			return p.now + rng.Int63n(150)
 		default:
-			return now
+			return p.now
+		}
+	}
+	// keep records a job that exists on both sides from now on; one
+	// placed before the clock is undone at once, since the clock
+	// completes what ended by it.
+	keep := func(id, at int64) {
+		if at < p.now {
+			p.both("undo", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Cancel(id) })
+		} else {
+			live = append(live, id)
 		}
 	}
 	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(20); {
+		switch k := rng.Intn(23); {
 		case k < 9:
-			// Allocations made before the clock are undone at once: the
-			// clock completes what ended by it.
 			id, at, reserve := nextID, attemptAt(), k >= 5
 			nextID++
 			size := 1 + racks*nodes/3
@@ -240,29 +346,27 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 				size = racks * nodes
 			}
 			if p.match(id, randomIdleSpec(rng, size, cores), at, reserve) {
-				if at < now {
-					p.both("undo", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Cancel(id) })
-				} else {
-					live = append(live, id)
-				}
+				keep(id, at)
 			}
 		case k < 11 && len(live) > 0:
 			id := live[rng.Intn(len(live))]
 			forget(id)
 			p.both("cancel", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Cancel(id) })
 		case k < 12 && len(live) > 0:
-			// Release one node of a job, with or without its cores.
+			// Release one node of a job, with or without its cores, or
+			// only some of its cores.
 			id := live[rng.Intn(len(live))]
 			a, _ := p.tr[0].Info(id)
 			var paths []string
+			mode := rng.Intn(3)
 			for _, va := range a.Vertices {
 				if va.V.Type == "node" && va.Units > 0 {
-					paths = append(paths, va.V.Path())
-					if rng.Intn(2) == 0 {
-						for _, vb := range a.Vertices {
-							if vb.V.Parent() == va.V {
-								paths = append(paths, vb.V.Path())
-							}
+					if mode < 2 {
+						paths = append(paths, va.V.Path())
+					}
+					for _, vb := range a.Vertices {
+						if vb.V.Parent() == va.V && (mode == 1 || mode == 2 && rng.Intn(2) == 0) {
+							paths = append(paths, vb.V.Path())
 						}
 					}
 					break
@@ -271,29 +375,67 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 			if len(paths) == 0 {
 				continue
 			}
+			for _, va := range a.Vertices {
+				if slices.Contains(paths, va.V.Path()) {
+					switch {
+					case va.covered():
+						p.seen["release covered"]++
+					case va.V.Type == "node" && a.coveredIn(va.V):
+						p.seen["release covering"]++
+					}
+				}
+			}
 			p.both("release", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Release(id, paths) })
 			if _, ok := p.tr[0].Info(id); !ok {
 				forget(id)
 			}
 		case k < 13:
-			path := pick([]string{"node", "node", "rack"}[rng.Intn(3)]).Path()
+			v := pick([]string{"node", "node", "rack", "core"}[rng.Intn(4)])
+			if v == nil {
+				continue
+			}
+			if v.Type == "core" && p.coveredAt(v) {
+				p.seen["markdown covered"]++
+			}
+			path := v.Path()
+			var evicted [2][]int64
 			p.both("markdown", false, func(_ *resgraph.Graph, tr *Traverser) error {
-				evicted, err := tr.MarkDown(path)
-				if tr == p.tr[0] {
-					for _, a := range evicted {
-						forget(a.JobID)
+				as, err := tr.MarkDown(path)
+				for _, a := range as {
+					i := 0
+					if tr == p.tr[1] {
+						i = 1
 					}
+					evicted[i] = append(evicted[i], a.JobID)
 				}
 				return err
 			})
+			if !slices.Equal(evicted[0], evicted[1]) {
+				t.Fatalf("markdown %s evicted %v and %v", path, evicted[0], evicted[1])
+			}
+			for _, id := range evicted[0] {
+				forget(id)
+			}
 		case k < 15:
-			path := pick([]string{"node", "rack", "cluster"}[rng.Intn(3)]).Path()
+			v := pick([]string{"node", "rack", "cluster", "core"}[rng.Intn(4)])
+			if v == nil {
+				continue
+			}
+			path := v.Path()
 			p.both("markup", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.MarkUp(path) })
 		case k < 16:
 			// A status flip made on the graph directly, behind the
 			// traverser: up always, down only where nothing is held.
-			path := pick("node").Path()
-			down := rng.Intn(2) == 0 && len(p.tr[0].AffectedJobs(p.g[0].ByPath(path))) == 0
+			v := pick("node")
+			if v == nil {
+				continue
+			}
+			path := v.Path()
+			affected := p.tr[0].AffectedJobs(v)
+			if other := p.tr[1].AffectedJobs(p.g[1].ByPath(path)); !slices.Equal(affected, other) {
+				t.Fatalf("jobs affected by %s: %v and %v", path, affected, other)
+			}
+			down := rng.Intn(2) == 0 && len(affected) == 0
 			p.both("graph status", true, func(g *resgraph.Graph, _ *Traverser) error {
 				var err error
 				if down {
@@ -304,7 +446,11 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 				return err
 			})
 		case k < 17:
-			rack := pick("rack").Path()
+			r := pick("rack")
+			if r == nil {
+				continue
+			}
+			rack := r.Path()
 			var path string
 			p.both("attach", false, func(g *resgraph.Graph, tr *Traverser) error {
 				sub, err := grug.Build(g, &grug.Recipe{Root: grug.N("node", 1, grug.N("core", cores))})
@@ -318,12 +464,22 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 				return nil
 			})
 			grown = append(grown, path)
-		case k < 18:
-			if len(grown) == 0 {
+		case k < 19:
+			// Detach a grown node, or a core of the graph (mostly refused
+			// under a job's claim).
+			var path string
+			i := -1
+			if k == 17 && len(grown) > 0 {
+				i = rng.Intn(len(grown))
+				path = grown[i]
+			} else if v := pick("core"); v != nil {
+				path = v.Path()
+				if p.coveredAt(v) {
+					p.seen[fmt.Sprintf("detach covered (filter above %v)", v.Parent().Filter() != nil)]++
+				}
+			} else {
 				continue
 			}
-			i := rng.Intn(len(grown))
-			path := grown[i]
 			synced := p.tr[0].idle.synced(p.g[0])
 			var busy [2]bool
 			for j, tr := range p.tr {
@@ -336,27 +492,72 @@ func runIdlePair(t *testing.T, rng chooser, ops int) int {
 			if busy[0] != busy[1] {
 				t.Fatalf("detach %s: busy %v", path, busy)
 			}
-			if !busy[0] {
+			if !busy[0] && i >= 0 {
 				grown = append(grown[:i], grown[i+1:]...)
 			}
 			p.check("detach", synced)
+		case k < 21:
+			// Reinstall, grants shuffled: a whole node and everything
+			// beneath it, part of a live job's grants under a new ID (a
+			// conflict, mostly), or a live job's own grants after
+			// cancelling it.
+			id, at, dur := nextID, attemptAt(), 5+rng.Int63n(120)
+			nextID++
+			var grants []Grant
+			switch mode := rng.Intn(3); {
+			case mode == 0 || len(live) == 0:
+				v := pick("node")
+				if v == nil {
+					continue
+				}
+				var whole func(v *resgraph.Vertex)
+				whole = func(v *resgraph.Vertex) {
+					grants = append(grants, Grant{Path: v.Path(), Units: v.Size})
+					for _, c := range v.Kids(resgraph.Containment) {
+						whole(c)
+					}
+				}
+				whole(v)
+			case mode == 1:
+				a, _ := p.tr[0].Info(live[rng.Intn(len(live))])
+				at, dur = a.At, a.Duration
+				for _, gr := range a.Grants() {
+					if rng.Intn(3) == 0 {
+						grants = append(grants, gr)
+					}
+				}
+				if len(grants) == 0 {
+					continue
+				}
+			default:
+				id = live[rng.Intn(len(live))]
+				a, _ := p.tr[0].Info(id)
+				at, dur, grants = a.At, a.Duration, a.Grants()
+				forget(id)
+				p.both("cancel", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Cancel(id) })
+			}
+			if p.reinstall(id, at, dur, shuffled(rng, grants)) {
+				keep(id, at)
+			} else {
+				p.seen["reinstall refused"]++
+			}
 		default:
 			// The clock moves and completes the jobs that ended by it,
 			// but sometimes leaves them installed, as a clock moved onto
 			// an event instant does until the event runs.
-			now += 1 + rng.Int63n(60)
+			p.now += 1 + rng.Int63n(60)
 			if rng.Intn(8) == 0 {
 				continue
 			}
 			for _, id := range append([]int64(nil), live...) {
-				if a, _ := p.tr[0].Info(id); a.At+a.Duration <= now {
+				if a, _ := p.tr[0].Info(id); a.At+a.Duration <= p.now {
 					forget(id)
 					p.both("complete", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.Cancel(id) })
 				}
 			}
 		}
 	}
-	return p.rejects
+	return p
 }
 
 // TestIdleCountSignature: two nodes busy in the first half of the window

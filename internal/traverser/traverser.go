@@ -94,6 +94,9 @@ type Traverser struct {
 
 	// idle is the window-exact admission index (idle.go); guarded by mu.
 	idle idleIndex
+	// cover is install's scratch for covered entries (cover.go); guarded
+	// by mu.
+	cover coverScratch
 }
 
 // New creates a traverser over g using the given match policy.
@@ -156,7 +159,9 @@ func (t *Traverser) Policy() match.Policy { return t.policy }
 type VertexAlloc struct {
 	V     *resgraph.Vertex
 	Units int64
-	span  int64 // planner span ID; 0 when Units == 0
+	// span is the vertex planner's span ID; 0 when Units == 0, or when the
+	// entry is covered by a whole claim above it (cover.go).
+	span int64
 }
 
 // filterSpan records one member span SDFU planned in an ancestor's pruning
@@ -183,10 +188,11 @@ type Allocation struct {
 	// rather than an immediate allocation.
 	Reserved bool
 	// idleEnd marks an allocation whose end the idle index holds: one
-	// with units on an indexed vertex.
+	// with a span on an indexed vertex.
 	idleEnd bool
 	// Vertices lists the selected vertices; entries with Units 0 are
-	// shared structural vertices granting traversal only.
+	// shared structural vertices granting traversal only. It is the full
+	// record, covered entries included (cover.go).
 	Vertices []VertexAlloc
 
 	filterSpans []filterSpan
@@ -426,8 +432,8 @@ func (t *Traverser) remove(jobID int64) (*Allocation, error) {
 	delete(t.allocs, jobID)
 	var firstErr error
 	for _, va := range alloc.Vertices {
-		if va.Units == 0 {
-			continue
+		if va.span == 0 {
+			continue // shared, or covered
 		}
 		if err := va.V.Planner().RemoveSpan(va.span); err != nil && firstErr == nil {
 			firstErr = err
@@ -459,15 +465,23 @@ func (t *Traverser) AffectedJobs(root *resgraph.Vertex) []int64 {
 // affectedJobs is AffectedJobs without locking; callers hold t.mu. The
 // subtree test is the O(1) pre-order interval check; a vertex with no
 // containment path (detached, or outside the containment tree) never
-// counts, and neither does anything beneath such a root.
+// counts, and neither does anything beneath such a root. Covered entries
+// are not walked: their covering entry answers for them, as inside the
+// subtree or, when root lies strictly beneath it, by a look at the
+// entries it covers.
 func (t *Traverser) affectedJobs(root *resgraph.Vertex) []int64 {
 	if root == nil || root.Path() == "" {
 		return nil
 	}
 	var out []int64
 	for id, alloc := range t.allocs {
-		for _, va := range alloc.Vertices {
-			if va.V.Path() != "" && va.V.InSubtreeOf(root) {
+		for i := range alloc.Vertices {
+			va := &alloc.Vertices[i]
+			if va.covered() || va.V.Path() == "" {
+				continue
+			}
+			if va.V.InSubtreeOf(root) ||
+				va.span > 0 && va.V != root && root.InSubtreeOf(va.V) && alloc.coveredIn(root) {
 				out = append(out, id)
 				break
 			}
@@ -541,13 +555,20 @@ func (t *Traverser) Attach(parent, sub *resgraph.Vertex) error {
 }
 
 // Detach prunes the containment subtree at path from the graph; it fails
-// with resgraph.ErrBusy while any planner in the subtree holds spans.
+// with resgraph.ErrBusy while any planner in the subtree holds spans, or
+// any job holds a covered entry there.
 func (t *Traverser) Detach(path string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.g.ByPath(path)
 	if v == nil {
 		return fmt.Errorf("traverser: no vertex at %q", path)
+	}
+	// A covered entry holds its vertex without a span the graph could see.
+	for id, a := range t.allocs {
+		if a.coveredIn(v) {
+			return fmt.Errorf("%w: job %d holds %s whole from above", resgraph.ErrBusy, id, path)
+		}
 	}
 	synced, rs := t.idle.synced(t.g), t.idle.detachRange(v)
 	if err := t.g.Detach(v); err != nil {
@@ -603,7 +624,7 @@ func (t *Traverser) Reinstall(jobID int64, at, duration int64, reserved bool, gr
 		}
 		alloc.Vertices = append(alloc.Vertices, VertexAlloc{V: v, Units: gr.Units})
 	}
-	if err := t.install(alloc); err != nil {
+	if err := t.install(alloc, true); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoMatch, err)
 	}
 	t.g.PublishEpoch()
@@ -637,6 +658,11 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 		if !matched[p] {
 			return fmt.Errorf("%w: job %d holds nothing at %q", ErrUnknownJob, jobID, p)
 		}
+	}
+	// Whatever is released, every entry kept or dropped plans its own span
+	// from here on.
+	if err := t.uncover(alloc); err != nil {
+		return err
 	}
 	kept := alloc.Vertices[:0]
 	remaining := int64(0)
@@ -788,21 +814,29 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 	}
 	// The selection must outlive this attempt's scratch.
 	alloc.Vertices = append(make([]VertexAlloc, 0, len(s.verts)), s.verts...)
-	if err := t.install(alloc); err != nil {
+	if err := t.install(alloc, false); err != nil {
 		return nil, err
 	}
 	return alloc, nil
 }
 
 // install writes a selection into the live planners — one span per
-// consuming vertex over the allocation's window, then SDFU — and records
-// the allocation. It is the one place a match or Reinstall plans vertex
-// spans. On error it removes exactly the vertex spans it added
-// (updateFilters undoes its own) and records nothing. Callers hold t.mu.
-func (t *Traverser) install(alloc *Allocation) error {
+// consuming vertex over the allocation's window, but none on a covered
+// one (cover.go), then SDFU — and records the allocation. It is the one
+// place a match or Reinstall plans vertex spans; reinstall runs
+// Reinstall's guard first. On error it removes exactly the vertex spans it
+// added (updateFilters undoes its own) and records nothing. Callers hold
+// t.mu.
+func (t *Traverser) install(alloc *Allocation, reinstall bool) error {
+	covers := t.cover.scan(t, alloc)
+	if reinstall {
+		if err := t.checkReinstall(alloc, covers); err != nil {
+			return err
+		}
+	}
 	for i := range alloc.Vertices {
 		va := &alloc.Vertices[i]
-		if va.Units == 0 {
+		if va.Units == 0 || covers && t.cover.isCovered(va.V) {
 			continue
 		}
 		id, err := va.V.Planner().AddSpan(alloc.At, alloc.Duration, va.Units)
@@ -827,7 +861,7 @@ func (t *Traverser) install(alloc *Allocation) error {
 // unplan removes the vertex spans install added for vas.
 func (t *Traverser) unplan(vas []VertexAlloc) {
 	for _, va := range vas {
-		if va.Units > 0 {
+		if va.span > 0 {
 			_ = va.V.Planner().RemoveSpan(va.span)
 		}
 	}
