@@ -369,8 +369,10 @@ func (f *Fluxion) MatchAllocateOrReserve(jobID int64, spec *Jobspec, now int64) 
 	return alloc, err
 }
 
-// MatchSatisfy reports whether the request could ever be satisfied
-// (capacity-only check).
+// MatchSatisfy reports whether the request could ever be satisfied:
+// a capacity-only check that ignores current allocations but counts down
+// vertices as absent, memoised per request shape until the topology or
+// a status bit changes.
 func (f *Fluxion) MatchSatisfy(spec *Jobspec) (bool, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -1,6 +1,7 @@
 package jobspec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -58,6 +59,7 @@ type Compiled struct {
 	roots  []int32
 	totals []TypeCount
 	wholes []TypeCount
+	shape  string
 }
 
 // Compile validates js and flattens it against the given intern table
@@ -81,6 +83,7 @@ func Compile(js *Jobspec, tab *intern.Table) (*Compiled, error) {
 	}
 	c.totals = internCounts(js.TotalCounts(), tab)
 	c.wholes = compileWholes(c.nodes, c.roots)
+	c.shape = shapeKey(c.nodes, c.roots)
 	return c, nil
 }
 
@@ -186,6 +189,39 @@ func compileWholes(nodes []CNode, roots []int32) []TypeCount {
 	return out
 }
 
+// shapeKey encodes what a capacity-only walk reads of a request: per node
+// in pre-order its TypeID, Count, Min, Exclusive and IsSlot and its With
+// indexes, then the roots. Names, Needs, Totals and Wholes derive from
+// these; the duration is left out.
+func shapeKey(nodes []CNode, roots []int32) string {
+	b := binary.AppendUvarint(nil, uint64(len(nodes)))
+	for i := range nodes {
+		n := &nodes[i]
+		b = binary.AppendVarint(b, int64(n.TypeID))
+		b = binary.AppendVarint(b, n.Count)
+		b = binary.AppendVarint(b, n.Min)
+		var flags byte
+		if n.Exclusive {
+			flags |= 1
+		}
+		if n.IsSlot {
+			flags |= 2
+		}
+		b = append(b, flags)
+		b = appendIndexes(b, n.With)
+	}
+	return string(appendIndexes(b, roots))
+}
+
+// appendIndexes appends a length-prefixed list of node indexes.
+func appendIndexes(b []byte, idx []int32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(idx)))
+	for _, i := range idx {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	return b
+}
+
 // internCounts converts a type->units map into a sorted TypeCount
 // slice.
 func internCounts(counts map[string]int64, tab *intern.Table) []TypeCount {
@@ -214,6 +250,12 @@ func (c *Compiled) Roots() []int32 { return c.roots }
 // minimum counts (TotalCounts interned), sorted by type name. The slice
 // is live; do not modify.
 func (c *Compiled) Totals() []TypeCount { return c.totals }
+
+// Shape returns the request's shape key: equal for two specs compiled
+// against the same table exactly when their request trees agree in every
+// field a capacity-only walk reads (see shapeKey), whatever their
+// durations.
+func (c *Compiled) Shape() string { return c.shape }
 
 // Wholes returns, per type, how many distinct vertices of that type any
 // match takes whole and exclusively (see compileWholes), sorted by type

@@ -175,3 +175,39 @@ func TestCompileErrors(t *testing.T) {
 		t.Fatalf("empty spec: err = %v, want ErrInvalid", err)
 	}
 }
+
+// TestCompileShape: the shape key ignores the duration and tells apart
+// every field a capacity-only walk reads.
+func TestCompileShape(t *testing.T) {
+	tab := intern.NewTable()
+	shape := func(js *Jobspec) string {
+		t.Helper()
+		c, err := Compile(js, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Shape()
+	}
+	base := func(dur int64) *Jobspec { return New(dur, R("node", 2, R("core", 4))) }
+	if shape(base(0)) != shape(base(3600)) {
+		t.Fatal("the shape depends on the duration")
+	}
+	moldable := Moldable("node", 1, 2, R("core", 4))
+	others := []*Jobspec{
+		New(0, R("node", 3, R("core", 4))),
+		New(0, moldable),
+		New(0, RX("node", 2, R("core", 4))),
+		New(0, R("rack", 2, R("core", 4))),
+		New(0, R("node", 2, SlotR(1, R("core", 4)))),
+		New(0, R("node", 2, R("core", 4), R("memory", 1))),
+		New(0, R("node", 2), R("core", 4)),
+	}
+	seen := map[string]int{shape(base(0)): -1}
+	for i, js := range others {
+		k := shape(js)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("specs %d and %d share a shape", i, j)
+		}
+		seen[k] = i
+	}
+}

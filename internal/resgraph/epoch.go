@@ -14,9 +14,10 @@ package resgraph
 func (g *Graph) EpochVersion() uint64 { return g.epochVersion.Load() }
 
 // StructVersion returns the live structural generation: it changes only
-// on transitions that renumbered the containment pre-order labels or
-// changed the vertex set (attach/detach). Scratch arenas key cached
-// candidate buffers off it; stable while the graph's reader lock is held.
+// on transitions that renumbered the containment pre-order labels,
+// changed the vertex set (attach/detach) or added an edge after Finalize.
+// Scratch arenas key cached candidate buffers off it, and the traverser
+// its satisfiability memo; stable while the graph's reader lock is held.
 func (g *Graph) StructVersion() uint64 { return g.structVersion.Load() }
 
 // StatusGen returns the status generation: it changes whenever MarkDown or

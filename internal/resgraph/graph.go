@@ -236,11 +236,20 @@ func (g *Graph) MustAddVertex(typ string, id, size int64) *Vertex {
 
 // AddEdge creates a directed edge in a subsystem. Containment edges
 // (either direction of the contains/in pair) are interpreted as tree
-// links; overlay subsystems store Edge values.
+// links; overlay subsystems store Edge values. On a finalized graph the
+// edge is live at once, so it moves the structural generation like any
+// other topology change.
 func (g *Graph) AddEdge(from, to *Vertex, subsystem, edgeType string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addEdge(from, to, subsystem, edgeType)
+	if err := g.addEdge(from, to, subsystem, edgeType); err != nil {
+		return err
+	}
+	if g.finalized {
+		g.markEpochAllLocked()
+		g.PublishEpoch()
+	}
+	return nil
 }
 
 // addEdge is AddEdge without locking; callers hold g.mu.

@@ -2,7 +2,9 @@ package traverser
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -276,4 +278,83 @@ func FuzzCoveredClaims(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runIdlePair(t, &byteChooser{data: data}, min(len(data)/4, 300), coverOff)
 	})
+}
+
+// filterUnits renders an allocation's filter spans as sorted
+// "owner/type=units" lines.
+func filterUnits(g *resgraph.Graph, a *Allocation) []string {
+	var out []string
+	for _, fs := range a.filterSpans {
+		sp, err := fs.owner.Filter().PlannerByID(fs.typeID).Span(fs.span)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, fmt.Sprintf("%s/%s=%d", fs.owner.Path(), g.Types().Name(fs.typeID), sp.Planned))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestFoldCoveredFilters: SDFU folds a covering vertex's subtree into one
+// add per filter, and records the same filter spans, with the same units,
+// as a traverser that covers nothing: for whole nodes with memory, a rack
+// taken whole (whose nodes carry filters of their own beneath the
+// covering vertex), a shared node, and both whole claims reinstalled from
+// shuffled grants.
+func TestFoldCoveredFilters(t *testing.T) {
+	specs := []*jobspec.Jobspec{
+		jobspec.New(100, jobspec.RX("node", 2, jobspec.R("core", 4), jobspec.R("memory", 16))),
+		jobspec.New(100, jobspec.RX("rack", 1, jobspec.R("node", 3, jobspec.R("core", 4), jobspec.R("memory", 16)))),
+		jobspec.New(100, jobspec.R("node", 1, jobspec.R("core", 4), jobspec.R("memory", 16))),
+	}
+	var g [2]*resgraph.Graph
+	var tr [2]*Traverser
+	for i := range tr {
+		g[i] = buildSmall(t, 2, 3, 4, 16, defaultSpec())
+		tr[i] = newT(t, g[i], match.First{})
+	}
+	tr[1].cover.off = true
+	rng := rand.New(rand.NewSource(1))
+	for id, js := range specs {
+		var got [2][]string
+		covered := 0
+		for i := range tr {
+			a, err := tr[i].MatchAllocate(int64(id+1), js, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = filterUnits(g[i], a)
+			for j := range a.Vertices {
+				if a.Vertices[j].covered() {
+					covered++
+				}
+			}
+		}
+		if want := []int{10, 18, 0}[id]; covered != want {
+			t.Fatalf("job %d: %d covered entries, want %d", id+1, covered, want)
+		}
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatalf("job %d: filter spans\n%v\nwithout covering\n%v", id+1, got[0], got[1])
+		}
+		checkPlanners(t, tr[0], 0, 50)
+	}
+	for id := int64(1); id <= 2; id++ {
+		var got [2][]string
+		for i := range tr {
+			a, _ := tr[i].Info(id)
+			grants := shuffled(rng, a.Grants())
+			if err := tr[i].Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			b, err := tr[i].Reinstall(id, 10, 100, false, grants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = filterUnits(g[i], b)
+		}
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatalf("reinstalled job %d: filter spans\n%v\nwithout covering\n%v", id, got[0], got[1])
+		}
+		checkPlanners(t, tr[0], 10, 60)
+	}
 }

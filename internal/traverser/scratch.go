@@ -1,6 +1,7 @@
 package traverser
 
 import (
+	"fluxion/internal/intern"
 	"fluxion/internal/resgraph"
 )
 
@@ -275,4 +276,46 @@ func (s *sdfuScratch) add(owner *resgraph.Vertex, typeID int32, units int64) {
 	}
 	s.ids[i] = append(s.ids[i], typeID)
 	s.counts[i] = append(s.counts[i], units)
+}
+
+// foldCovered adds the filter units of the entries top covers (cover.go):
+// every vertex strictly beneath it, each taken whole. Per type, those are
+// top's containment aggregates less top itself, so each filter from top
+// up gets them in one add instead of one per covered entry, and a filter
+// strictly beneath top gets its own vertex's.
+func (s *sdfuScratch) foldCovered(types *intern.Table, top *resgraph.Vertex) {
+	for a := top; a != nil; a = a.Parent() {
+		s.addBeneath(types, a, top)
+	}
+	s.foldInterior(types, top)
+}
+
+// foldInterior adds, at every filter strictly beneath v, the units
+// strictly beneath the filter's own vertex.
+func (s *sdfuScratch) foldInterior(types *intern.Table, v *resgraph.Vertex) {
+	for _, k := range v.Kids(resgraph.Containment) {
+		if k.HasChildren(resgraph.Containment) {
+			s.addBeneath(types, k, k)
+			s.foldInterior(types, k)
+		}
+	}
+}
+
+// addBeneath adds to owner's filter, per type it tracks, the units of that
+// type strictly beneath v.
+func (s *sdfuScratch) addBeneath(types *intern.Table, owner, v *resgraph.Vertex) {
+	f := owner.Filter()
+	if f == nil {
+		return
+	}
+	agg := v.Aggregates()
+	for _, id := range f.IDs() {
+		n := agg[types.Name(id)]
+		if id == v.TypeID {
+			n -= v.Size
+		}
+		if n > 0 {
+			s.add(owner, id, n)
+		}
+	}
 }

@@ -11,7 +11,8 @@
 //   - MatchAllocateOrReserve: allocate now or reserve the earliest future
 //     time the request fits (the building block of backfilling);
 //   - MatchSatisfy: check whether the request could ever be satisfied on
-//     an empty system (capacity-only).
+//     an empty system with today's topology and up/down bits
+//     (capacity-only, memoised per request shape: satisfy.go).
 package traverser
 
 import (
@@ -97,6 +98,8 @@ type Traverser struct {
 	// cover is install's scratch for covered entries (cover.go); guarded
 	// by mu.
 	cover coverScratch
+	// sat is MatchSatisfy's per-shape memo (satisfy.go); guarded by mu.
+	sat satMemo
 }
 
 // New creates a traverser over g using the given match policy.
@@ -372,8 +375,10 @@ func (t *Traverser) reserveProbe(jobID int64, cjs *jobspec.Compiled, now int64) 
 	return nil, fmt.Errorf("%w: gave up after %d candidate times", ErrNoMatch, t.maxReserveDepth)
 }
 
-// MatchSatisfy reports whether js could ever be satisfied by the system,
-// ignoring current allocations (capacity-only check).
+// MatchSatisfy reports whether js could ever be satisfied by the system:
+// a capacity-only check that ignores current allocations but counts down
+// vertices as absent. The answer is memoised per request shape until the
+// graph's topology or status changes (satisfy.go).
 func (t *Traverser) MatchSatisfy(js *jobspec.Jobspec) (bool, error) {
 	cjs, err := t.Compile(js)
 	if err != nil {
@@ -382,23 +387,17 @@ func (t *Traverser) MatchSatisfy(js *jobspec.Jobspec) (bool, error) {
 	return t.MatchSatisfyCompiled(cjs)
 }
 
-// MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec. The dry
-// match runs under t.mu, on the traverser's own scratch.
+// MatchSatisfyCompiled is MatchSatisfy for a precompiled jobspec. A memo
+// miss runs the dry match under t.mu, on the traverser's own scratch.
 func (t *Traverser) MatchSatisfyCompiled(cjs *jobspec.Compiled) (bool, error) {
 	if err := t.checkCompiled(cjs); err != nil {
 		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, err := t.tryMatch(0, cjs, t.g.Base(), modeDry, nil)
-	switch {
-	case err == nil:
-		return true, nil
-	case errors.Is(err, ErrNoMatch):
-		return false, nil
-	default:
-		return false, err
-	}
+	t.g.RLock()
+	defer t.g.RUnlock()
+	return t.sat.answer(t, cjs)
 }
 
 // Cancel releases all resources held (or reserved) by jobID.
@@ -700,7 +699,7 @@ func (t *Traverser) Release(jobID int64, paths []string) error {
 		t.g.PublishEpoch()
 		return nil
 	}
-	err := t.updateFilters(alloc)
+	err := t.updateFilters(alloc, false)
 	t.g.PublishEpoch()
 	return err
 }
@@ -755,6 +754,14 @@ const (
 // also what freezes the topology and status bits the match kernel's
 // candidate cache relies on.
 func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode matchMode, sig *BlockSig) (*Allocation, error) {
+	t.g.RLock()
+	defer t.g.RUnlock()
+	return t.tryMatchLocked(jobID, cjs, at, mode, sig)
+}
+
+// tryMatchLocked is tryMatch for callers that also hold the graph's
+// reader lock.
+func (t *Traverser) tryMatchLocked(jobID int64, cjs *jobspec.Compiled, at int64, mode matchMode, sig *BlockSig) (*Allocation, error) {
 	dur := t.effectiveDuration(cjs.Spec(), at)
 	if dur <= 0 {
 		if sig != nil {
@@ -769,8 +776,6 @@ func (t *Traverser) tryMatch(jobID int64, cjs *jobspec.Compiled, at int64, mode 
 
 	s := t.scratch
 	root := t.root
-	t.g.RLock()
-	defer t.g.RUnlock()
 	s.begin(t.g.UniqBound(), t.g.StructVersion())
 	// However the attempt ends — selected, failed, or a panic inside the
 	// walk — its claims are dropped on the way out.
@@ -846,7 +851,7 @@ func (t *Traverser) install(alloc *Allocation, reinstall bool) error {
 		}
 		va.span = id
 	}
-	if err := t.updateFilters(alloc); err != nil {
+	if err := t.updateFilters(alloc, covers); err != nil {
 		t.unplan(alloc.Vertices)
 		return err
 	}
@@ -872,18 +877,20 @@ func (t *Traverser) unplan(vas []VertexAlloc) {
 // every selected consuming vertex, walk its containment ancestors and, at
 // each one whose filter tracks the vertex's type, add one span to that
 // member planner covering exactly the units of the type selected beneath
-// it. Each member span is recorded in alloc.filterSpans, which is what
-// remove, Release and the rollback below undo. The per-owner requests
-// accumulate in the traverser's SDFU scratch (all callers hold t.mu)
-// instead of a freshly built map of maps. It is the last step of every
-// install, so it also marks the allocation changed for the publish
-// boundary; on failure it marks what it touched and install marks the
-// vertices it unplans.
-func (t *Traverser) updateFilters(alloc *Allocation) error {
+// it. Covered entries (covers: install's scan just found some) are folded
+// into their covering vertex instead: see foldCovered. Each member span
+// is recorded in alloc.filterSpans, which is what remove, Release and the
+// rollback below undo. The per-owner requests accumulate in the
+// traverser's SDFU scratch (all callers hold t.mu) instead of a freshly
+// built map of maps. It is the last step of every install, so it also
+// marks the allocation changed for the publish boundary; on failure it
+// marks what it touched and install marks the vertices it unplans.
+func (t *Traverser) updateFilters(alloc *Allocation, covers bool) error {
 	s := &t.scratch.sdfu
 	s.begin()
-	for _, va := range alloc.Vertices {
-		if va.Units == 0 {
+	for i := range alloc.Vertices {
+		va := &alloc.Vertices[i]
+		if va.Units == 0 || va.covered() {
 			continue
 		}
 		for a := va.V.Parent(); a != nil; a = a.Parent() {
@@ -891,6 +898,14 @@ func (t *Traverser) updateFilters(alloc *Allocation) error {
 				continue
 			}
 			s.add(a, va.V.TypeID, va.Units)
+		}
+		if !covers {
+			continue
+		}
+		// A vertex the scan did not mark whose first child it marked
+		// covers its whole subtree.
+		if kids := va.V.Kids(resgraph.Containment); len(kids) > 0 && t.cover.isCovered(kids[0]) {
+			s.foldCovered(t.g.Types(), va.V)
 		}
 	}
 	n := 0
