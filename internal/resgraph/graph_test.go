@@ -280,7 +280,7 @@ func TestAttachGrowsAggregatesAndFilters(t *testing.T) {
 		t.Fatalf("attached path = %q", node.Path())
 	}
 	if g.ByPath(node.Path()) != node {
-		t.Fatal("path index not updated")
+		t.Fatal("ByPath does not find the attached node")
 	}
 	if got := filterTotal(rack, "core"); got != before+4 {
 		t.Fatalf("rack core filter = %d, want %d", got, before+4)
@@ -321,7 +321,7 @@ func TestDetachShrinksAndRefusesBusy(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", g.Len(), nVerts-6)
 	}
 	if g.ByPath("/cluster0/rack0/node0") != nil {
-		t.Fatal("path index retains detached vertex")
+		t.Fatal("ByPath still finds the detached vertex")
 	}
 	rack := g.ByPath("/cluster0/rack0")
 	if got := filterTotal(rack, "core"); got != 4 {

@@ -14,7 +14,7 @@ import (
 // test guards the absolute size against field additions that look free
 // but aren't.
 func TestVertexPacking(t *testing.T) {
-	if got, max := unsafe.Sizeof(Vertex{}), uintptr(192); got > max {
+	if got, max := unsafe.Sizeof(Vertex{}), uintptr(184); got > max {
 		t.Fatalf("sizeof(Vertex) = %d, budget %d — new fields must justify their slab cost", got, max)
 	}
 }

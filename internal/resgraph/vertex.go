@@ -68,7 +68,8 @@ type Vertex struct {
 	// Type is the resource type name ("cluster", "rack", "node",
 	// "core", "memory", ...).
 	Type string
-	// Name is the display name, e.g. "node37".
+	// Name is the display name, e.g. "node37". Its bytes live in one of
+	// the graph's shared string blocks.
 	Name string
 	// Unit optionally names the unit ("GB").
 	Unit string
@@ -81,13 +82,12 @@ type Vertex struct {
 
 	// path is the containment path from the root, e.g.
 	// "/cluster0/rack2/node37"; empty until Finalize (or Attach) and
-	// after Detach. The string is shared with the graph's byPath index
-	// key, so it costs one header, not a copy.
+	// after Detach. Its bytes live in one of the graph's shared string
+	// blocks, so it costs one header, not a heap object.
 	path string
 
 	plan   *planner.Planner
 	filter *planner.Multi
-	agg    map[string]int64 // containment-subtree unit totals per type; nil on leaves
 
 	// Intrusive containment-tree links, guarded by the graph's writer
 	// lock. They are the authoritative builder topology; Finalize,
@@ -112,6 +112,11 @@ type Vertex struct {
 	// together at the tail so the struct packs without internal padding
 	// — govet's fieldalignment check enforces this.)
 	TypeID int32
+
+	// agg is 1 + the vertex's row in the graph's aggregate table
+	// (Graph.aggs): its containment-subtree unit totals by TypeID. 0 on
+	// leaves, which store no row, and on detached vertices.
+	agg int32
 
 	// treeIn/treeOut are pre-order interval labels over the containment
 	// tree, maintained by Finalize, Attach, and Detach: u contains v
@@ -147,20 +152,43 @@ func (v *Vertex) Planner() *planner.Planner { return v.plan }
 // Filter returns the vertex's pruning filter, or nil if none is installed.
 func (v *Vertex) Filter() *planner.Multi { return v.filter }
 
-// Aggregates returns the containment-subtree unit totals per resource type
-// (including the vertex itself). Interior vertices return their live
-// aggregate map (callers must not modify it); leaves, which store no map,
-// synthesize their trivial singleton aggregate.
+// Aggregates returns a fresh map of the containment-subtree unit totals
+// per resource type (including the vertex itself), leaving out types
+// with none. It is for cold callers; hot paths read AggregateOf. A leaf,
+// or a detached vertex, reports only itself.
 func (v *Vertex) Aggregates() map[string]int64 {
-	if v.agg != nil {
-		return v.agg
+	if v.agg == 0 {
+		return map[string]int64{v.Type: v.Size}
 	}
-	return map[string]int64{v.Type: v.Size}
+	g := v.graph
+	m := make(map[string]int64)
+	for id, n := range g.aggRow(v) {
+		if n != 0 {
+			m[g.types.Name(int32(id))] = n
+		}
+	}
+	return m
 }
 
-// aggregates returns the per-type subtree totals without synthesizing a
-// map for leaves; graph-internal accounting iterates the result.
-func (v *Vertex) aggregates() map[string]int64 { return v.Aggregates() }
+// AggregateOf returns the containment-subtree units of the type with
+// the given ID (from the graph's Types table), the vertex itself
+// included. A type interned after Finalize reads 0 until an Attach of a
+// subtree holding it. Like the rest of the topology, it must not race
+// with Attach or Detach: callers hold the graph's reader lock or are
+// serialized with those mutators some other way (the traverser's lock).
+func (v *Vertex) AggregateOf(id int32) int64 {
+	if v.agg == 0 {
+		if id == v.TypeID {
+			return v.Size
+		}
+		return 0
+	}
+	g := v.graph
+	if id < 0 || int(id) >= g.aggW {
+		return 0
+	}
+	return g.aggs[int(v.agg-1)*g.aggW+int(id)]
+}
 
 // Path returns the vertex's containment path.
 func (v *Vertex) Path() string { return v.path }

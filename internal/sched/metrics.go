@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"fluxion/internal/resgraph"
 )
 
 // Metrics summarizes a scheduler run.
@@ -74,8 +76,11 @@ func (m Metrics) String() string {
 // Call it after Run (or after draining manually).
 func (s *Scheduler) Metrics() Metrics {
 	nodeCapacity := int64(0)
-	if root := s.tr.Graph().Root("containment"); root != nil {
-		nodeCapacity = root.Aggregates()["node"]
+	g := s.tr.Graph()
+	if root := g.Root(resgraph.Containment); root != nil {
+		if id, ok := g.Types().Lookup("node"); ok {
+			nodeCapacity = root.AggregateOf(id)
+		}
 	}
 	m := FoldMetrics(func(fn func(*Job)) {
 		for _, j := range s.jobs {

@@ -267,9 +267,12 @@ func (sh *Sharded) buildCore(g *resgraph.Graph) (*traverser.Traverser, *sched.Sc
 func (st *shardState) attach(g *resgraph.Graph, tr *traverser.Traverser, s *sched.Scheduler) {
 	st.g, st.tr, st.s = g, tr, s
 	root := g.Root(resgraph.Containment)
+	types := g.Types()
 	st.cap = make(map[string]int64, 8)
-	for t, c := range root.Aggregates() {
-		st.cap[t] = c
+	for id := int32(0); int(id) < types.Len(); id++ {
+		if c := root.AggregateOf(id); c > 0 {
+			st.cap[types.Name(id)] = c
+		}
 	}
 	prev := g.DeltaSink()
 	if prev == nil {
@@ -420,7 +423,9 @@ func (sh *Sharded) Metrics() sched.Metrics {
 	nodeCapacity := int64(0)
 	for _, st := range sh.shards {
 		if root := st.g.Root(resgraph.Containment); root != nil {
-			nodeCapacity += root.Aggregates()["node"]
+			if id, ok := st.g.Types().Lookup("node"); ok {
+				nodeCapacity += root.AggregateOf(id)
+			}
 		}
 		sm := st.s.Metrics()
 		requeued.Requeues += sm.Requeues

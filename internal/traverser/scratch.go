@@ -1,7 +1,6 @@
 package traverser
 
 import (
-	"fluxion/internal/intern"
 	"fluxion/internal/resgraph"
 )
 
@@ -283,34 +282,33 @@ func (s *sdfuScratch) add(owner *resgraph.Vertex, typeID int32, units int64) {
 // top's containment aggregates less top itself, so each filter from top
 // up gets them in one add instead of one per covered entry, and a filter
 // strictly beneath top gets its own vertex's.
-func (s *sdfuScratch) foldCovered(types *intern.Table, top *resgraph.Vertex) {
+func (s *sdfuScratch) foldCovered(top *resgraph.Vertex) {
 	for a := top; a != nil; a = a.Parent() {
-		s.addBeneath(types, a, top)
+		s.addBeneath(a, top)
 	}
-	s.foldInterior(types, top)
+	s.foldInterior(top)
 }
 
 // foldInterior adds, at every filter strictly beneath v, the units
 // strictly beneath the filter's own vertex.
-func (s *sdfuScratch) foldInterior(types *intern.Table, v *resgraph.Vertex) {
+func (s *sdfuScratch) foldInterior(v *resgraph.Vertex) {
 	for _, k := range v.Kids(resgraph.Containment) {
 		if k.HasChildren(resgraph.Containment) {
-			s.addBeneath(types, k, k)
-			s.foldInterior(types, k)
+			s.addBeneath(k, k)
+			s.foldInterior(k)
 		}
 	}
 }
 
 // addBeneath adds to owner's filter, per type it tracks, the units of that
 // type strictly beneath v.
-func (s *sdfuScratch) addBeneath(types *intern.Table, owner, v *resgraph.Vertex) {
+func (s *sdfuScratch) addBeneath(owner, v *resgraph.Vertex) {
 	f := owner.Filter()
 	if f == nil {
 		return
 	}
-	agg := v.Aggregates()
 	for _, id := range f.IDs() {
-		n := agg[types.Name(id)]
+		n := v.AggregateOf(id)
 		if id == v.TypeID {
 			n -= v.Size
 		}

@@ -905,7 +905,7 @@ func (t *Traverser) updateFilters(alloc *Allocation, covers bool) error {
 		// A vertex the scan did not mark whose first child it marked
 		// covers its whole subtree.
 		if kids := va.V.Kids(resgraph.Containment); len(kids) > 0 && t.cover.isCovered(kids[0]) {
-			s.foldCovered(t.g.Types(), va.V)
+			s.foldCovered(va.V)
 		}
 	}
 	n := 0
