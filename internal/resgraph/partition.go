@@ -138,41 +138,3 @@ func (g *Graph) Partition(cutType string, n int) ([]*Graph, error) {
 	}
 	return out, nil
 }
-
-// PartitionUnits reports how many units a Partition at cutType would
-// distribute — the upper bound on a usable shard count.
-func (g *Graph) PartitionUnits(cutType string) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ts := g.topo.Load()
-	root := g.roots[Containment]
-	if ts == nil || root == nil {
-		return 0
-	}
-	skeleton := make(map[*Vertex]bool)
-	skeleton[root] = true
-	cuts := 0
-	for _, v := range ts.order {
-		if v.Type != cutType {
-			continue
-		}
-		cuts++
-		for p := v.parent; p != nil && !skeleton[p]; p = p.parent {
-			skeleton[p] = true
-		}
-	}
-	if cuts == 0 {
-		return 0
-	}
-	units := 0
-	for i := 0; i < len(ts.order); {
-		v := ts.order[i]
-		if skeleton[v] {
-			i++
-			continue
-		}
-		units++
-		i = int(ts.post[v.UniqID])
-	}
-	return units
-}

@@ -121,10 +121,4 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := raw.Partition("rack", 1); !errors.Is(err, ErrNotFinalized) {
 		t.Fatalf("unfinalized: %v", err)
 	}
-	if got := g.PartitionUnits("rack"); got != 2 {
-		t.Fatalf("PartitionUnits(rack) = %d, want 2", got)
-	}
-	if got := g.PartitionUnits("blade"); got != 0 {
-		t.Fatalf("PartitionUnits(blade) = %d, want 0", got)
-	}
 }

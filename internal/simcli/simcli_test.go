@@ -312,6 +312,19 @@ func TestDrillConvergesUnderChaos(t *testing.T) {
 			if st := res.Scheduler.Stats(); st.Quarantined == 0 || st.InvalidSpecRejects == 0 {
 				t.Fatalf("chaos injected nothing: %+v", st)
 			}
+			// The defenses absorb the offenders without costing a clean
+			// job its run.
+			for _, j := range jobs {
+				if plan.Poisoned(j.ID) {
+					continue
+				}
+				sj, ok := res.Scheduler.Job(j.ID)
+				if !ok {
+					t.Errorf("clean job %d was not admitted", j.ID)
+				} else if sj.State != sched.StateCompleted {
+					t.Errorf("clean job %d ended %v", j.ID, sj.State)
+				}
+			}
 		})
 	}
 }
@@ -501,6 +514,23 @@ func TestRunShardedShardChaos(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
+	}
+
+	// A fault window that closes mid-run: the killed shard's jobs
+	// complete on the survivors or count as lost, and the recovery
+	// probes reabsorb the shard once the window has passed.
+	busy := trace.Synthesize(120, 4, 8, 7)
+	bounded := &chaos.Plan{Seed: 1, ShardKillFrac: 0.25, ShardFaultFrom: 1, ShardFaultUntil: 2000}
+	res, err = Run(Config{Recipe: grug.Small(4, 4, 8, 0, 0), Shards: 4, QueuePolicy: sched.EASY, Chaos: bounded}, busy, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Sharded.SupervisorStats()
+	if st.Failures < 1 || st.Recoveries < 1 || st.Drained+st.Evicted == 0 {
+		t.Fatalf("bounded window: %+v, want a failure, a recovery and jobs moved", st)
+	}
+	if int64(res.Completed)+st.Lost != int64(len(busy)) {
+		t.Fatalf("bounded window: completed=%d + lost=%d != submitted %d", res.Completed, st.Lost, len(busy))
 	}
 
 	// The dry twin ignores the plan: no hook, no supervisor, and the

@@ -244,7 +244,8 @@ func TestMarkDownCoveredVertex(t *testing.T) {
 }
 
 // TestCoveredClaimsMatchUncovered is the differential test of covered
-// claims: on random graphs under random matches, reservations, cancels,
+// claims: on random graphs, under each of the five match policies
+// (randomPolicy), through random matches, reservations, cancels,
 // releases, reinstalls (conflicting ones, grants shuffled), status flips,
 // grafts and detaches, a traverser that covers and one that plans every
 // span end every operation the same, hold the same allocation table and

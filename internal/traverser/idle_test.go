@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,11 +36,14 @@ type idlePair struct {
 func idleOff(tr *Traverser)  { tr.idle.off = true }
 func coverOff(tr *Traverser) { tr.cover.off = true }
 
-func newIdlePair(t *testing.T, racks, nodes, cores int64, spec resgraph.PruneSpec, off func(*Traverser)) *idlePair {
+func newIdlePair(t *testing.T, rng chooser, racks, nodes, cores int64, spec resgraph.PruneSpec, off func(*Traverser)) *idlePair {
 	p := &idlePair{t: t, seen: make(map[string]int)}
 	for i := range p.g {
 		p.g[i] = buildSmall(t, racks, nodes, cores, 0, spec)
-		p.tr[i] = newT(t, p.g[i], match.First{})
+	}
+	policy := randomPolicy(rng, p.g[:]...)
+	for i := range p.g {
+		p.tr[i] = newT(t, p.g[i], policy)
 	}
 	off(p.tr[1])
 	return p
@@ -234,7 +238,8 @@ func randomIdleSpec(rng chooser, nodes, cores int64) *jobspec.Jobspec {
 }
 
 // TestIdleCountMatchesWalk is the differential property test of the
-// window-exact count: on random graphs under random installs, cancels,
+// window-exact count: on random graphs, under each of the five match
+// policies (randomPolicy), through random installs, cancels,
 // reservations, releases, status flips (through the traverser and on the
 // graph directly) and grafts, every attempt — at a clock that completes
 // jobs as it moves, before it, and past it — ends the same with and
@@ -275,6 +280,28 @@ var pairSpecs = []resgraph.PruneSpec{
 	{"cluster": {"core", "node"}},
 }
 
+// randomPolicy draws one of the five match policies. Under variation it
+// gives the nodes of every graph in gs the same few perf classes, so
+// classes tie and the order depends on which nodes are up; a node without
+// a class sorts last. The graphs must be built alike.
+func randomPolicy(rng chooser, gs ...*resgraph.Graph) match.Policy {
+	policy := []match.Policy{match.First{}, match.HighID{}, match.LowID{}, match.Locality{}, match.NewVariation("")}[rng.Intn(5)]
+	if _, ok := policy.(match.Variation); ok {
+		nodes := make([][]*resgraph.Vertex, len(gs))
+		for i, g := range gs {
+			nodes[i] = g.ByType("node")
+		}
+		for j := range nodes[0] {
+			if c := rng.Intn(4); c > 0 {
+				for i := range gs {
+					nodes[i][j].SetProperty(match.PerfClassKey, strconv.Itoa(c))
+				}
+			}
+		}
+	}
+	return policy
+}
+
 // shuffled returns gs in a random order.
 func shuffled(rng chooser, gs []Grant) []Grant {
 	out := slices.Clone(gs)
@@ -289,7 +316,7 @@ func shuffled(rng chooser, gs []Grant) []Grant {
 // off, through ops operations and returns it.
 func runIdlePair(t *testing.T, rng chooser, ops int, off func(*Traverser)) *idlePair {
 	racks, nodes, cores := 1+rng.Int63n(3), 2+rng.Int63n(7), 2+rng.Int63n(3)
-	p := newIdlePair(t, racks, nodes, cores, pairSpecs[rng.Intn(len(pairSpecs))], off)
+	p := newIdlePair(t, rng, racks, nodes, cores, pairSpecs[rng.Intn(len(pairSpecs))], off)
 	var live []int64
 	var grown []string
 	nextID := int64(1)

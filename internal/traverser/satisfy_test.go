@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"fluxion/internal/grug"
@@ -184,16 +183,7 @@ func runSatStream(t *testing.T, rng chooser, ops int) *satStream {
 		}
 		opts = append(opts, WithSubsystem(satNet))
 	}
-	policy := []match.Policy{match.First{}, match.HighID{}, match.Locality{}, match.NewVariation("")}[rng.Intn(4)]
-	if _, ok := policy.(match.Variation); ok {
-		// Few classes, so classes tie and the order depends on which
-		// nodes are up; a node without a class sorts last.
-		for _, n := range d.g.ByType("node") {
-			if c := rng.Intn(4); c > 0 {
-				n.SetProperty(match.PerfClassKey, strconv.Itoa(c))
-			}
-		}
-	}
+	policy := randomPolicy(rng, d.g)
 	tr, err := New(d.g, policy, opts...)
 	if err != nil {
 		t.Fatal(err)
