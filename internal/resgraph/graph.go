@@ -550,12 +550,8 @@ func (g *Graph) Finalize() error {
 	// vertex loaded already down (e.g. from a JGF/GraphML dump of a
 	// degraded system) must have its units excluded from ancestor
 	// aggregates, exactly as a live MarkDown would have done.
-	for _, v := range g.vertices {
-		if v.Status == StatusDown {
-			if err := g.propagateStatusDelta(v.Parent(), v.TypeID, -v.Size); err != nil {
-				return err
-			}
-		}
+	if err := g.excludeDown(root); err != nil {
+		return err
 	}
 	g.buildTopoLocked()
 	g.finalized = true
@@ -681,10 +677,9 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	if len(delta) == 0 {
 		return delta, nil // already in the requested state
 	}
-	g.statusGen.Add(1)
-	sign := int64(1)
+	sign, was := int64(1), StatusDown
 	if want == StatusDown {
-		sign = -1
+		sign, was = -1, StatusUp
 	}
 	// Propagate each transitioned vertex individually so filters interior
 	// to the subtree (a node's own core aggregate, a rack's node
@@ -693,28 +688,44 @@ func (g *Graph) setSubtreeStatus(v *Vertex, want Status) (map[string]int64, erro
 	// filter exactly — and matches what Finalize computes when a dump of
 	// a degraded system is reloaded.
 	g.MarkEpochDirty()
-	for _, x := range flipped {
-		if err := g.propagateStatusDelta(x.Parent(), x.TypeID, sign*x.Size); err != nil {
-			return nil, err
+	for i, x := range flipped {
+		stop, err := g.propagateStatusDelta(x.Parent(), nil, x.TypeID, sign*x.Size)
+		if err == nil {
+			continue
 		}
+		// A filter cannot give the capacity up (a span planned on a
+		// vertex already down holds it). The flip is all or nothing:
+		// growing back what was shrunk cannot fail, and the statuses
+		// return to what they were.
+		_, _ = g.propagateStatusDelta(x.Parent(), stop, x.TypeID, -sign*x.Size)
+		for _, y := range flipped[:i] {
+			_, _ = g.propagateStatusDelta(y.Parent(), nil, y.TypeID, -sign*y.Size)
+		}
+		for _, y := range flipped {
+			y.Status = was
+		}
+		return nil, err
 	}
+	g.statusGen.Add(1)
 	return delta, nil
 }
 
 // propagateStatusDelta applies a capacity change of n units of type id to
-// every filter on the ancestor chain starting at a (inclusive). Filters
-// that do not track the type are skipped.
-func (g *Graph) propagateStatusDelta(a *Vertex, id int32, n int64) error {
-	for ; a != nil; a = a.Parent() {
+// every filter on the ancestor chain from a (inclusive) up to stop
+// (exclusive; nil for the whole chain). Filters that do not track the type
+// are skipped. On error it returns the vertex whose filter refused, having
+// changed every filter beneath it.
+func (g *Graph) propagateStatusDelta(a, stop *Vertex, id int32, n int64) (*Vertex, error) {
+	for ; a != stop; a = a.Parent() {
 		if a.filter.PlannerByID(id) == nil {
 			continue
 		}
 		if err := a.filter.Update(id, n); err != nil {
-			return fmt.Errorf("resgraph: status update at %s: %w", a.Name, err)
+			return a, fmt.Errorf("resgraph: status update at %s: %w", a.Name, err)
 		}
 		g.MarkEpochDirty()
 	}
-	return nil
+	return nil, nil
 }
 
 // newPlanner returns an initialized planner for v, carved from the
@@ -902,11 +913,27 @@ func (g *Graph) Attach(parent, sub *Vertex) error {
 			return err
 		}
 	}
+	// A vertex marked down before the graft gives its units back.
+	if err := g.excludeDown(sub); err != nil {
+		return err
+	}
 	g.buildTopoLocked()
 	g.publishStructural(parent)
 	g.markEpochAllLocked()
 	g.PublishEpoch()
 	return nil
+}
+
+// excludeDown takes the units of every down vertex in x's subtree out of
+// the filters above it.
+func (g *Graph) excludeDown(x *Vertex) (err error) {
+	if x.Status == StatusDown {
+		_, err = g.propagateStatusDelta(x.Parent(), nil, x.TypeID, -x.Size)
+	}
+	for c := x.kidHead; c != nil && err == nil; c = c.nextSib {
+		err = g.excludeDown(c)
+	}
+	return err
 }
 
 // growFilter updates (or installs) a's filter after the subtree rooted at

@@ -625,3 +625,59 @@ func TestNestedMarkDownThenSubtreeMarkUpRestoresInteriorFilters(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedStatusFlipChangesNothing pins that a status flip a filter
+// refuses (a span there holds the capacity the flip would take away)
+// leaves every status, filter total and the status generation as they
+// were. It used to return the error with the statuses flipped and the
+// filters beneath the refusing one already shrunk.
+func TestRefusedStatusFlipChangesNothing(t *testing.T) {
+	g := buildTiny(t, PruneSpec{ALL: {"core"}})
+	root, rack, node := g.Root(Containment), g.ByPath("/cluster0/rack0"), g.ByPath("/cluster0/rack0/node0")
+	if _, err := filterMember(rack, "core").AddSpan(0, 10, 8); err != nil {
+		t.Fatal(err)
+	}
+	gen := g.StatusGen()
+	if _, err := g.MarkDown(node); err == nil {
+		t.Fatal("MarkDown under a fully planned rack filter succeeded")
+	}
+	for _, v := range g.Vertices() {
+		if v.InSubtreeOf(node) && v.Status != StatusUp {
+			t.Errorf("%s left %v", v.Path(), v.Status)
+		}
+	}
+	for v, want := range map[*Vertex]int64{root: 16, rack: 8, node: 4} {
+		if got := filterTotal(v, "core"); got != want {
+			t.Errorf("%s core filter total %d, want %d", v.Path(), got, want)
+		}
+	}
+	if g.StatusGen() != gen {
+		t.Errorf("status generation moved %d -> %d", gen, g.StatusGen())
+	}
+}
+
+// TestAttachExcludesDownVertices pins that a subtree grafted with a vertex
+// already down grows the filters above it by its in-service capacity
+// only, as Finalize counts a graph loaded with down vertices.
+func TestAttachExcludesDownVertices(t *testing.T) {
+	g := buildTiny(t, PruneSpec{ALL: {"core"}})
+	rack := g.ByPath("/cluster0/rack1")
+	node := g.MustAddVertex("node", -1, 1)
+	for i := 0; i < 4; i++ {
+		c := g.MustAddVertex("core", -1, 1)
+		if i > 0 {
+			c.Status = StatusDown
+		}
+		if err := g.AddContainment(node, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Attach(rack, node); err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range map[*Vertex]int64{g.Root(Containment): 17, rack: 9, node: 1} {
+		if got := filterTotal(v, "core"); got != want {
+			t.Errorf("%s core filter total %d, want %d", v.Path(), got, want)
+		}
+	}
+}

@@ -17,9 +17,10 @@
 // vertex-for-vertex clone of the flat graph, and the sharded scheduler
 // is decision-identical to the flat one (property-tested in
 // parity_test.go). With N shards, decision throughput scales with N —
-// cycles run concurrently over graphs 1/N the size — at a quantified
-// decision-quality cost (experiments E12): cross-shard fragmentation
-// can delay or strand jobs a flat scheduler would have placed.
+// cycles run concurrently over graphs 1/N the size — at a
+// decision-quality cost the bench's stream-easy-shard2 workload measures:
+// cross-shard fragmentation can delay or strand jobs a flat scheduler
+// would have placed.
 //
 // Shards are also the failure domains: with Config.Supervisor set every
 // per-shard cycle runs behind a panic fence and cycle deadline feeding

@@ -258,22 +258,6 @@ func (sh *Sharded) SupervisorStats() SupervisorStats {
 	return sh.sup.stats
 }
 
-// TouchedJobs returns the sorted IDs of every job a failover moved,
-// evicted, or lost — the jobs excluded from decision-parity claims.
-func (sh *Sharded) TouchedJobs() []int64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.sup == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(sh.sup.touched))
-	for id := range sh.sup.touched {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 // FailShard administratively fails shard i with the given reason: the
 // router stops placing to it, pending and reserved jobs drain to the
 // survivors, running jobs are awaited under the grace window (or evicted

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +23,22 @@ func newSupervised(t testing.TB, cfg SupervisorConfig, shards int, racks, nodes,
 		t.Fatal(err)
 	}
 	return sh
+}
+
+// TouchedJobs returns the sorted IDs of every job a failover moved,
+// evicted, or lost — the jobs excluded from decision-parity claims.
+func (sh *Sharded) TouchedJobs() []int64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.sup == nil {
+		return nil
+	}
+	out := make([]int64, 0, len(sh.sup.touched))
+	for id := range sh.sup.touched {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
 }
 
 // killSwitch is an atomically togglable cycle hook targeting one shard.

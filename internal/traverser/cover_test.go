@@ -252,7 +252,7 @@ func TestMarkDownCoveredVertex(t *testing.T) {
 // filters, and keep planners that agree with the table (CheckPlanners).
 func TestCoveredClaimsMatchUncovered(t *testing.T) {
 	seen := make(map[string]int)
-	for seed := int64(1); seed <= 32; seed++ {
+	for _, seed := range pairSeeds() {
 		p := runIdlePair(t, rand.New(rand.NewSource(seed)), 400, coverOff)
 		for k, n := range p.seen {
 			seen[k] += n

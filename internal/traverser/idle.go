@@ -61,8 +61,9 @@ type idleIndex struct {
 	statusGen, structGen uint64
 	// moves is rekeyAll's buffer of merged calendar edits.
 	moves []keyMove
-	// off disables the count; the differential tests compare against it.
-	off bool
+	// off disables the count, and noSelect index-backed selection; the
+	// differential tests compare against each.
+	off, noSelect bool
 }
 
 // keyMove is a pending calendar edit: n keys of type it at time t.
@@ -76,13 +77,17 @@ const maxKeyMoves = 8
 
 // idleType is the index of one type: its vertices in containment
 // pre-order, each one's pre-order label (searched without touching the
-// vertices) and key, and the calendar of the finite keys.
+// vertices) and key, the calendar of the finite keys, and a max tree over
+// the keys (next).
 type idleType struct {
 	id    int32
 	verts []*resgraph.Vertex
 	ins   []int32
 	keys  []int64
 	cal   planner.Counts
+	// tree holds maxima over keys: leaf i at len(tree)/2+i (padding at
+	// math.MinInt64), node p the max of 2p and 2p+1, tree[0] unused.
+	tree []int64
 }
 
 // index adds type id to the index, which then rebuilds: a type is indexed
@@ -116,6 +121,9 @@ func (x *idleIndex) rebuild(t *Traverser) {
 			it.cal.Add(k, 1)
 		}
 	})
+	for i := range x.types {
+		x.types[i].build()
+	}
 	x.ends.Reset(x.base)
 	for _, a := range t.allocs {
 		if x.holds(a) {
@@ -175,7 +183,61 @@ func (it *idleType) set(i int, k int64) {
 	if k != idleNone {
 		it.cal.Add(k, 1)
 	}
+	it.store(i, k)
+}
+
+// store writes key k at position i and the maxima above it.
+func (it *idleType) store(i int, k int64) {
 	it.keys[i] = k
+	p := len(it.tree)/2 + i
+	it.tree[p] = k
+	for p > 1 {
+		p /= 2
+		it.tree[p] = max(it.tree[2*p], it.tree[2*p+1])
+	}
+}
+
+// build lays the max tree out over the keys afresh.
+func (it *idleType) build() {
+	sz := 1
+	for sz < len(it.keys) {
+		sz *= 2
+	}
+	it.tree = slices.Grow(it.tree[:0], 2*sz)[:2*sz]
+	copy(it.tree[sz:], it.keys)
+	for p := sz + len(it.keys); p < 2*sz; p++ {
+		it.tree[p] = math.MinInt64
+	}
+	for p := sz - 1; p >= 1; p-- {
+		it.tree[p] = max(it.tree[2*p], it.tree[2*p+1])
+	}
+}
+
+// next returns the first position at or after i whose key is at least t,
+// or len(keys): up the tree to the first right sibling holding such a
+// key, then down to its leftmost one, in O(log n).
+func (it *idleType) next(i int, t int64) int {
+	if i >= len(it.keys) {
+		return len(it.keys)
+	}
+	sz := len(it.tree) / 2
+	p := sz + i
+	for it.tree[p] < t {
+		for p&1 == 1 {
+			p /= 2
+		}
+		if p == 0 {
+			return len(it.keys)
+		}
+		p++
+	}
+	for p < sz {
+		p *= 2
+		if it.tree[p] < t {
+			p++
+		}
+	}
+	return p - sz
 }
 
 // find returns v's position, if v is indexed.
@@ -240,7 +302,7 @@ func (x *idleIndex) rekeyAll(alloc *Allocation, added bool) bool {
 				k = x.key(va.V)
 			}
 			if old != k {
-				it.keys[i] = k
+				it.store(i, k)
 				x.move(it, old, -1)
 				x.move(it, k, 1)
 			}
@@ -341,10 +403,14 @@ func (x *idleIndex) attached(g *resgraph.Graph, sub *resgraph.Vertex, wasSynced 
 	}
 	x.insert(sub)
 	x.collect(sub, func(_ *idleType, v *resgraph.Vertex) { x.insert(v) })
+	for i := range x.types {
+		x.types[i].build()
+	}
 	x.statusGen, x.structGen = g.StatusGen(), g.StructVersion()
 }
 
-// insert adds v, unindexed so far, at its pre-order position.
+// insert adds v, unindexed so far, at its pre-order position; the caller
+// rebuilds the max tree.
 func (x *idleIndex) insert(v *resgraph.Vertex) {
 	it := x.typeOf(v.TypeID)
 	if it == nil {
@@ -382,17 +448,20 @@ func (x *idleIndex) detached(g *resgraph.Graph, rs [][2]int, wasSynced bool) {
 		}
 		it.verts, it.ins, it.keys = slices.Delete(it.verts, r[0], r[1]), slices.Delete(it.ins, r[0], r[1]), slices.Delete(it.keys, r[0], r[1])
 		it.relabel()
+		it.build()
 	}
 	x.statusGen, x.structGen = g.StatusGen(), g.StructVersion()
 }
 
 // short returns the first type of needs with fewer vertices idle
 // throughout [at, at+dur) than the request takes whole, and by how many;
-// a zero shortfall admits. It rebuilds the index first when the graph
+// a zero shortfall admits. exact reports that the keys are exact at `at`,
+// so the count was taken and a walk may select from the index
+// (matcher.firstFitIdle). It rebuilds the index first when the graph
 // changed behind it.
-func (x *idleIndex) short(t *Traverser, needs []jobspec.TypeCount, at, dur int64) (int32, int64) {
+func (x *idleIndex) short(t *Traverser, needs []jobspec.TypeCount, at, dur int64) (id int32, n int64, exact bool) {
 	if len(needs) == 0 || x.off || !t.containment {
-		return 0, 0
+		return 0, 0, false
 	}
 	for _, n := range needs {
 		if x.typeOf(n.ID) == nil {
@@ -402,13 +471,13 @@ func (x *idleIndex) short(t *Traverser, needs []jobspec.TypeCount, at, dur int64
 		}
 	}
 	if len(x.types) == 0 {
-		return 0, 0
+		return 0, 0, false
 	}
 	if !x.synced(t.g) {
 		x.resync(t)
 	}
 	if x.ends.Below(at+1) > 0 {
-		return 0, 0 // an allocation ended by at: its vertices' keys are early
+		return 0, 0, false // an allocation ended by at: its vertices' keys are early
 	}
 	for _, n := range needs {
 		it := x.typeOf(n.ID)
@@ -416,10 +485,10 @@ func (x *idleIndex) short(t *Traverser, needs []jobspec.TypeCount, at, dur int64
 			continue
 		}
 		if idle := int64(len(it.verts)) - it.cal.Below(at+dur); idle < n.Units {
-			return n.ID, n.Units - idle
+			return n.ID, n.Units - idle, true
 		}
 	}
-	return 0, 0
+	return 0, 0, true
 }
 
 // CheckIdleIndex reports whether the window-exact admission index equals
@@ -451,6 +520,9 @@ func (t *Traverser) CheckIdleIndex() error {
 			if lt.keys[j] != ft.keys[j] {
 				return fmt.Errorf("%s: key %d, rebuilt %d", lt.verts[j].Path(), lt.keys[j], ft.keys[j])
 			}
+		}
+		if !slices.Equal(lt.tree, ft.tree) {
+			return fmt.Errorf("type %d: max tree %v, rebuilt %v", lt.id, lt.tree, ft.tree)
 		}
 		if err := sameCounts(&lt.cal, &ft.cal); err != nil {
 			return fmt.Errorf("type %d calendar: %w", lt.id, err)

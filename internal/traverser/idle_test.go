@@ -2,6 +2,7 @@ package traverser
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,24 +18,54 @@ import (
 
 // idlePair drives two traversers over identical graphs through the same
 // operations, the second with one shortcut switched off: the window-exact
-// count (idle.off, walking every attempt) or covered claims (cover.off,
-// planning a span on every selected vertex). Every operation must end the
-// same way on both, and both must keep planners, filters and the idle
-// index equal to what their allocation tables imply.
+// count (idle.off, walking every attempt), covered claims (cover.off,
+// planning a span on every selected vertex) or index-backed selection
+// (idle.noSelect, collecting every candidate list by the walk). Every
+// operation must end the same way on both, and both must keep planners,
+// filters and the idle index equal to what their allocation tables imply.
 type idlePair struct {
 	t       *testing.T
 	g       [2]*resgraph.Graph
 	tr      [2]*Traverser
 	now     int64 // the stream's clock; planners are checked at it
 	rejects int   // attempts the count refused on the first traverser
-	// seen counts the covered-claim cases the stream reached on the
-	// first traverser, by name.
+	// selecting marks a pair whose second side selects by the walk: both
+	// sides count, so failed attempts must also capture equal signatures,
+	// and the stream adds racks taken whole.
+	selecting bool
+	// seen counts the cases the stream reached on the first traverser,
+	// by name.
 	seen map[string]int
 }
 
-// idleOff and coverOff switch a pair's second traverser's shortcut off.
-func idleOff(tr *Traverser)  { tr.idle.off = true }
-func coverOff(tr *Traverser) { tr.cover.off = true }
+// idleOff, coverOff and selectOff switch a pair's second traverser's
+// shortcut off.
+func idleOff(tr *Traverser)   { tr.idle.off = true }
+func coverOff(tr *Traverser)  { tr.cover.off = true }
+func selectOff(tr *Traverser) { tr.idle.noSelect = true }
+
+// idleSeeds is how many random streams (seeds 1..n) each differential pair
+// test runs; a wide sweep raises it.
+var idleSeeds = flag.Int64("idle.seeds", 32, "random streams per differential pair test")
+
+// pinnedSeeds are streams that once failed: a status flip a filter refused
+// left the statuses flipped and the filters half updated. They run
+// whatever -idle.seeds says.
+var pinnedSeeds = []int64{80, 92, 210, 404, 483, 493, 526, 611}
+
+// pairSeeds returns seeds 1..idle.seeds and the pinned seeds past them.
+func pairSeeds() []int64 {
+	var out []int64
+	for s := int64(1); s <= *idleSeeds; s++ {
+		out = append(out, s)
+	}
+	for _, s := range pinnedSeeds {
+		if s > *idleSeeds {
+			out = append(out, s)
+		}
+	}
+	return out
+}
 
 func newIdlePair(t *testing.T, rng chooser, racks, nodes, cores int64, spec resgraph.PruneSpec, off func(*Traverser)) *idlePair {
 	p := &idlePair{t: t, seen: make(map[string]int)}
@@ -46,6 +77,7 @@ func newIdlePair(t *testing.T, rng chooser, racks, nodes, cores int64, spec resg
 		p.tr[i] = newT(t, p.g[i], policy)
 	}
 	off(p.tr[1])
+	p.selecting = p.tr[1].idle.noSelect
 	return p
 }
 
@@ -67,20 +99,32 @@ func outcome(a *Allocation, err error) string {
 	}
 }
 
-// match runs one attempt on both sides and compares the outcomes.
+// match runs one attempt on both sides and compares the outcomes. Every
+// other attempt captures a blocking signature; a selecting pair compares
+// those of failed attempts too.
 func (p *idlePair) match(id int64, js *jobspec.Jobspec, at int64, reserve bool) bool {
 	p.t.Helper()
-	var got [2]string
+	var got, sigs [2]string
 	ok := false
 	for i, tr := range p.tr {
+		cjs, err := tr.Compile(js)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		var sig *BlockSig
+		if id%2 == 0 {
+			sig = new(BlockSig)
+		}
 		var a *Allocation
-		var err error
 		if reserve {
-			a, err = tr.MatchAllocateOrReserve(id, js, at)
+			a, err = tr.MatchAllocateOrReserveCompiledSig(id, cjs, at, sig)
 		} else {
-			a, err = tr.MatchAllocate(id, js, at)
+			a, err = tr.MatchAllocateCompiledSig(id, cjs, at, sig)
 		}
 		got[i] = outcome(a, err)
+		if sig != nil && errors.Is(err, ErrNoMatch) {
+			sigs[i] = fmt.Sprintf("%+v", *sig)
+		}
 		if i == 0 {
 			ok = err == nil
 			if err != nil && strings.Contains(err.Error(), "too few idle") {
@@ -90,6 +134,12 @@ func (p *idlePair) match(id int64, js *jobspec.Jobspec, at int64, reserve bool) 
 	}
 	if got[0] != got[1] {
 		p.t.Fatalf("job %d %s at %d (reserve %v): with the shortcut %q, without %q", id, js.Resources[0], at, reserve, got[0], got[1])
+	}
+	if p.selecting && sigs[0] != sigs[1] {
+		p.t.Fatalf("job %d %s at %d (reserve %v): signature with the shortcut %s, without %s", id, js.Resources[0], at, reserve, sigs[0], sigs[1])
+	}
+	if p.selecting && sigs[0] != "" && match.IsTraversalOrder(p.tr[0].policy) {
+		p.seen["signature compared"]++
 	}
 	p.check("match", false)
 	return ok
@@ -247,7 +297,7 @@ func randomIdleSpec(rng chooser, nodes, cores int64) *jobspec.Jobspec {
 // scratch.
 func TestIdleCountMatchesWalk(t *testing.T) {
 	rejects := 0
-	for seed := int64(1); seed <= 32; seed++ {
+	for _, seed := range pairSeeds() {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rejects += runIdlePair(t, rand.New(rand.NewSource(seed)), 400, idleOff).rejects
 		})
@@ -269,7 +319,62 @@ func FuzzIdleCount(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runIdlePair(t, &byteChooser{data: data}, min(len(data)/4, 300), idleOff)
+		runIdlePair(t, &byteChooser{data: data}, min(len(data)/4, 300), selectOff)
 	})
+}
+
+// TestIndexSelectionMatchesWalk is the differential test of index-backed
+// selection: the same streams as TestIdleCountMatchesWalk, plus racks
+// taken whole, under all five policies (only first selects from the
+// index; the others must agree by walking), with a traverser that selects
+// and one that collects every candidate list by the walk. Allocations,
+// reservation times and the signatures of failed attempts must be equal.
+func TestIndexSelectionMatchesWalk(t *testing.T) {
+	seen := make(map[string]int)
+	for _, seed := range pairSeeds() {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for k, n := range runIdlePair(t, rand.New(rand.NewSource(seed)), 400, selectOff).seen {
+				seen[k] += n
+			}
+		})
+	}
+	t.Logf("cases reached: %v", seen)
+	for _, k := range []string{"whole rack", "whole rack covering", "markup under a down rack",
+		"attempt past an ended allocation", "signature compared"} {
+		if seen[k] == 0 {
+			t.Errorf("the stream never reached %q", k)
+		}
+	}
+}
+
+// TestIdleTypeNext checks the max tree's "next position at or after i
+// keyed at least t" against a linear scan, across sizes at and around
+// powers of two, after point updates.
+func TestIdleTypeNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 33; n++ {
+		it := &idleType{keys: make([]int64, n)}
+		for i := range it.keys {
+			it.keys[i] = rng.Int63n(10)
+		}
+		it.build()
+		for round := 0; round < 20; round++ {
+			if n > 0 {
+				it.store(rng.Intn(n), rng.Int63n(10))
+			}
+			for i := 0; i <= n; i++ {
+				for k := int64(0); k <= 10; k++ {
+					want := i
+					for want < n && it.keys[want] < k {
+						want++
+					}
+					if got := it.next(i, k); got != want {
+						t.Fatalf("keys %v: next(%d, %d) = %d, want %d", it.keys, i, k, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // pairSpecs are the pruning filters a random pair is built with: on every
@@ -372,8 +477,34 @@ func runIdlePair(t *testing.T, rng chooser, ops int, off func(*Traverser)) *idle
 			if reserve {
 				size = racks * nodes
 			}
-			if p.match(id, randomIdleSpec(rng, size, cores), at, reserve) {
+			js := randomIdleSpec(rng, size, cores)
+			rack := p.selecting && rng.Intn(4) == 0
+			if rack {
+				// A rack taken whole, with all or some of its nodes: with
+				// all, its claim covers them (cover.go).
+				n := nodes
+				if rng.Intn(2) == 0 {
+					n = 1 + rng.Int63n(nodes)
+				}
+				js = jobspec.New(5+rng.Int63n(120), jobspec.RX("rack", 1, jobspec.R("node", n, jobspec.R("core", cores))))
+			}
+			for _, a := range p.tr[0].allocs {
+				if a.At+a.Duration <= at {
+					p.seen["attempt past an ended allocation"]++
+					break
+				}
+			}
+			if p.match(id, js, at, reserve) {
 				keep(id, at)
+				if a, _ := p.tr[0].Info(id); rack && a != nil {
+					p.seen["whole rack"]++
+					for i := range a.Vertices {
+						if a.Vertices[i].covered() && a.Vertices[i].V.Type == "node" {
+							p.seen["whole rack covering"]++
+							break
+						}
+					}
+				}
 			}
 		case k < 11 && len(live) > 0:
 			id := live[rng.Intn(len(live))]
@@ -449,6 +580,9 @@ func runIdlePair(t *testing.T, rng chooser, ops int, off func(*Traverser)) *idle
 				continue
 			}
 			path := v.Path()
+			if v.Type == "node" && v.Parent().Status != resgraph.StatusUp {
+				p.seen["markup under a down rack"]++
+			}
 			p.both("markup", false, func(_ *resgraph.Graph, tr *Traverser) error { return tr.MarkUp(path) })
 		case k < 16:
 			// A status flip made on the graph directly, behind the

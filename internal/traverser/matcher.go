@@ -1,6 +1,8 @@
 package traverser
 
 import (
+	"slices"
+
 	"fluxion/internal/jobspec"
 	"fluxion/internal/resgraph"
 )
@@ -46,6 +48,9 @@ type matcher struct {
 	at    int64
 	dur   int64
 	dry   bool // capacity-only satisfiability check: sizes, not planners
+	// idle lets whole-vertex requests take their candidates from the idle
+	// index (firstFitIdle); selected records that one did.
+	idle, selected bool
 	// sig, when non-nil, accumulates blocking reasons as the walk prunes
 	// or rejects candidates (see signature.go). Reasons survive
 	// rollbacks on purpose: a rolled-back claim was still a real
@@ -159,12 +164,26 @@ func (m *matcher) matchRequest(v *resgraph.Vertex, ni int32, excl bool) bool {
 	key := candKey{vertex: v.UniqID, node: ni}
 	e := m.s.cands.lookup(key)
 	if e == nil {
-		buf := m.s.cands.getBuf()
-		buf = m.collect(buf[:0], v, cn)
-		e = m.s.cands.put(key, v, cn.TypeID, buf)
+		// A request that takes its vertices whole may select from the
+		// idle index: tryCandidate refuses one busy in the window.
+		in, out := v.TreeInterval()
+		if it := m.t.idle.typeOf(cn.TypeID); m.idle && it != nil && len(cn.With) > 0 && (excl || cn.Exclusive) {
+			e = m.s.cands.put(key, v, cn.TypeID, nil)
+			e.idle, e.lo, e.hi = it, int32(it.search(in)), int32(it.search(out))
+		} else {
+			// On containment, room for every vertex of cn's type beneath
+			// v (exact for unit-size leaves); overlays grow by append.
+			buf := m.s.cands.getBuf()
+			if n := min(v.AggregateOf(cn.TypeID), int64(out-in-1)); m.t.containment && int64(cap(buf)) < n {
+				buf = make([]*resgraph.Vertex, 0, n)
+			}
+			e = m.s.cands.put(key, v, cn.TypeID, m.collect(buf[:0], v, cn))
+		}
 	}
 
-	if m.t.staticOrder {
+	if e.idle != nil {
+		needed = m.firstFitIdle(e, key, v, cn, excl, needed)
+	} else if m.t.staticOrder {
 		// First-fit: scan the cached traversal-order list from the
 		// cursor, then advance the cursor past the leading run of
 		// candidates now proven dead (failed, or drained to zero
@@ -301,6 +320,74 @@ func (m *matcher) collect(out []*resgraph.Vertex, v *resgraph.Vertex, cn *jobspe
 		out = m.collect(out, c, cn)
 	}
 	return out
+}
+
+// firstFitIdle is the first-fit scan of an index-backed entry. Its
+// candidates are collect's minus the vertices tryCandidate would refuse as
+// busy in the window: in pre-order, the indexed vertices of v's range keyed
+// at or after the window's end (idleType.next), less the subtrees collect
+// would not descend into (blockedAbove). The cursor, a position counted
+// from lo, moves and resets as a list's. Skipped vertices are not noted, so
+// a failed walk that selected here is walked again for its signature.
+func (m *matcher) firstFitIdle(e *candEntry, key candKey, v *resgraph.Vertex, cn *jobspec.CNode, excl bool, needed int64) int64 {
+	m.selected = true
+	it, lo, hi := e.idle, int(e.lo), int(e.hi)
+	j := lo + int(e.cursor)
+	start, live := j, -1 // live: the first candidate not proven dead
+	for needed > 0 {
+		if j = it.next(j, m.at+m.dur); j >= hi {
+			break
+		}
+		c := it.verts[j]
+		if a := m.blockedAbove(key, v, c, cn); a != nil {
+			_, out := a.TreeInterval()
+			j = it.search(out)
+			continue
+		}
+		contrib := m.tryCandidate(c, cn, excl, needed)
+		needed -= contrib
+		if live < 0 && contrib > 0 && m.availUnits(c) > 0 {
+			live = j
+		}
+		j++
+	}
+	if live < 0 {
+		live = min(j, hi)
+	}
+	if live > start {
+		m.s.cands.advanceCursor(key, int32(live-lo))
+	}
+	return needed
+}
+
+// blockedAbove returns the outermost vertex strictly between v and c that
+// collect would not descend through for cn (down, of cn's type, refused by
+// its filter, or exhausted), or nil. The checks that hold for the whole
+// attempt are memoised along the path from v to the last candidate
+// (matchScratch.chain); availability, which claims move, is read each time.
+func (m *matcher) blockedAbove(key candKey, v, c *resgraph.Vertex, cn *jobspec.CNode) *resgraph.Vertex {
+	s := m.s
+	if s.chainKey != key {
+		s.chain, s.chainKey = s.chain[:0], key
+	}
+	// Keep the links above c (a rewound cursor scans earlier ones again).
+	for n := len(s.chain); n > 0 && (s.chain[n-1].v == c || !c.InSubtreeOf(s.chain[n-1].v)); n-- {
+		s.chain = s.chain[:n-1]
+	}
+	mark, top := len(s.chain), v
+	if mark > 0 {
+		top = s.chain[mark-1].v
+	}
+	for a := c.Parent(); a != top; a = a.Parent() {
+		s.chain = append(s.chain, chainLink{a, m.up(a) && a.TypeID != cn.TypeID && m.filterAdmits(a, cn.Needs)})
+	}
+	slices.Reverse(s.chain[mark:])
+	for _, l := range s.chain {
+		if !l.ok || m.availUnits(l.v) <= 0 {
+			return l.v
+		}
+	}
+	return nil
 }
 
 // filterAdmits checks c's pruning filter (if any) against the aggregate

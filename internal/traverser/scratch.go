@@ -41,6 +41,19 @@ type matchScratch struct {
 
 	cands candCache
 	sdfu  sdfuScratch
+
+	// chain is firstFitIdle's path from the scan's vertex down to the
+	// last candidate's parent, with each link's attempt-constant checks,
+	// for the scan chainKey; begin empties it.
+	chain    []chainLink
+	chainKey candKey
+}
+
+// chainLink is one vertex of matchScratch.chain: ok when it is up, not of
+// the request's type, and its filter admits one instance.
+type chainLink struct {
+	v  *resgraph.Vertex
+	ok bool
 }
 
 // begin readies the scratch for an attempt over vertices with UniqID in
@@ -58,7 +71,7 @@ func (s *matchScratch) begin(n int64, structEpoch uint64) {
 		s.availGen = make([]uint32, n)
 		s.tentative = make([]int64, n)
 	}
-	s.verts = s.verts[:0]
+	s.verts, s.chain = s.verts[:0], s.chain[:0]
 	s.depth = 0
 	if s.structEpoch != structEpoch {
 		s.structEpoch = structEpoch
@@ -101,7 +114,8 @@ type candKey struct {
 
 // candEntry is one cached candidate list. root/typeID support
 // invalidation (which claims can affect this list); cursor is the
-// first-fit resume point.
+// first-fit resume point. An index-backed entry (matcher.firstFitIdle)
+// holds no list but positions [lo, hi) of idle; its cursor counts from lo.
 type candEntry struct {
 	key    candKey
 	root   *resgraph.Vertex
@@ -109,6 +123,8 @@ type candEntry struct {
 	valid  bool
 	cursor int32
 	cands  []*resgraph.Vertex
+	idle   *idleType
+	lo, hi int32
 }
 
 // candCache caches collect results within one match attempt. Entries

@@ -800,12 +800,24 @@ func (t *Traverser) tryMatchLocked(jobID int64, cjs *jobspec.Compiled, at int64,
 	// ones the request takes whole (idle.go) — the aggregates above
 	// cannot see a fragmented window.
 	if mode != modeDry {
-		if id, short := t.idle.short(t, cjs.Wholes(), at, dur); short > 0 {
+		id, short, exact := t.idle.short(t, cjs.Wholes(), at, dur)
+		if short > 0 {
 			m.note(root, id, short)
 			return nil, &noMatchAt{why: "too few idle vertices at", at: at}
 		}
+		// First-fit selects from the index where its keys are exact.
+		m.idle = exact && t.staticOrder && !t.idle.noSelect
 	}
-	if !m.matchForest(root, cjs.Roots(), false) {
+	ok := m.matchForest(root, cjs.Roots(), false)
+	if !ok && sig != nil && m.selected {
+		// The index skips busy vertices unnoted: walk again for the signature.
+		s.dropClaims()
+		s.begin(t.g.UniqBound(), t.g.StructVersion())
+		sig.reset(at, dur)
+		m.idle = false
+		ok = m.matchForest(root, cjs.Roots(), false)
+	}
+	if !ok {
 		if sig != nil && len(sig.Reasons) == 0 && !sig.Overflow {
 			// Backstop: a failure the walk did not localize (e.g. every
 			// candidate was status-down). Wake on any free in the system.
